@@ -2,7 +2,7 @@
 
 Reports are machine-readable JSON on stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 failed verification, 2 malformed input,
-3 exact-solver size cap exceeded.
+3 exact-solver size cap exceeded, 4 LP solver failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import clp, exact, flowkit, gen, lazysearch, treesearch
+from . import clp, exact, flowkit, gen, lazysearch, simplex, treesearch
 from .model import (
     Epsilon,
     Instance,
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_SIZE_CAP = 3
+EXIT_LP = 4
 
 
 def _load_instance(path: str) -> Instance:
@@ -284,7 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except simplex.SimplexError as exc:  # estimate and gap-search solve LPs
+        print(f"error: LP solver failure: {exc}", file=sys.stderr)
+        return EXIT_LP
 
 
 if __name__ == "__main__":

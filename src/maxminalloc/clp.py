@@ -35,6 +35,11 @@ class NoConfiguration(ValueError):
     """Agent cannot reach T even when given every item it likes."""
 
 
+class MasterNotConverged(simplex.SimplexError):
+    """Column generation hit MAX_ROUNDS below lambda = 1, so CLP(T) is
+    neither shown feasible nor shown infeasible."""
+
+
 @dataclass(frozen=True)
 class Column:
     agent: int
@@ -48,8 +53,6 @@ class ClpResult:
     feasible: bool
     converged: bool
     columns: List[Tuple[Column, float]]  # positive-mass primal columns
-    duals_y: List[float]
-    duals_z: List[float]
 
 
 @dataclass
@@ -121,11 +124,11 @@ def solve_clp(
     """Column generation on the max-lambda master; feasible iff lambda* >= 1-tol."""
     eps = inst.epsilon
     if T.key(eps) <= 0:
-        return ClpResult(T, 1.0, True, True, [], [0.0] * inst.n, [0.0] * inst.m)
+        return ClpResult(T, 1.0, True, True, [])
     try:
         columns: List[Column] = _initial_columns(inst, T)
     except NoConfiguration:
-        return ClpResult(T, 0.0, False, True, [], [0.0] * inst.n, [0.0] * inst.m)
+        return ClpResult(T, 0.0, False, True, [])
     seen: Set[Column] = set(columns)
     tkey = T.key(eps)
     if pool:
@@ -137,41 +140,44 @@ def solve_clp(
                 seen.add(col)
 
     n, m = inst.n, inst.m
+    # rows: lambda - sum_S x_{i,S} <= 0 per agent, then packing per item;
+    # variables: lambda, then one per column, appended as they are priced in
+    A = np.zeros((n + m, 1))
+    A[:n, 0] = 1.0
+    b = np.zeros(n + m)
+    b[n:] = 1.0
+    basis: Optional[List[int]] = None
     lam = 0.0
     x = np.zeros(0)
-    y = [0.0] * n
-    z = [0.0] * m
     converged = False
+    new = columns
     for _ in range(MAX_ROUNDS):
-        nc = len(columns)
-        # variables: lambda, then one per column
-        A = np.zeros((n + m, 1 + nc))
-        b = np.zeros(n + m)
-        c = np.zeros(1 + nc)
+        block = np.zeros((n + m, len(new)))
+        for idx, col in enumerate(new):
+            block[col.agent, idx] = -1.0
+            block[[n + j for j in col.items], idx] = 1.0
+        if basis is not None:
+            # the slacks follow the structural columns, so they shift
+            basis = [v + len(new) if v >= A.shape[1] else v for v in basis]
+        A = np.hstack([A, block])
+        c = np.zeros(A.shape[1])
         c[0] = 1.0
-        for i in range(n):
-            A[i, 0] = 1.0  # lambda - sum_S x_{i,S} <= 0
-        for idx, col in enumerate(columns):
-            A[col.agent, 1 + idx] = -1.0
-            for j in col.items:
-                A[n + j, 1 + idx] = 1.0
-        b[n:] = 1.0
-        sol, obj, duals = simplex.solve(c, A, b)
+        sol, _, duals, basis = simplex.solve(c, A, b, basis)
         lam, x = sol[0], sol[1:]
         y = [float(duals[i]) for i in range(n)]
         z = [float(duals[n + j]) for j in range(m)]
-        added = False
+        new = []
         for i in range(n):
             cost, s = separate(inst, i, T, z)
             if y[i] - cost > PRICE_TOL:
                 col = Column(i, s)
                 if col not in seen:
-                    columns.append(col)
+                    new.append(col)
                     seen.add(col)
-                    added = True
-        if not added:
+        if not new:
             converged = True
             break
+        columns.extend(new)
     if pool is not None:
         pool.update(seen)
 
@@ -180,7 +186,7 @@ def solve_clp(
         for idx in range(len(columns))
         if idx < len(x) and x[idx] > 1e-12
     ]
-    return ClpResult(T, float(lam), lam >= 1.0 - tol, converged, positive, y, z)
+    return ClpResult(T, float(lam), lam >= 1.0 - tol, converged, positive)
 
 
 def estimate_Tstar(
@@ -190,14 +196,26 @@ def estimate_Tstar(
 
     C(i,T) only changes at lattice points, so the threshold is a lattice
     value and binary search over the (monotone) feasibility predicate
-    applies.  A column pool is warm-started across probes.
+    applies.  A column pool is warm-started across probes.  A restricted
+    master that reaches lambda >= 1-tol shows feasibility even when column
+    generation stopped early; one that stopped early below it shows
+    nothing, and raises MasterNotConverged.
     """
     values = lattice_values(inst)
     pool: Set[Column] = set()
     lo, hi, best = 0, len(values) - 1, ZERO
     while lo <= hi:
         mid = (lo + hi) // 2
-        if values[mid].is_zero() or solve_clp(inst, values[mid], tol, pool).feasible:
+        feasible = values[mid].is_zero()
+        if not feasible:
+            res = solve_clp(inst, values[mid], tol, pool)
+            if not (res.feasible or res.converged):
+                raise MasterNotConverged(
+                    f"column generation did not converge in {MAX_ROUNDS} rounds "
+                    f"at T = {values[mid].as_fraction(inst.epsilon)}"
+                )
+            feasible = res.feasible
+        if feasible:
             best = values[mid]
             lo = mid + 1
         else:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from maxminalloc import cli, gen
+from maxminalloc import cli, clp, gen, simplex
 from maxminalloc.model import Epsilon, serialize_instance
 
 
@@ -85,6 +85,23 @@ class TestEstimate:
         assert cli.main(["estimate", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ratio"] == "2"
+
+
+class TestLpFailure:
+    def test_estimate_and_gap_search_exit_4(self, yes_instance, tmp_path, capsys,
+                                            monkeypatch):
+        def fail(*args, **kwargs):
+            raise simplex.SimplexError("simplex iteration cap exceeded")
+
+        monkeypatch.setattr(clp, "estimate_Tstar", fail)
+        out = tmp_path / "gap.json"
+        for argv in (["estimate", yes_instance],
+                     ["generate", "gap-search", "--out", str(out)]):
+            assert cli.main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: LP solver failure: simplex iteration cap exceeded\n"
+        assert not out.exists()
 
 
 class TestGenerate:

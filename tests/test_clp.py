@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from maxminalloc import clp, exact, gen
 from maxminalloc.model import (
@@ -12,6 +15,7 @@ from maxminalloc.model import (
     LIGHT,
     LatticeValue,
     k_of,
+    lattice_values,
 )
 
 from oracles import brute_min_knapsack
@@ -80,6 +84,45 @@ class TestSolveClp:
             assert all(v <= 1 + 1e-6 for v in load)
 
 
+def enumerated_lambda(inst, T):
+    """max lambda of the configuration LP with every configuration listed."""
+    cols = []  # (agent, items)
+    for i in range(inst.n):
+        likes = sorted(inst.interests[i])
+        for size in range(1, len(likes) + 1):
+            for s in combinations(likes, size):
+                if inst.bundle_value(s).key(inst.epsilon) >= T.key(inst.epsilon):
+                    cols.append((i, s))
+    # variables: lambda, then one per configuration
+    A = np.zeros((inst.n + inst.m, 1 + len(cols)))
+    A[:inst.n, 0] = 1.0
+    for idx, (i, s) in enumerate(cols):
+        A[i, 1 + idx] = -1.0
+        for j in s:
+            A[inst.n + j, 1 + idx] = 1.0
+    b = np.concatenate([np.zeros(inst.n), np.ones(inst.m)])
+    c = np.zeros(1 + len(cols))
+    c[0] = -1.0
+    res = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+class TestSolveClpAgainstEnumeration:
+    def test_lambda_matches_full_configuration_lp(self):
+        rng = random.Random(3)
+        eps_pool = [Epsilon(1, 2), Epsilon(1, 3), Epsilon(2, 5)]
+        for _ in range(40):
+            mh = rng.randint(0, 3)
+            inst = gen.gen_random(
+                rng.randint(1, 4), mh, rng.randint(1, 8 - mh), rng.uniform(0.3, 1.0),
+                rng.choice(eps_pool), rng.randrange(2**30),
+            )
+            for T in lattice_values(inst)[1:]:
+                want = enumerated_lambda(inst, T)
+                assert clp.solve_clp(inst, T).lambda_star == pytest.approx(want, abs=1e-7)
+
+
 class TestEstimateTstar:
     def test_bounds_against_opt(self, corpus):
         # spot-check a slice of the corpus: OPT <= T* <= 3*OPT
@@ -94,6 +137,19 @@ class TestEstimateTstar:
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY), Item(1, LIGHT)], [[0, 1]])
         tstar = clp.estimate_Tstar(inst)
         assert tstar.as_fraction(inst.epsilon) == Fraction(3, 2)
+
+    def test_fault_f2_instance_matches_highs(self):
+        # fault F2 of bench/README.md: a master solved from the slack basis
+        # in every round hits the simplex iteration cap here
+        inst = gen.gen_random(24, 24, 56, 0.3, Epsilon(1, 3), seed=0)
+        assert clp.estimate_Tstar(inst) == LatticeValue(0, 5)  # 5/3, as HiGHS
+
+    def test_unconverged_probe_raises(self, monkeypatch):
+        inst = gen.gen_random(6, 3, 8, 0.5, Epsilon(1, 3), seed=4)
+        assert clp.estimate_Tstar(inst).as_fraction(inst.epsilon) > 0
+        monkeypatch.setattr(clp, "MAX_ROUNDS", 1)
+        with pytest.raises(clp.MasterNotConverged):
+            clp.estimate_Tstar(inst)
 
     def test_gap_witness_ratio_two(self):
         eps = Epsilon(1, 2)
