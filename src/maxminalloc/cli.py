@@ -61,8 +61,9 @@ def _ratio_bound(algo: str, eps: Epsilon) -> float:
     raise ValueError(algo)
 
 
-def _run_algo(inst: Instance, algo: str, args):
-    """Returns (value, allocation, extras dict) for one algorithm."""
+def _run_algo(inst: Instance, algo: str, args, baseline=None):
+    """Returns (value, allocation, extras dict) for one algorithm; the local
+    searches reuse `baseline`, a flowkit.baseline_solve result, if given."""
     if algo == "exact":
         value, alloc = exact.opt(inst, args.exact_cap)
         return value, alloc, {}
@@ -70,14 +71,14 @@ def _run_algo(inst: Instance, algo: str, args):
         value, alloc = flowkit.baseline_solve(inst)
         return value, alloc, {}
     if algo == "quasi":
-        rep = treesearch.quasi_solve(inst, args.budget)
+        rep = treesearch.quasi_solve(inst, args.budget, baseline)
         extras = {"iterations": rep.iterations}
         if rep.certified_T is not None:
             extras["certified_T"] = _frac_str(rep.certified_T, inst.epsilon)
             extras["r"] = rep.r
         return rep.value, rep.allocation, extras
     if algo == "poly":
-        rep = lazysearch.poly_solve(inst, args.mu, args.p_sweep, args.budget)
+        rep = lazysearch.poly_solve(inst, args.mu, args.p_sweep, args.budget, baseline)
         return rep.value, rep.allocation, dict(rep.meta)
     raise ValueError(algo)
 
@@ -88,16 +89,14 @@ def cmd_solve(args) -> int:
     algos = ["baseline", "quasi", "poly"] if args.algo == "auto" else [args.algo]
     if args.algo == "auto" and inst.m <= args.exact_cap:
         algos.append("exact")
-    best = None
+    best = baseline = None
     timings = {}
     for algo in algos:
         start = time.perf_counter()
-        try:
-            value, alloc, extras = _run_algo(inst, algo, args)
-        except exact.InstanceTooLarge as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SIZE_CAP
+        value, alloc, extras = _run_algo(inst, algo, args, baseline)
         timings[algo] = round(1000 * (time.perf_counter() - start), 3)
+        if algo == "baseline":
+            baseline = (value, alloc)
         if best is None or value.key(eps) > best[0].key(eps):
             best = (value, alloc, algo, extras)
     value, alloc, algo, extras = best
@@ -223,17 +222,19 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
+def _add_exact_cap(p):
+    p.add_argument("--exact-cap", type=int, default=exact.DEFAULT_SIZE_CAP,
+                   help="max item count for the exact solver")
+
+
+def _add_search_knobs(p):
     p.add_argument("--budget", type=int, default=treesearch.DEFAULT_BUDGET,
                    help="iteration budget per root agent")
     p.add_argument("--mu", type=float, default=lazysearch.MU_DEFAULT,
                    help="collapse threshold for the layered search")
     p.add_argument("--p-sweep", action="store_true",
                    help="sweep every addable-edge size p in (r,k)")
-    p.add_argument("--exact-cap", type=int, default=exact.DEFAULT_SIZE_CAP,
-                   help="max item count for the exact solver")
-    p.add_argument("--tol", type=float, default=clp.DEFAULT_TOL,
-                   help="LP feasibility tolerance")
+    _add_exact_cap(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,12 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", default="auto",
                    choices=["exact", "baseline", "quasi", "poly", "auto"])
     p.add_argument("--out", help="allocation output path")
-    _add_common(p)
+    _add_search_knobs(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("estimate", help="estimate the CLP threshold T*")
     p.add_argument("instance")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=clp.DEFAULT_TOL,
+                   help="LP feasibility tolerance")
+    _add_exact_cap(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("generate", help="write a generated instance")
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--algos", default="baseline,quasi,poly")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_search_knobs(p)
     p.set_defaults(func=cmd_bench)
     return ap
 
@@ -287,6 +290,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except exact.InstanceTooLarge as exc:  # solve/bench --algos exact over the cap
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_CAP
     except simplex.SimplexError as exc:  # estimate and gap-search solve LPs
         print(f"error: LP solver failure: {exc}", file=sys.stderr)
         return EXIT_LP

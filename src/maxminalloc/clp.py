@@ -20,8 +20,8 @@ from .model import (
     Epsilon,
     Instance,
     LatticeValue,
-    ZERO,
     k_of,
+    last_feasible,
     lattice_values,
     lights_needed,
 )
@@ -203,24 +203,20 @@ def estimate_Tstar(
     """
     values = lattice_values(inst)
     pool: Set[Column] = set()
-    lo, hi, best = 0, len(values) - 1, ZERO
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        feasible = values[mid].is_zero()
-        if not feasible:
-            res = solve_clp(inst, values[mid], tol, pool)
-            if not (res.feasible or res.converged):
-                raise MasterNotConverged(
-                    f"column generation did not converge in {MAX_ROUNDS} rounds "
-                    f"at T = {values[mid].as_fraction(inst.epsilon)}"
-                )
-            feasible = res.feasible
-        if feasible:
-            best = values[mid]
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+
+    def probe(T: LatticeValue) -> Optional[bool]:
+        if T.is_zero():
+            return True
+        res = solve_clp(inst, T, tol, pool)
+        if not (res.feasible or res.converged):
+            raise MasterNotConverged(
+                f"column generation did not converge in {MAX_ROUNDS} rounds "
+                f"at T = {T.as_fraction(inst.epsilon)}"
+            )
+        return res.feasible or None
+
+    # values[0] is zero, which always passes, so some index is found
+    return values[last_feasible(values, probe)[0]]
 
 
 def minimalize(inst: Instance, res: ClpResult, T: LatticeValue) -> SupportSolution:

@@ -16,7 +16,7 @@ from .model import (
     Allocation,
     Instance,
     LatticeValue,
-    ZERO,
+    last_feasible,
     lattice_values,
     lights_needed,
 )
@@ -96,16 +96,6 @@ def opt(
 ) -> Tuple[LatticeValue, Allocation]:
     """Largest feasible lattice value plus a witness allocation."""
     values = lattice_values(inst)
-    # binary search on the monotone feasibility predicate
-    lo, hi = 0, len(values) - 1
-    best = ZERO
-    best_witness: Allocation = {i: frozenset() for i in range(inst.n)}
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        ok, witness = feasible_at(inst, values[mid], size_cap)
-        if ok:
-            best, best_witness = values[mid], witness
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best, best_witness
+    # values[0] is zero, which always passes, so some index is found
+    i, witness = last_feasible(values, lambda T: feasible_at(inst, T, size_cap)[1])
+    return values[i], witness

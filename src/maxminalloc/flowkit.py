@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .model import Allocation, Instance, LatticeValue, ZERO, min_value
+from .model import Allocation, Instance, LatticeValue, ZERO, last_feasible, min_value
 
 HeavyMatching = Dict[int, int]  # agent -> heavy item
 
@@ -85,34 +85,21 @@ class _Flow:
             total += aug
 
 
+def _count_flow(inst: Instance, t: int) -> Tuple[_Flow, int]:
+    """Max flow in the network giving each agent up to t interesting items."""
+    fl = _Flow()
+    for i in range(inst.n):
+        fl.add_edge("s", ("a", i), t)
+        for j in inst.interests[i]:
+            fl.add_edge(("a", i), ("b", j), 1)
+    for j in range(inst.m):
+        fl.add_edge(("b", j), "t", 1)
+    return fl, fl.max_flow("s", "t")
+
+
 def count_feasible(inst: Instance, t: int) -> bool:
     """True iff every agent can receive >= t distinct interesting items."""
-    if t <= 0:
-        return True
-    fl = _Flow()
-    for i in range(inst.n):
-        fl.add_edge("s", ("a", i), t)
-        for j in inst.interests[i]:
-            fl.add_edge(("a", i), ("b", j), 1)
-    for j in range(inst.m):
-        fl.add_edge(("b", j), "t", 1)
-    return fl.max_flow("s", "t") == inst.n * t
-
-
-def _count_allocation(inst: Instance, t: int) -> Allocation:
-    fl = _Flow()
-    for i in range(inst.n):
-        fl.add_edge("s", ("a", i), t)
-        for j in inst.interests[i]:
-            fl.add_edge(("a", i), ("b", j), 1)
-    for j in range(inst.m):
-        fl.add_edge(("b", j), "t", 1)
-    fl.max_flow("s", "t")
-    alloc: Allocation = {}
-    for i in range(inst.n):
-        got = [j for j in inst.interests[i] if fl.cap[(("b", j), ("a", i))] > 0]
-        alloc[i] = frozenset(got)
-    return alloc
+    return t <= 0 or _count_flow(inst, t)[1] == inst.n * t
 
 
 def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
@@ -121,18 +108,15 @@ def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
     Binary search on count_feasible, then extract an allocation from the
     flow.  The reported value is the exact min_value of that allocation.
     """
-    lo, hi, best = 0, inst.m // max(inst.n, 1), 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if count_feasible(inst, mid):
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best == 0:
-        alloc: Allocation = {i: frozenset() for i in range(inst.n)}
-        return ZERO, alloc
-    alloc = _count_allocation(inst, best)
+    counts = range(inst.m // max(inst.n, 1) + 1)
+    best, _ = last_feasible(counts, lambda t: count_feasible(inst, t) or None)
+    if best <= 0:
+        return ZERO, {i: frozenset() for i in range(inst.n)}
+    fl, _ = _count_flow(inst, best)
+    alloc: Allocation = {
+        i: frozenset(j for j in inst.interests[i] if fl.cap[(("b", j), ("a", i))] > 0)
+        for i in range(inst.n)
+    }
     return min_value(inst, alloc), alloc
 
 
@@ -174,15 +158,6 @@ class ResidualDigraph:
         for j, d in out_deg_item.items():
             if d > 1:
                 raise ValueError(f"heavy item {j} has out-degree {d} (bad matching)")
-
-    def nodes(self) -> List[object]:
-        return [("A", i) for i in sorted(self.agents)] + [
-            ("B", j) for j in sorted(self.items)
-        ]
-
-
-def residual(inst: Instance, matching: HeavyMatching) -> ResidualDigraph:
-    return ResidualDigraph(inst, matching)
 
 
 class PathFlow:
@@ -331,13 +306,6 @@ class PathFlow:
             return False
         return agent in self.reachable_out_agents()
 
-    def saturated_sources(self) -> Set[int]:
-        out = set()
-        for s in self.sources:
-            if self.fprev.get(self._in(("A", s))) == "S":
-                out.add(s)
-        return out
-
     def paths(self) -> List[List[object]]:
         """Decompose the flow into node paths (digraph nodes, split removed)."""
         result = []
@@ -356,13 +324,10 @@ class PathFlow:
 
 
 def disjoint_paths(
-    g: ResidualDigraph,
-    sources: Iterable[int],
-    sinks: Iterable[int],
-    base: Optional[PathFlow] = None,
+    g: ResidualDigraph, sources: Iterable[int], sinks: Iterable[int]
 ) -> PathFlow:
-    """Maximum node-disjoint path set from `sources` to `sinks`, extending `base`."""
-    pf = base if base is not None else PathFlow(g)
+    """Maximum node-disjoint path set from `sources` to `sinks`."""
+    pf = PathFlow(g)
     for s in sources:
         pf.add_source(s)
     for t in sinks:

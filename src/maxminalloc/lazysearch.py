@@ -15,15 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import Allocation, Instance, LatticeValue, k_of, min_value
-from .flowkit import (
-    HeavyMatching,
-    PathFlow,
-    ResidualDigraph,
-    baseline_solve,
-    max_heavy_matching,
-)
+from .model import Instance, LatticeValue, k_of
+from .flowkit import HeavyMatching, PathFlow, ResidualDigraph, max_heavy_matching
 from .treesearch import (
+    Baseline,
     Bundle,
     HEAVY_KIND,
     LIGHT_KIND,
@@ -31,8 +26,9 @@ from .treesearch import (
     STALLED,
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
+    ProbeResult,
     SolveReport,
-    t_probe_candidates,
+    search_solve,
 )
 
 MU_DEFAULT = 1e-10
@@ -207,11 +203,6 @@ def preprocess(inst: Instance) -> Tuple[Set[int], Set[int], Dict[int, int], Heav
     return agents, heavy, forced, matching
 
 
-def addable_test(pf: PathFlow, agent: int) -> bool:
-    """True iff a new edge at `agent` raises the node-disjoint path count."""
-    return pf.would_increase(agent)
-
-
 def _addability_flow(state: LazyState) -> PathFlow:
     pf = PathFlow(state.digraph())
     for yi in state.Y:
@@ -244,7 +235,7 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
             fresh = sorted(state.inst.beps(i) - tree)
             if len(fresh) < p:
                 continue
-            if not addable_test(pf, i):
+            if not pf.would_increase(i):
                 continue
             e = LightEdge(i, frozenset(fresh[:p]))
             if len(state.free_items_of(e, owner)) >= r:
@@ -360,7 +351,7 @@ def collapse(state: LazyState, t: int, W: List[List[List[object]]],
     state.Y[t] &= {owner[j] for e in state.X[t] for j in e.items if j in owner}
     pf = _addability_flow(state)
     for e in sorted(released, key=lambda e: e.agent):
-        if addable_test(pf, e.agent):
+        if pf.would_increase(e.agent):
             state.I.append(e)
             pf.add_sink(e.agent)
             pf.augment_to_max()
@@ -470,46 +461,28 @@ def poly_solve(
     mu: float = MU_DEFAULT,
     p_sweep: bool = False,
     budget: int = DEFAULT_BUDGET,
+    baseline: Optional[Baseline] = None,
 ) -> SolveReport:
     """Binary search on T with the layered matcher; falls back to the
     1/eps count baseline, which covers the k <= 9 regime."""
     eps = inst.epsilon
-    base_val, base_alloc = baseline_solve(inst)
-    report = SolveReport(base_val, base_alloc, "poly(baseline)")
-    cands = t_probe_candidates(inst)
-    lo, hi = 0, len(cands) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        T = cands[mid]
+
+    def probe(T: LatticeValue) -> Optional[ProbeResult]:
         k = k_of(T, eps)
         r = _poly_r(k)
-        ok = None
         for p in _p_candidates(r, k, p_sweep):
             params = Params(r, p, mu)
             params.validate(k)
             outcome, alloc, stats = _probe(inst, params, budget)
             if outcome == MATCHED:
-                ok = (T, r, p, alloc, stats)
-                break
-        if ok is not None:
-            best = ok
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best is not None:
-        T, r, p, alloc, stats = best
-        value = min_value(inst, alloc)
-        meta = {
-            "certified_T": str(T.as_fraction(eps)),
-            "r": r,
-            "p": p,
-            "layers_peak": stats.layers_peak,
-            "collapses": stats.collapses,
-        }
-        if value.key(eps) > base_val.key(eps):
-            return SolveReport(value, alloc, "poly", T, r, stats.iterations, meta)
-        report.certified_T = T
-        report.r = r
-        report.meta = meta
-    return report
+                meta = {
+                    "certified_T": str(T.as_fraction(eps)),
+                    "r": r,
+                    "p": p,
+                    "layers_peak": stats.layers_peak,
+                    "collapses": stats.collapses,
+                }
+                return r, alloc, stats.iterations, meta
+        return None
+
+    return search_solve(inst, "poly", probe, baseline)

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 HEAVY = "heavy"
 LIGHT = "light"
@@ -266,6 +266,27 @@ def lattice_values(inst: Instance) -> List[LatticeValue]:
             if k not in by_key or (h, l) < (by_key[k].h, by_key[k].l):
                 by_key[k] = v
     return [by_key[k] for k in sorted(by_key)]
+
+
+def last_feasible(values: Sequence, probe: Callable) -> Tuple[int, Optional[object]]:
+    """Binary search for the last value a monotone probe passes.
+
+    `probe` returns a payload when a value passes and None when it fails;
+    the passing values must form a prefix of `values`.  Returns the index
+    of the last passing value and its payload, or (-1, None) when none
+    passes.  Probes visit mid = (lo + hi) // 2 in the usual order.
+    """
+    lo, hi = 0, len(values) - 1
+    found: Tuple[int, Optional[object]] = (-1, None)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        payload = probe(values[mid])
+        if payload is not None:
+            found = (mid, payload)
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return found
 
 
 def k_of(T: LatticeValue, eps: Epsilon) -> int:

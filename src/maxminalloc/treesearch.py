@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .model import (
     Allocation,
     Epsilon,
     Instance,
     LatticeValue,
-    ZERO,
     k_of,
+    last_feasible,
     lattice_values,
     min_value,
 )
@@ -366,36 +366,55 @@ class SolveReport:
     meta: Dict[str, object] = field(default_factory=dict)
 
 
-def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
+Baseline = Tuple[LatticeValue, Allocation]
+
+# what a local search's probe returns at a passing T: (r, allocation,
+# iterations, meta)
+ProbeResult = Tuple[int, Allocation, int, Dict[str, object]]
+
+
+def search_solve(
+    inst: Instance,
+    algo: str,
+    probe: Callable[[LatticeValue], Optional[ProbeResult]],
+    baseline: Optional[Baseline] = None,
+) -> SolveReport:
+    """The outer search both local searches share.
+
+    Binary-searches `probe` over t_probe_candidates for the largest T it
+    passes, and reports that allocation if it strictly beats the 1/eps
+    count baseline; otherwise reports the baseline as "<algo>(baseline)",
+    still carrying the T and r the search certified.  `baseline` is a
+    precomputed (value, allocation) from flowkit.baseline_solve.
+    """
+    eps = inst.epsilon
+    base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
+    cands = t_probe_candidates(inst)
+    idx, found = last_feasible(cands, probe)
+    if found is None:
+        return SolveReport(base_val, base_alloc, f"{algo}(baseline)")
+    r, alloc, iterations, meta = found
+    value = min_value(inst, alloc)
+    if value.key(eps) > base_val.key(eps):
+        return SolveReport(value, alloc, algo, cands[idx], r, iterations, meta)
+    return SolveReport(base_val, base_alloc, f"{algo}(baseline)", cands[idx], r, meta=meta)
+
+
+def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
+                baseline: Optional[Baseline] = None) -> SolveReport:
     """Binary search on T with the CLOSEST-policy matcher; a stalled probe is
     treated as evidence that T exceeds the optimum.  Falls back to the
     1/eps count baseline, which dominates for eps >= 1/4."""
     eps = inst.epsilon
-    base_val, base_alloc = flowkit.baseline_solve(inst)
-    report = SolveReport(base_val, base_alloc, "quasi(baseline)")
-    cands = t_probe_candidates(inst)
-    lo, hi = 0, len(cands) - 1
-    best: Optional[Tuple[LatticeValue, int, Dict[int, Bundle], int]] = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        T = cands[mid]
+
+    def probe(T: LatticeValue) -> Optional[ProbeResult]:
         r = _quasi_r(k_of(T, eps), eps)
         outcome, M, stats = _probe(inst, r, CLOSEST, None, budget)
-        if outcome == MATCHED:
-            best = (T, r, M, stats.iterations)
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best is not None:
-        T, r, M, iters = best
-        alloc = matching_allocation(M)
-        value = min_value(inst, alloc)
-        if value.key(eps) > base_val.key(eps):
-            report = SolveReport(value, alloc, "quasi", T, r, iters)
-        else:
-            report.certified_T = T
-            report.r = r
-    return report
+        if outcome != MATCHED:
+            return None
+        return r, matching_allocation(M), stats.iterations, {}
+
+    return search_solve(inst, "quasi", probe, baseline)
 
 
 def gap3_certify(inst: Instance, clpres: ClpResult, T: LatticeValue,

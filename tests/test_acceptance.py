@@ -205,7 +205,7 @@ def test_criterion_8_oracle_equivalences(corpus):
             i: j for i, j in flowkit.max_heavy_matching(inst).items()
             if rng.random() < 0.7
         }
-        g = flowkit.residual(inst, matching)
+        g = flowkit.ResidualDigraph(inst, matching)
         sources = [i for i in range(inst.n) if rng.random() < 0.5]
         sinks = [i for i in range(inst.n) if rng.random() < 0.5]
         got = flowkit.disjoint_paths(g, sources, sinks).value

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from maxminalloc import cli, clp, gen, simplex
+from maxminalloc import cli, clp, flowkit, gen, lazysearch, simplex, treesearch
 from maxminalloc.model import Epsilon, serialize_instance
 
 
@@ -37,6 +37,21 @@ class TestSolve:
 
             values[algo] = Fraction(json.loads(capsys.readouterr().out)["value"])
         assert values["auto"] >= max(values["baseline"], values["quasi"], values["poly"])
+
+    def test_auto_runs_baseline_once(self, yes_instance, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = flowkit.baseline_solve
+
+        def counted(inst):
+            calls.append(inst)
+            return real(inst)
+
+        for mod in (flowkit, lazysearch, treesearch):  # wherever it is bound
+            if getattr(mod, "baseline_solve", None) is real:
+                monkeypatch.setattr(mod, "baseline_solve", counted)
+        out = str(tmp_path / "a.json")
+        assert cli.main(["solve", yes_instance, "--algo", "auto", "--out", out]) == 0
+        assert len(calls) == 1
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -85,6 +100,11 @@ class TestEstimate:
         assert cli.main(["estimate", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ratio"] == "2"
+
+    def test_rejects_search_knobs(self, yes_instance, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", yes_instance, "--mu", "0.5"])
+        assert exc.value.code == 2
 
 
 class TestLpFailure:
@@ -146,3 +166,12 @@ class TestBench:
             if row["ratio"]:
                 bound = {"baseline": 2, "quasi": 2, "poly": 2}[row["algo"]]
                 assert Fraction(row["ratio"]) <= bound  # 1/eps = 2 dominates here
+
+    def test_exact_over_size_cap_exit_3(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        inst = gen.gen_random(2, 0, 30, 1.0, Epsilon(1, 2), 0)
+        (corpus / "big.json").write_bytes(serialize_instance(inst))
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", str(corpus), "--algos", "exact", "--out", str(out)]) == 3
+        assert "exceeds exact-mode cap" in capsys.readouterr().err

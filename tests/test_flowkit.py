@@ -73,7 +73,7 @@ class TestResidualDigraph:
             [Item(0, HEAVY), Item(1, HEAVY)],
             [[0, 1], [0]],
         )
-        g = flowkit.residual(inst, {0: 0})
+        g = flowkit.ResidualDigraph(inst, {0: 0})
         assert ("A", 0) in g.succ.get(("B", 0), [])  # matched arc item->agent
         assert ("B", 1) in g.succ.get(("A", 0), [])  # free arc agent->item
         assert ("B", 0) in g.succ.get(("A", 1), [])
@@ -89,7 +89,7 @@ class TestDisjointPaths:
         rng = random.Random(6)
         for _ in range(120):
             inst, matching = random_digraph_state(rng)
-            g = flowkit.residual(inst, matching)
+            g = flowkit.ResidualDigraph(inst, matching)
             agents = list(range(inst.n))
             sources = [i for i in agents if rng.random() < 0.5]
             sinks = [i for i in agents if rng.random() < 0.5]
@@ -98,7 +98,7 @@ class TestDisjointPaths:
 
     def test_zero_length_path(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)], [[0]])
-        g = flowkit.residual(inst, {})
+        g = flowkit.ResidualDigraph(inst, {})
         pf = flowkit.disjoint_paths(g, [0], [0])
         assert pf.value == 1
         assert pf.paths() == [[("A", 0)]]
@@ -109,7 +109,7 @@ class TestWouldIncrease:
         rng = random.Random(8)
         for _ in range(100):
             inst, matching = random_digraph_state(rng)
-            g = flowkit.residual(inst, matching)
+            g = flowkit.ResidualDigraph(inst, matching)
             agents = list(range(inst.n))
             sources = [i for i in agents if rng.random() < 0.5]
             sinks = [i for i in agents if rng.random() < 0.4]
@@ -128,7 +128,7 @@ class TestWouldIncrease:
         rng = random.Random(10)
         for _ in range(60):
             inst, matching = random_digraph_state(rng)
-            g = flowkit.residual(inst, matching)
+            g = flowkit.ResidualDigraph(inst, matching)
             agents = list(range(inst.n))
             sources = [i for i in agents if rng.random() < 0.6]
             sinks = [i for i in agents if rng.random() < 0.6]

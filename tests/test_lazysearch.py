@@ -5,8 +5,6 @@ import pytest
 from maxminalloc import exact, flowkit, gen, lazysearch, treesearch
 from maxminalloc.model import Epsilon, HEAVY, Instance, Item, LIGHT, min_value
 
-from oracles import brute_disjoint_paths
-
 H = treesearch.HEAVY_KIND
 L = treesearch.LIGHT_KIND
 
@@ -40,27 +38,6 @@ class TestPreprocess:
         inst = gen.gen_random(3, 3, 2, 1.0, Epsilon(1, 2), 0)
         agents, heavy, forced, matching = lazysearch.preprocess(inst)
         assert forced == {} and agents == {0, 1, 2}
-
-
-class TestAddableTest:
-    def test_agrees_with_from_scratch_flow(self):
-        rng = random.Random(12)
-        for _ in range(80):
-            inst = gen.gen_random(4, 3, 1, rng.uniform(0.3, 1.0), Epsilon(1, 2),
-                                  rng.randrange(2**30))
-            matching = flowkit.max_heavy_matching(inst)
-            keep = {i: j for i, j in matching.items() if rng.random() < 0.7}
-            g = flowkit.residual(inst, keep)
-            agents = list(range(inst.n))
-            sources = [i for i in agents if rng.random() < 0.5]
-            sinks = [i for i in agents if rng.random() < 0.4]
-            pf = flowkit.disjoint_paths(g, sources, sinks)
-            for i in agents:
-                if i in sinks:
-                    want = False
-                else:
-                    want = brute_disjoint_paths(g.succ, sources, sinks + [i]) > pf.value
-                assert lazysearch.addable_test(pf, i) == want
 
 
 class TestExtendMatchingPoly:
@@ -145,6 +122,11 @@ class TestPolySolve:
             rep = lazysearch.poly_solve(inst)
             assert 9 * rep.value.as_fraction(eps) >= opt_v.as_fraction(eps)
             assert min_value(inst, rep.allocation).key(eps) >= rep.value.key(eps)
+
+    def test_precomputed_baseline_same_report(self, corpus):
+        for inst in corpus[::13]:
+            baseline = flowkit.baseline_solve(inst)
+            assert lazysearch.poly_solve(inst, baseline=baseline) == lazysearch.poly_solve(inst)
 
     def test_small_eps_certifies_k_over_r_six(self):
         eps = Epsilon(1, 100)

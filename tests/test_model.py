@@ -13,6 +13,7 @@ from maxminalloc.model import (
     LatticeValue,
     ParseError,
     k_of,
+    last_feasible,
     lattice_values,
     lights_needed,
     min_value,
@@ -186,3 +187,40 @@ class TestLattice:
         assert LatticeValue(0, 2) in vals and LatticeValue(1, 0) not in vals
         fracs = {v.as_fraction(eps) for v in vals}
         assert fracs == {Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)}
+
+
+class TestLastFeasible:
+    @staticmethod
+    def run(n, passing):
+        """Search range(n) where the first `passing` values pass; payload v*10."""
+        seen = []
+
+        def probe(v):
+            seen.append(v)
+            return v * 10 if v < passing else None
+
+        return last_feasible(range(n), probe), seen
+
+    def test_agrees_with_linear_scan(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            n = rng.randint(0, 40)
+            passing = rng.randint(0, n)
+            (idx, payload), seen = self.run(n, passing)
+            want = max((v for v in range(n) if v < passing), default=-1)
+            assert idx == want
+            assert payload == (None if want < 0 else want * 10)
+            assert len(set(seen)) == len(seen) <= n.bit_length()
+
+    def test_all_fail_and_all_pass(self):
+        assert self.run(9, 0) == ((-1, None), [4, 1, 0])
+        assert self.run(9, 9) == ((8, 80), [4, 6, 7, 8])
+        assert self.run(0, 0) == ((-1, None), [])
+
+    def test_probe_sequence_is_the_midpoint_walk(self):
+        # lo=0 hi=9: 4 passes, 7 fails, 5 and 6 pass
+        assert self.run(10, 7) == ((6, 60), [4, 7, 5, 6])
+
+    def test_payload_zero_counts_as_pass(self):
+        # only None means "fails": falsy payloads such as 0 or {} still pass
+        assert last_feasible(["a", "b", "c"], lambda v: 0 if v != "c" else None) == (1, 0)

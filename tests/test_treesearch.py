@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from maxminalloc import clp, exact, gen, treesearch
+from maxminalloc import clp, exact, flowkit, gen, treesearch
 from maxminalloc.model import (
     Epsilon,
     HEAVY,
@@ -68,6 +68,11 @@ class TestQuasiSolve:
             bound = opt_v.as_fraction(eps) / (3 + 4 * eps.fraction)
             assert rep.value.as_fraction(eps) >= bound
             assert min_value(inst, rep.allocation).key(eps) >= rep.value.key(eps)
+
+    def test_precomputed_baseline_same_report(self, corpus):
+        for inst in corpus[::13]:
+            baseline = flowkit.baseline_solve(inst)
+            assert treesearch.quasi_solve(inst, baseline=baseline) == treesearch.quasi_solve(inst)
 
     def test_empty_interests(self):
         inst = Instance(Epsilon(1, 2), [Item(0, LIGHT)], [[0], []])
