@@ -8,7 +8,7 @@ an incremental node-disjoint path structure used by the lazy local search.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import Allocation, Instance, LatticeValue, ZERO, last_feasible, min_value
 
@@ -45,56 +45,75 @@ def max_heavy_matching(inst: Instance, agents: Optional[Iterable[int]] = None,
 
 
 # ---------------------------------------------------------------------------
-# generic small integer max-flow (for the count-allocation baseline)
+# integer max-flow (for the count-allocation baseline)
 # ---------------------------------------------------------------------------
 
 class _Flow:
-    def __init__(self):
-        self.adj: Dict[object, List[object]] = {}
-        self.cap: Dict[Tuple[object, object], int] = {}
+    """Max-flow network on nodes 0..size-1.
 
-    def add_edge(self, u, v, c):
-        self.adj.setdefault(u, []).append(v)
-        self.adj.setdefault(v, []).append(u)
-        self.cap[(u, v)] = self.cap.get((u, v), 0) + c
-        self.cap.setdefault((v, u), 0)
+    Edge e runs from head[e ^ 1] to head[e]; e ^ 1 is its reverse, so
+    inserting an edge appends the pair (e, e + 1).  adj[u] lists the edges
+    leaving u, forward and reverse, in insertion order.
+    """
 
-    def max_flow(self, s, t) -> int:
+    def __init__(self, size: int):
+        self.adj: List[List[int]] = [[] for _ in range(size)]
+        self.head: List[int] = []
+        self.cap: List[int] = []
+
+    def add_edge(self, u: int, v: int, c: int):
+        e = len(self.head)
+        self.head += (v, u)
+        self.cap += (c, 0)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+
+    def max_flow(self, s: int, t: int) -> int:
+        """Edmonds-Karp: augment along BFS-shortest residual paths."""
+        adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
-            parent = {s: None}
+            pred = [-1] * len(adj)  # edge into each reached node
+            pred[s] = -2
             q = deque([s])
-            while q and t not in parent:
+            while q and pred[t] == -1:
                 u = q.popleft()
-                for v in self.adj.get(u, ()):
-                    if v not in parent and self.cap[(u, v)] > 0:
-                        parent[v] = u
+                for e in adj[u]:
+                    v = head[e]
+                    if pred[v] == -1 and cap[e] > 0:
+                        pred[v] = e
                         q.append(v)
-            if t not in parent:
+            if pred[t] == -1:
                 return total
-            # bottleneck along the path
             path = []
             v = t
-            while parent[v] is not None:
-                path.append((parent[v], v))
-                v = parent[v]
-            aug = min(self.cap[e] for e in path)
-            for u, v in path:
-                self.cap[(u, v)] -= aug
-                self.cap[(v, u)] += aug
+            while v != s:
+                e = pred[v]
+                path.append(e)
+                v = head[e ^ 1]
+            aug = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= aug
+                cap[e ^ 1] += aug
             total += aug
 
 
 def _count_flow(inst: Instance, t: int) -> Tuple[_Flow, int]:
-    """Max flow in the network giving each agent up to t interesting items."""
-    fl = _Flow()
-    for i in range(inst.n):
-        fl.add_edge("s", ("a", i), t)
+    """Max flow in the network giving each agent up to t interesting items.
+
+    Agents are nodes 0..n-1, items n..n+m-1, the source n+m and the sink
+    n+m+1.
+    """
+    n, m = inst.n, inst.m
+    s, sink = n + m, n + m + 1
+    fl = _Flow(n + m + 2)
+    for i in range(n):
+        fl.add_edge(s, i, t)
         for j in inst.interests[i]:
-            fl.add_edge(("a", i), ("b", j), 1)
-    for j in range(inst.m):
-        fl.add_edge(("b", j), "t", 1)
-    return fl, fl.max_flow("s", "t")
+            fl.add_edge(i, n + j, 1)
+    for j in range(m):
+        fl.add_edge(n + j, sink, 1)
+    return fl, fl.max_flow(s, sink)
 
 
 def count_feasible(inst: Instance, t: int) -> bool:
@@ -105,17 +124,23 @@ def count_feasible(inst: Instance, t: int) -> bool:
 def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
     """Trivial 1/eps-approximation: maximize the per-agent item count.
 
-    Binary search on count_feasible, then extract an allocation from the
-    flow.  The reported value is the exact min_value of that allocation.
+    Binary search over counts t >= 1, each probe solving one count flow;
+    the allocation is read from the last feasible probe's flow (an edge
+    agent -> item carries flow when its reverse has capacity).  The
+    reported value is the exact min_value of that allocation.
     """
-    counts = range(inst.m // max(inst.n, 1) + 1)
-    best, _ = last_feasible(counts, lambda t: count_feasible(inst, t) or None)
-    if best <= 0:
-        return ZERO, {i: frozenset() for i in range(inst.n)}
-    fl, _ = _count_flow(inst, best)
+    n = inst.n
+
+    def probe(t: int) -> Optional[_Flow]:
+        fl, value = _count_flow(inst, t)
+        return fl if value == n * t else None
+
+    _, fl = last_feasible(range(1, inst.m // max(n, 1) + 1), probe)
+    if fl is None:
+        return ZERO, {i: frozenset() for i in range(n)}
     alloc: Allocation = {
-        i: frozenset(j for j in inst.interests[i] if fl.cap[(("b", j), ("a", i))] > 0)
-        for i in range(inst.n)
+        i: frozenset(fl.head[e] - n for e in fl.adj[i] if not e & 1 and fl.cap[e ^ 1] > 0)
+        for i in range(n)
     }
     return min_value(inst, alloc), alloc
 
@@ -179,6 +204,8 @@ class PathFlow:
         self.fnext: Dict[object, object] = {}
         self.fprev: Dict[object, object] = {}
         self.value = 0
+        # reachable_out_agents() of the current state; cleared on every change
+        self._reach: Optional[Set[int]] = None
 
     # -- split-graph helpers -------------------------------------------------
     @staticmethod
@@ -256,13 +283,16 @@ class PathFlow:
                 self.fnext[u] = v
                 self.fprev[v] = u
         self.value += 1
+        self._reach = None
 
     # -- public API -----------------------------------------------------------
     def add_source(self, agent: int):
         self.sources.add(agent)
+        self._reach = None
 
     def add_sink(self, agent: int):
         self.sinks.add(agent)
+        self._reach = None
 
     def augment(self, allowed_sources: Optional[Set[int]] = None) -> bool:
         path = self._find_augmenting(allowed_sources)
@@ -300,11 +330,14 @@ class PathFlow:
 
         An agent already in the sink set cannot raise the count (the sink
         agent set would not change); otherwise residual reachability of its
-        out-node is exactly the augmenting-path condition.
+        out-node is exactly the augmenting-path condition.  The reachable
+        set is computed once per flow state and reused until the next change.
         """
         if agent in self.sinks:
             return False
-        return agent in self.reachable_out_agents()
+        if self._reach is None:
+            self._reach = self.reachable_out_agents()
+        return agent in self._reach
 
     def paths(self) -> List[List[object]]:
         """Decompose the flow into node paths (digraph nodes, split removed)."""

@@ -354,7 +354,8 @@ def collapse(state: LazyState, t: int, W: List[List[List[object]]],
         if pf.would_increase(e.agent):
             state.I.append(e)
             pf.add_sink(e.agent)
-            pf.augment_to_max()
+            if pf.augment_to_max() != 1:
+                raise LazyInvariantError("released edge did not raise the flow")
     return False
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from maxminalloc import cli, clp, flowkit, gen, lazysearch, simplex, treesearch
+from maxminalloc import cli, clp, exact, flowkit, gen, lazysearch, simplex, treesearch
 from maxminalloc.model import Epsilon, serialize_instance
 
 
@@ -17,6 +17,22 @@ def write_instance(tmp_path, inst, name="inst.json"):
 def yes_instance(tmp_path):
     h, _ = gen.gen_3dm_yes(2, 1, seed=3)
     return write_instance(tmp_path, gen.reduce_3dm(h, Epsilon(1, 2)))
+
+
+@pytest.fixture
+def baseline_calls(monkeypatch):
+    """Instances flowkit.baseline_solve is called on, wherever it is bound."""
+    calls = []
+    real = flowkit.baseline_solve
+
+    def counted(inst):
+        calls.append(inst)
+        return real(inst)
+
+    for mod in (flowkit, lazysearch, treesearch):
+        if getattr(mod, "baseline_solve", None) is real:
+            monkeypatch.setattr(mod, "baseline_solve", counted)
+    return calls
 
 
 class TestSolve:
@@ -38,20 +54,10 @@ class TestSolve:
             values[algo] = Fraction(json.loads(capsys.readouterr().out)["value"])
         assert values["auto"] >= max(values["baseline"], values["quasi"], values["poly"])
 
-    def test_auto_runs_baseline_once(self, yes_instance, tmp_path, capsys, monkeypatch):
-        calls = []
-        real = flowkit.baseline_solve
-
-        def counted(inst):
-            calls.append(inst)
-            return real(inst)
-
-        for mod in (flowkit, lazysearch, treesearch):  # wherever it is bound
-            if getattr(mod, "baseline_solve", None) is real:
-                monkeypatch.setattr(mod, "baseline_solve", counted)
+    def test_auto_runs_baseline_once(self, yes_instance, tmp_path, capsys, baseline_calls):
         out = str(tmp_path / "a.json")
         assert cli.main(["solve", yes_instance, "--algo", "auto", "--out", out]) == 0
-        assert len(calls) == 1
+        assert len(baseline_calls) == 1
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -175,3 +181,37 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert cli.main(["bench", str(corpus), "--algos", "exact", "--out", str(out)]) == 3
         assert "exceeds exact-mode cap" in capsys.readouterr().err
+
+    def test_exact_opt_once_per_instance(self, tmp_path, monkeypatch):
+        calls = []
+        real = exact.opt
+
+        def counted(inst, *args):
+            calls.append(inst)
+            return real(inst, *args)
+
+        monkeypatch.setattr(exact, "opt", counted)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for seed in range(3):
+            inst = gen.gen_random(4, 3, 7, 0.6, Epsilon(1, 3), seed)
+            (corpus / f"i{seed}.json").write_bytes(serialize_instance(inst))
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", str(corpus), "--algos", "exact,baseline",
+                         "--out", str(out)]) == 0
+        assert len(calls) == 3
+        rows = list(csv.DictReader(open(out)))
+        for row in rows:
+            if row["algo"] == "exact":
+                assert row["value"] == row["opt"] and row["ratio"] == "1"
+                assert float(row["wall_ms"]) >= 0
+
+    def test_baseline_once_per_instance(self, tmp_path, baseline_calls):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for seed in range(3):
+            inst = gen.gen_random(3, 2, 5, 0.6, Epsilon(1, 2), seed)
+            (corpus / f"i{seed}.json").write_bytes(serialize_instance(inst))
+        out = str(tmp_path / "bench.csv")
+        assert cli.main(["bench", str(corpus), "--out", out]) == 0
+        assert len(baseline_calls) == 3

@@ -35,6 +35,28 @@ class TestHeavyMatching:
         assert m == {0: 1}
 
 
+def networkx_count_feasible(inst, t):
+    """count_feasible by networkx max-flow on the same network."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(["s", "t"])
+    for i in range(inst.n):
+        g.add_edge("s", ("a", i), capacity=t)
+        for j in inst.interests[i]:
+            g.add_edge(("a", i), ("b", j), capacity=1)
+    for j in range(inst.m):
+        g.add_edge(("b", j), "t", capacity=1)
+    return nx.maximum_flow_value(g, "s", "t") == inst.n * t
+
+
+def best_count(inst):
+    """Largest t every agent can get t interesting items at, by brute force."""
+    t = 0
+    while brute_count_feasible(inst, t + 1):
+        t += 1
+    return t
+
+
 class TestCountFeasible:
     def test_matches_brute_force(self):
         rng = random.Random(4)
@@ -42,6 +64,13 @@ class TestCountFeasible:
             inst = random_tiny(rng, n_max=3, m_max=6)
             for t in range(0, 4):
                 assert flowkit.count_feasible(inst, t) == brute_count_feasible(inst, t)
+
+    def test_matches_networkx(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            inst = random_tiny(rng, n_max=4, m_max=9)
+            for t in range(1, 4):
+                assert flowkit.count_feasible(inst, t) == networkx_count_feasible(inst, t)
 
 
 class TestBaseline:
@@ -55,6 +84,42 @@ class TestBaseline:
             assert min_value(inst, alloc).key(eps) >= value.key(eps)
             # value >= eps * OPT
             assert value.as_fraction(eps) >= eps.fraction * opt_v.as_fraction(eps)
+
+    def test_each_agent_gets_best_count(self):
+        rng = random.Random(12)
+        for _ in range(80):
+            inst = random_tiny(rng, n_max=3, m_max=7)
+            best = best_count(inst)
+            _, alloc = flowkit.baseline_solve(inst)
+            assert sorted(alloc) == list(range(inst.n))
+            taken = [j for bundle in alloc.values() for j in bundle]
+            assert len(taken) == len(set(taken))  # bundles disjoint
+            for i, bundle in alloc.items():
+                assert len(bundle) == best
+                assert bundle <= inst.interests[i]
+
+    def test_one_count_flow_per_probe(self, monkeypatch):
+        builds, probes = [], []
+        real_flow, real_search = flowkit._count_flow, flowkit.last_feasible
+
+        def counted_flow(inst, t):
+            builds.append(t)
+            return real_flow(inst, t)
+
+        def counted_search(values, probe):
+            def counted_probe(t):
+                probes.append(t)
+                return probe(t)
+            return real_search(values, counted_probe)
+
+        monkeypatch.setattr(flowkit, "_count_flow", counted_flow)
+        monkeypatch.setattr(flowkit, "last_feasible", counted_search)
+        rng = random.Random(13)
+        for _ in range(40):
+            inst = random_tiny(rng, n_max=3, m_max=8)
+            del builds[:], probes[:]
+            flowkit.baseline_solve(inst)
+            assert builds == probes
 
 
 def random_digraph_state(rng, n=4, h=3):
@@ -139,3 +204,33 @@ class TestWouldIncrease:
                 pf.add_source(s)
                 pf.augment_to_max(allowed_sources={s})
             assert pf.value == brute_disjoint_paths(g.succ, sources, sinks)
+
+    def test_cache_follows_mutations(self):
+        """Interleave flow changes with queries; every answer must match a
+        fresh search, and the brute-force count whenever the flow is maximum."""
+        rng = random.Random(14)
+        for _ in range(40):
+            inst, matching = random_digraph_state(rng)
+            g = flowkit.ResidualDigraph(inst, matching)
+            agents = list(range(inst.n))
+            pf = flowkit.PathFlow(g)
+            for _ in range(8):
+                op = rng.choice(["source", "sink", "augment", "augment"])
+                if op == "source":
+                    pf.add_source(rng.choice(agents))
+                elif op == "sink":
+                    pf.add_sink(rng.choice(agents))
+                else:
+                    pf.augment()
+                sources, sinks = sorted(pf.sources), sorted(pf.sinks)
+                at_max = pf.value == brute_disjoint_paths(g.succ, sources, sinks)
+                fresh = pf.reachable_out_agents()
+                for extra in agents:
+                    answer = pf.would_increase(extra)
+                    assert answer == (extra not in pf.sinks and extra in fresh)
+                    if at_max:
+                        expected = extra not in pf.sinks and (
+                            brute_disjoint_paths(g.succ, sources, sinks + [extra])
+                            > pf.value
+                        )
+                        assert answer == expected, (op, sources, sinks, extra)
