@@ -106,7 +106,7 @@ def separate(
     return float(cost), frozenset(heavies[:h] + lights[:l])
 
 
-def _initial_columns(inst: Instance, T: LatticeValue) -> List[Column]:
+def _starting_columns(inst: Instance, T: LatticeValue) -> List[Column]:
     cols = []
     zeros = [0.0] * inst.m
     for i in range(inst.n):
@@ -126,7 +126,7 @@ def solve_clp(
     if T.key(eps) <= 0:
         return ClpResult(T, 1.0, True, True, [])
     try:
-        columns: List[Column] = _initial_columns(inst, T)
+        columns: List[Column] = _starting_columns(inst, T)
     except NoConfiguration:
         return ClpResult(T, 0.0, False, True, [])
     seen: Set[Column] = set(columns)

@@ -1,12 +1,15 @@
 """Matching and flow primitives.
 
-Contains the bipartite heavy matching, the unweighted count-allocation
-baseline (max-flow + binary search), the heavy-item residual digraph and
-an incremental node-disjoint path structure used by the lazy local search.
+Contains the bipartite heavy matching, one integer-indexed max-flow
+engine (`_Flow`) and its two uses: the count flow behind the unweighted
+count-allocation baseline (max-flow + binary search), and the incremental
+node-disjoint path flow (`PathFlow`) over the heavy-item residual digraph
+used by the lazy local search.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -21,31 +24,49 @@ def max_heavy_matching(inst: Instance, agents: Optional[Iterable[int]] = None,
 
     Kuhn's augmenting-path algorithm; deterministic given the agent order.
     `agents`/`items` restrict the bipartition (used after preprocessing).
+    The depth-first search keeps an explicit stack, so an alternating
+    chain may be longer than Python's recursion limit.
     """
     agent_list = sorted(agents) if agents is not None else list(range(inst.n))
     item_of: Dict[int, int] = {}  # heavy item -> agent
     agent_of: Dict[int, int] = {}
 
-    def try_augment(i: int, visited: Set[int]) -> bool:
-        for j in sorted(inst.b1(i)):
-            if items is not None and j not in items:
-                continue
-            if j in visited:
+    pool: Dict[int, List[int]] = {}  # agent -> its heavy items, ascending
+
+    def candidates(i: int):
+        if i not in pool:
+            pool[i] = [j for j in sorted(inst.b1(i)) if items is None or j in items]
+        return iter(pool[i])
+
+    for root in agent_list:
+        visited: Set[int] = set()
+        # stack[d] = (agent, its untried items); tried[d] = the item agent d
+        # is trying, held by agent d + 1 if any
+        stack = [(root, candidates(root))]
+        tried: List[int] = []
+        while stack:
+            for j in stack[-1][1]:
+                if j not in visited:
+                    break
+            else:  # dead end: the parent goes on to its next item
+                stack.pop()
+                if tried:
+                    tried.pop()
                 continue
             visited.add(j)
-            if j not in item_of or try_augment(item_of[j], visited):
+            tried.append(j)
+            if j in item_of:
+                stack.append((item_of[j], candidates(item_of[j])))
+                continue
+            for (i, _), j in zip(stack, tried):  # flip the alternating chain
                 item_of[j] = i
                 agent_of[i] = j
-                return True
-        return False
-
-    for i in agent_list:
-        try_augment(i, set())
+            break
     return agent_of
 
 
 # ---------------------------------------------------------------------------
-# integer max-flow (for the count-allocation baseline)
+# integer max-flow (the count flow and the node-disjoint path flow)
 # ---------------------------------------------------------------------------
 
 class _Flow:
@@ -68,33 +89,53 @@ class _Flow:
         self.adj[u].append(e)
         self.adj[v].append(e + 1)
 
+    def reachable(self, s: int, t: int, stop_at_t: bool = False) -> List[int]:
+        """Breadth-first search over residual edges from s, never leaving t.
+
+        Returns pred: the edge each reached node was first reached by (-2
+        for s, -1 for unreached nodes).  With stop_at_t the search ends as
+        soon as it reaches t.
+        """
+        adj, head, cap = self.adj, self.head, self.cap
+        pred = [-1] * len(adj)
+        pred[s] = -2
+        q = deque([s])
+        while q:
+            for e in adj[q.popleft()]:
+                v = head[e]
+                if pred[v] == -1 and cap[e] > 0:
+                    pred[v] = e
+                    if v != t:
+                        q.append(v)
+                    elif stop_at_t:
+                        return pred
+        return pred
+
+    def augment(self, s: int, t: int) -> int:
+        """Push flow along one BFS-shortest residual s-t path; the amount."""
+        pred = self.reachable(s, t, stop_at_t=True)
+        if pred[t] == -1:
+            return 0
+        head, cap = self.head, self.cap
+        path = []
+        v = t
+        while v != s:
+            e = pred[v]
+            path.append(e)
+            v = head[e ^ 1]
+        aug = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= aug
+            cap[e ^ 1] += aug
+        return aug
+
     def max_flow(self, s: int, t: int) -> int:
         """Edmonds-Karp: augment along BFS-shortest residual paths."""
-        adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
-            pred = [-1] * len(adj)  # edge into each reached node
-            pred[s] = -2
-            q = deque([s])
-            while q and pred[t] == -1:
-                u = q.popleft()
-                for e in adj[u]:
-                    v = head[e]
-                    if pred[v] == -1 and cap[e] > 0:
-                        pred[v] = e
-                        q.append(v)
-            if pred[t] == -1:
+            aug = self.augment(s, t)
+            if not aug:
                 return total
-            path = []
-            v = t
-            while v != s:
-                e = pred[v]
-                path.append(e)
-                v = head[e ^ 1]
-            aug = min(cap[e] for e in path)
-            for e in path:
-                cap[e] -= aug
-                cap[e ^ 1] += aug
             total += aug
 
 
@@ -188,117 +229,68 @@ class ResidualDigraph:
 class PathFlow:
     """Maximum set of node-disjoint directed paths between agent sets.
 
-    Node-disjointness is enforced by splitting every node into an in/out
-    pair with unit capacity.  Sources and sinks may be added incrementally;
-    augmentation can be restricted to start at chosen sources, which keeps
-    previously unsaturated sources unsaturated (layer-ordered builds rely
-    on this).  A node that is both source and sink yields a zero-length
-    path.
+    A unit-capacity view over one `_Flow`.  Node k of the digraph is the
+    pair in = 2k + 2 -> out = 2k + 3 joined by one unit edge, which makes
+    the paths node-disjoint; arcs run out -> in.  Agents come first, in
+    ascending order, then heavy items.  The source S = 0 has a unit edge
+    to the in-node of every source agent, in ascending agent order, and
+    the out-node of every sink agent has a unit edge to the sink T = 1,
+    after its arcs.  Sources and sinks are agents of the digraph and may
+    be added incrementally; augmentation can be restricted to start at
+    chosen sources, which keeps previously unsaturated sources unsaturated
+    (layer-ordered builds rely on this).  A node that is both source and
+    sink yields a zero-length path.
     """
 
     def __init__(self, g: ResidualDigraph):
-        self.g = g
         self.sources: Set[int] = set()
         self.sinks: Set[int] = set()
-        # flow arcs on the split graph: fnext[u] = v means unit flow u->v
-        self.fnext: Dict[object, object] = {}
-        self.fprev: Dict[object, object] = {}
         self.value = 0
         # reachable_out_agents() of the current state; cleared on every change
         self._reach: Optional[Set[int]] = None
+        self._nodes = [("A", i) for i in sorted(g.agents)] + [("B", j) for j in sorted(g.items)]
+        size = 2 * len(self._nodes) + 2
+        self._node_in = dict(zip(self._nodes, range(2, size, 2)))
+        # node edges first: edge 2k runs from in-node 2k + 2 to out-node 2k + 3
+        fl = self._flow = _Flow(0)
+        fl.head = [e ^ 1 for e in range(2, size)]
+        fl.adj = [[], []] + [[e] for e in range(size - 2)]
+        head, adj = fl.head, fl.adj
+        for v, ws in g.succ.items():
+            out = self._node_in[v] + 1
+            for w in ws:
+                e = len(head)
+                head += (self._node_in[w], out)
+                adj[out].append(e)
+                adj[head[e]].append(e + 1)
+        fl.cap = [1, 0] * (len(head) // 2)
 
-    # -- split-graph helpers -------------------------------------------------
-    @staticmethod
-    def _in(v):
-        return ("in",) + v
-
-    @staticmethod
-    def _out(v):
-        return ("out",) + v
-
-    def _residual_succ(self, node, allowed_sources: Optional[Set[int]]):
-        """Residual successors of a split node (or 'S')."""
-        out = []
-        if node == "S":
-            srcs = self.sources if allowed_sources is None else (
-                self.sources & allowed_sources
-            )
-            for s in sorted(srcs):
-                v = self._in(("A", s))
-                if self.fprev.get(v) != "S":  # source arc unsaturated
-                    out.append(v)
-            return out
-        kind = node[0]
-        if kind == "in":
-            v = node[1:]
-            # forward arc in->out if no flow on it
-            if self.fnext.get(node) != self._out(v):
-                out.append(self._out(v))
-            # backward arcs: edges w_out -> v_in carrying flow
-            prev = self.fprev.get(node)
-            if prev is not None and prev != "S":
-                out.append(prev)
-        else:  # out-node
-            v = node[1:]
-            # backward over the node arc
-            if self.fnext.get(self._in(v)) == node:
-                out.append(self._in(v))
-            # forward arcs to successors without flow
-            for w in self.g.succ.get(v, ()):  # digraph arcs
-                if self.fnext.get(node) != self._in(w):
-                    out.append(self._in(w))
-            # sink arc
-            if v[0] == "A" and v[1] in self.sinks and self.fnext.get(node) != "T":
-                out.append("T")
-        return out
-
-    def _find_augmenting(self, allowed_sources: Optional[Set[int]]):
-        parent = {"S": None}
-        q = deque(["S"])
-        while q:
-            u = q.popleft()
-            if u == "T":
-                break
-            for v in self._residual_succ(u, allowed_sources):
-                if v not in parent:
-                    parent[v] = u
-                    q.append(v)
-        if "T" not in parent:
-            return None
-        path = []
-        v = "T"
-        while v is not None:
-            path.append(v)
-            v = parent[v]
-        path.reverse()
-        return path
-
-    def _apply(self, path):
-        for u, v in zip(path, path[1:]):
-            if self.fprev.get(u) == v:
-                # backward residual arc: cancel flow v->u
-                del self.fnext[v]
-                del self.fprev[u]
-            else:
-                self.fnext[u] = v
-                self.fprev[v] = u
-        self.value += 1
-        self._reach = None
-
-    # -- public API -----------------------------------------------------------
     def add_source(self, agent: int):
-        self.sources.add(agent)
         self._reach = None
+        if agent not in self.sources:
+            self.sources.add(agent)
+            fl = self._flow
+            fl.add_edge(0, self._node_in[("A", agent)], 1)
+            insort(fl.adj[0], fl.adj[0].pop(), key=fl.head.__getitem__)
 
     def add_sink(self, agent: int):
-        self.sinks.add(agent)
         self._reach = None
+        if agent not in self.sinks:
+            self.sinks.add(agent)
+            self._flow.add_edge(self._node_in[("A", agent)] + 1, 1, 1)
 
     def augment(self, allowed_sources: Optional[Set[int]] = None) -> bool:
-        path = self._find_augmenting(allowed_sources)
-        if path is None:
+        fl = self._flow
+        every = fl.adj[0]
+        if allowed_sources is not None:  # S keeps only the allowed edges
+            fl.adj[0] = [e for e in every
+                         if self._nodes[fl.head[e] // 2 - 1][1] in allowed_sources]
+        found = fl.augment(0, 1)
+        fl.adj[0] = every
+        if not found:
             return False
-        self._apply(path)
+        self.value += 1
+        self._reach = None
         return True
 
     def augment_to_max(self, allowed_sources: Optional[Set[int]] = None) -> int:
@@ -312,18 +304,8 @@ class PathFlow:
 
         Adding such an agent as a fresh sink increases the path count by one.
         """
-        seen = {"S"}
-        q = deque(["S"])
-        result: Set[int] = set()
-        while q:
-            u = q.popleft()
-            for v in self._residual_succ(u, None):
-                if v not in seen and v != "T":
-                    seen.add(v)
-                    q.append(v)
-                    if v[0] == "out" and v[1] == "A":
-                        result.add(v[2])
-        return result
+        pred = self._flow.reachable(0, 1)
+        return {v[1] for v, i in self._node_in.items() if v[0] == "A" and pred[i + 1] != -1}
 
     def would_increase(self, agent: int) -> bool:
         """True iff adding an edge at `agent` as a sink raises the path count.
@@ -339,19 +321,23 @@ class PathFlow:
             self._reach = self.reachable_out_agents()
         return agent in self._reach
 
-    def paths(self) -> List[List[object]]:
-        """Decompose the flow into node paths (digraph nodes, split removed)."""
+    def paths(self) -> List[List[Tuple[str, int]]]:
+        """Decompose the flow into node paths (digraph nodes, split removed).
+
+        A saturated forward edge (even id, no capacity left) carries flow;
+        each node passes its unit on along exactly one of them.
+        """
+        head, cap, adj = self._flow.head, self._flow.cap, self._flow.adj
         result = []
-        for s in sorted(self.sources):
-            start = self._in(("A", s))
-            if self.fprev.get(start) != "S":
+        for e in adj[0]:
+            if cap[e]:
                 continue
             nodes = []
-            cur = start
-            while cur != "T":
-                if cur[0] == "in":
-                    nodes.append(cur[1:])
-                cur = self.fnext[cur]
+            u = head[e]
+            while u != 1:
+                if not u & 1:
+                    nodes.append(self._nodes[u // 2 - 1])
+                u = next(head[f] for f in adj[u] if not f & 1 and not cap[f])
             result.append(nodes)
         return result
 

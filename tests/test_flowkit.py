@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maxminalloc import exact, flowkit, gen
+from maxminalloc import exact, flowkit, gen, lazysearch
 from maxminalloc.model import Epsilon, Instance, Item, HEAVY, LIGHT, min_value
 
 from oracles import brute_count_feasible, brute_disjoint_paths, brute_heavy_matching
@@ -33,6 +34,16 @@ class TestHeavyMatching:
         inst = gen.gen_random(3, 3, 0, 1.0, Epsilon(1, 2), 5)
         m = flowkit.max_heavy_matching(inst, agents={0}, items={1})
         assert m == {0: 1}
+
+    def test_chain_longer_than_recursion_limit(self):
+        """Agent i wants items i-1 and i, so agent i's search walks the
+        alternating chain down to agent 0: 1,200 levels deep."""
+        n = 1201
+        interests = [[0]] + [[i - 1, i] for i in range(1, n - 1)] + [[n - 2]]
+        inst = Instance(Epsilon(1, 30), [Item(j, HEAVY) for j in range(n - 1)], interests)
+        agents, heavy, forced, m = lazysearch.preprocess(inst)
+        assert (len(agents), len(heavy), forced) == (n, n - 1, {})
+        assert len(m) == len(set(m.values())) == n - 1
 
 
 def networkx_count_feasible(inst, t):
@@ -168,6 +179,16 @@ class TestDisjointPaths:
         assert pf.value == 1
         assert pf.paths() == [[("A", 0)]]
 
+    def test_second_path_reroutes_the_first(self):
+        """The first path is A2 -> B0 -> A1; the second enters B0 from A3 and
+        moves the first onto B1.  Both must come out disjoint and along arcs."""
+        inst = Instance(Epsilon(1, 2), [Item(0, HEAVY), Item(1, HEAVY)],
+                        [[1], [0], [0, 1], [0]])
+        g = flowkit.ResidualDigraph(inst, {0: 1, 1: 0})
+        pf = flowkit.disjoint_paths(g, [2, 3], [0, 1])
+        assert pf.value == 2
+        assert pf.paths() == [[("A", 2), ("B", 1), ("A", 0)], [("A", 3), ("B", 0), ("A", 1)]]
+
 
 class TestWouldIncrease:
     def test_agrees_with_from_scratch(self):
@@ -234,3 +255,98 @@ class TestWouldIncrease:
                             > pf.value
                         )
                         assert answer == expected, (op, sources, sinks, extra)
+
+
+@st.composite
+def path_flow_inputs(draw, max_agents=25, max_heavy=20):
+    """A heavy-only instance, a random sub-matching of a maximum heavy
+    matching, sources and sinks."""
+    rng = draw(st.randoms(use_true_random=True))
+    n, h = rng.randint(2, max_agents), rng.randint(1, max_heavy)
+    interests = [rng.sample(range(h), rng.randint(1, min(h, 6))) for _ in range(n)]
+    inst = Instance(Epsilon(1, 2), [Item(j, HEAVY) for j in range(h)], interests)
+    matching = {i: j for i, j in flowkit.max_heavy_matching(inst).items() if rng.random() < 0.8}
+    sources = [i for i in range(n) if rng.random() < 0.4]
+    # few sources are also sinks, so that most paths leave their source
+    sinks = [i for i in range(n) if rng.random() < (0.1 if i in sources else 0.5)]
+    return inst, matching, sources, sinks
+
+
+def networkx_disjoint_paths(inst, matching, sources, sinks):
+    """Max node-disjoint path count, by networkx max-flow on a split graph
+    built from the instance and the matching (not from the digraph)."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(["s", "t"])
+    for i in range(inst.n):
+        g.add_edge(("in", "a", i), ("out", "a", i), capacity=1)
+        for j in inst.b1(i):
+            g.add_edge(("in", "b", j), ("out", "b", j), capacity=1)
+            if matching.get(i) == j:
+                g.add_edge(("out", "b", j), ("in", "a", i), capacity=1)
+            else:
+                g.add_edge(("out", "a", i), ("in", "b", j), capacity=1)
+    for i in sources:
+        g.add_edge("s", ("in", "a", i), capacity=1)
+    for i in sinks:
+        g.add_edge(("out", "a", i), "t", capacity=1)
+    return nx.maximum_flow_value(g, "s", "t")
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestPathFlowProperties:
+    @PROPERTY
+    @given(path_flow_inputs())
+    def test_value_and_paths_against_networkx(self, drawn):
+        inst, matching, sources, sinks = drawn
+        g = flowkit.ResidualDigraph(inst, matching)
+        pf = flowkit.PathFlow(g)
+        for s in sources:
+            pf.add_source(s)
+        for t in sinks:
+            pf.add_sink(t)
+        # with no flow yet every arc is residual: plain reachability
+        nx = pytest.importorskip("networkx")
+        digraph = nx.DiGraph([(u, v) for u, ws in g.succ.items() for v in ws])
+        reach = {("A", s) for s in sources}
+        for s in sources:
+            if ("A", s) in digraph:
+                reach |= nx.descendants(digraph, ("A", s))
+        assert pf.reachable_out_agents() == {v[1] for v in reach if v[0] == "A"}
+        pf = flowkit.disjoint_paths(g, sources, sinks)
+        assert pf.value == networkx_disjoint_paths(inst, matching, sources, sinks)
+        paths = pf.paths()
+        assert len(paths) == pf.value
+        used = [v for path in paths for v in path]
+        assert len(used) == len(set(used))  # node-disjoint
+        for path in paths:
+            assert path[0][0] == "A" and path[0][1] in sources
+            assert path[-1][0] == "A" and path[-1][1] in sinks
+            for u, v in zip(path, path[1:]):
+                assert v in g.succ.get(u, [])
+
+    @PROPERTY
+    @given(path_flow_inputs(), st.data())
+    def test_layered_augmentation_leaves_earlier_sources_alone(self, drawn, data):
+        """Sources added layer by layer, each augmenting from its own layer
+        only: a source left unsaturated never starts a path later, and the
+        value is the max flow from all layers so far."""
+        inst, matching, sources, sinks = drawn
+        g = flowkit.ResidualDigraph(inst, matching)
+        pf = flowkit.PathFlow(g)
+        for t in sinks:
+            pf.add_sink(t)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(sources)), max_size=4)))
+        layers = [sources[a:b] for a, b in zip([0] + cuts, cuts + [len(sources)])]
+        added, left_unsaturated = [], set()
+        for layer in layers:
+            for s in layer:
+                pf.add_source(s)
+            pf.augment_to_max(allowed_sources=set(layer))
+            added += layer
+            starts = {path[0][1] for path in pf.paths()}
+            assert not starts & left_unsaturated
+            left_unsaturated |= set(layer) - starts
+            assert pf.value == networkx_disjoint_paths(inst, matching, added, sinks)
