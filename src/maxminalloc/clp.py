@@ -121,7 +121,12 @@ def solve_clp(
     tol: float = DEFAULT_TOL,
     pool: Optional[Set[Column]] = None,
 ) -> ClpResult:
-    """Column generation on the max-lambda master; feasible iff lambda* >= 1-tol."""
+    """Column generation on the max-lambda master; feasible iff lambda* >= 1-tol.
+
+    Pricing stops at the first restricted master with lambda >= 1-tol,
+    which already shows CLP(T) feasible: the result is reported converged
+    and feasible, and `lambda_star` is then a lower bound on the optimum.
+    """
     eps = inst.epsilon
     if T.key(eps) <= 0:
         return ClpResult(T, 1.0, True, True, [])
@@ -164,6 +169,9 @@ def solve_clp(
         c[0] = 1.0
         sol, _, duals, basis = simplex.solve(c, A, b, basis)
         lam, x = sol[0], sol[1:]
+        if lam >= 1.0 - tol:
+            converged = True
+            break
         y = [float(duals[i]) for i in range(n)]
         z = [float(duals[n + j]) for j in range(m)]
         new = []
@@ -196,10 +204,9 @@ def estimate_Tstar(
 
     C(i,T) only changes at lattice points, so the threshold is a lattice
     value and binary search over the (monotone) feasibility predicate
-    applies.  A column pool is warm-started across probes.  A restricted
-    master that reaches lambda >= 1-tol shows feasibility even when column
-    generation stopped early; one that stopped early below it shows
-    nothing, and raises MasterNotConverged.
+    applies.  A column pool is warm-started across probes.  A probe whose
+    column generation hits MAX_ROUNDS below lambda = 1-tol shows nothing,
+    and raises MasterNotConverged.
     """
     values = lattice_values(inst)
     pool: Set[Column] = set()
@@ -208,7 +215,7 @@ def estimate_Tstar(
         if T.is_zero():
             return True
         res = solve_clp(inst, T, tol, pool)
-        if not (res.feasible or res.converged):
+        if not res.converged:
             raise MasterNotConverged(
                 f"column generation did not converge in {MAX_ROUNDS} rounds "
                 f"at T = {T.as_fraction(inst.epsilon)}"

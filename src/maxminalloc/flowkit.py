@@ -191,50 +191,44 @@ def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
 # ---------------------------------------------------------------------------
 
 class ResidualDigraph:
-    """Directed graph G(A u B1, E_M) for a heavy matching M.
+    """Directed graph G(A u B1, E_M) for a heavy matching M, on integer nodes.
 
     Arc j->i when {i,j} in M, arc i->j when i is interested in unmatched-
-    to-i heavy item j.  Nodes are ("A", i) and ("B", j).
+    to-i heavy item j.  Node k is `nodes[k]`: the agents first, ascending,
+    then the heavy items, ascending.  `arcs` holds the (tail, head) node
+    pairs agent by agent, each agent's heavy items in ascending order.
     """
 
     def __init__(self, inst: Instance, matching: HeavyMatching,
                  agents: Optional[Set[int]] = None,
                  items: Optional[Set[int]] = None):
-        self.agents = set(agents) if agents is not None else set(range(inst.n))
-        if items is not None:
-            self.items = set(items)
-        else:
-            self.items = set(inst.heavy_ids)
-        self.succ: Dict[object, List[object]] = {}
-        in_deg_agent: Dict[int, int] = {}
-        out_deg_item: Dict[int, int] = {}
-        for i in sorted(self.agents):
+        self.agents = sorted(agents) if agents is not None else list(range(inst.n))
+        items = sorted(items if items is not None else inst.heavy_ids)
+        self.nodes = self.agents + items
+        node_of = {j: k for k, j in enumerate(items, len(self.agents))}
+        self.arcs: List[Tuple[int, int]] = []
+        matched: Set[int] = set()
+        for a, i in enumerate(self.agents):
             for j in sorted(inst.b1(i)):
-                if j not in self.items:
+                if j not in node_of:
                     continue
-                if matching.get(i) == j:
-                    self.succ.setdefault(("B", j), []).append(("A", i))
-                    in_deg_agent[i] = in_deg_agent.get(i, 0) + 1
-                    out_deg_item[j] = out_deg_item.get(j, 0) + 1
+                if matching.get(i) != j:
+                    self.arcs.append((a, node_of[j]))
+                elif j in matched:
+                    raise ValueError(f"heavy item {j} matched twice (bad matching)")
                 else:
-                    self.succ.setdefault(("A", i), []).append(("B", j))
-        for i, d in in_deg_agent.items():
-            if d > 1:
-                raise ValueError(f"agent {i} has in-degree {d} (bad matching)")
-        for j, d in out_deg_item.items():
-            if d > 1:
-                raise ValueError(f"heavy item {j} has out-degree {d} (bad matching)")
+                    matched.add(j)
+                    self.arcs.append((node_of[j], a))
 
 
 class PathFlow:
     """Maximum set of node-disjoint directed paths between agent sets.
 
-    A unit-capacity view over one `_Flow`.  Node k of the digraph is the
-    pair in = 2k + 2 -> out = 2k + 3 joined by one unit edge, which makes
-    the paths node-disjoint; arcs run out -> in.  Agents come first, in
-    ascending order, then heavy items.  The source S = 0 has a unit edge
-    to the in-node of every source agent, in ascending agent order, and
-    the out-node of every sink agent has a unit edge to the sink T = 1,
+    A unit-capacity view over one `_Flow`.  Digraph node k is the pair
+    in = 2k + 2 -> out = 2k + 3 joined by one unit edge, which makes the
+    paths node-disjoint; arcs run out -> in.  The source S = 0 has a unit
+    edge to the in-node of every source agent, in ascending agent order,
+    and the out-node of every sink agent has a unit edge to the sink T = 1,
     after its arcs.  Sources and sinks are agents of the digraph and may
     be added incrementally; augmentation can be restricted to start at
     chosen sources, which keeps previously unsaturated sources unsaturated
@@ -248,21 +242,19 @@ class PathFlow:
         self.value = 0
         # reachable_out_agents() of the current state; cleared on every change
         self._reach: Optional[Set[int]] = None
-        self._nodes = [("A", i) for i in sorted(g.agents)] + [("B", j) for j in sorted(g.items)]
-        size = 2 * len(self._nodes) + 2
-        self._node_in = dict(zip(self._nodes, range(2, size, 2)))
+        self._ids = g.nodes
+        self._agent_node = {i: k for k, i in enumerate(g.agents)}
+        size = 2 * len(g.nodes) + 2
         # node edges first: edge 2k runs from in-node 2k + 2 to out-node 2k + 3
         fl = self._flow = _Flow(0)
         fl.head = [e ^ 1 for e in range(2, size)]
         fl.adj = [[], []] + [[e] for e in range(size - 2)]
         head, adj = fl.head, fl.adj
-        for v, ws in g.succ.items():
-            out = self._node_in[v] + 1
-            for w in ws:
-                e = len(head)
-                head += (self._node_in[w], out)
-                adj[out].append(e)
-                adj[head[e]].append(e + 1)
+        for u, v in g.arcs:
+            e = len(head)
+            head += (2 * v + 2, 2 * u + 3)
+            adj[2 * u + 3].append(e)
+            adj[2 * v + 2].append(e + 1)
         fl.cap = [1, 0] * (len(head) // 2)
 
     def add_source(self, agent: int):
@@ -270,21 +262,20 @@ class PathFlow:
         if agent not in self.sources:
             self.sources.add(agent)
             fl = self._flow
-            fl.add_edge(0, self._node_in[("A", agent)], 1)
+            fl.add_edge(0, 2 * self._agent_node[agent] + 2, 1)
             insort(fl.adj[0], fl.adj[0].pop(), key=fl.head.__getitem__)
 
     def add_sink(self, agent: int):
         self._reach = None
         if agent not in self.sinks:
             self.sinks.add(agent)
-            self._flow.add_edge(self._node_in[("A", agent)] + 1, 1, 1)
+            self._flow.add_edge(2 * self._agent_node[agent] + 3, 1, 1)
 
     def augment(self, allowed_sources: Optional[Set[int]] = None) -> bool:
         fl = self._flow
         every = fl.adj[0]
         if allowed_sources is not None:  # S keeps only the allowed edges
-            fl.adj[0] = [e for e in every
-                         if self._nodes[fl.head[e] // 2 - 1][1] in allowed_sources]
+            fl.adj[0] = [e for e in every if self._ids[fl.head[e] // 2 - 1] in allowed_sources]
         found = fl.augment(0, 1)
         fl.adj[0] = every
         if not found:
@@ -305,7 +296,7 @@ class PathFlow:
         Adding such an agent as a fresh sink increases the path count by one.
         """
         pred = self._flow.reachable(0, 1)
-        return {v[1] for v, i in self._node_in.items() if v[0] == "A" and pred[i + 1] != -1}
+        return {i for i, k in self._agent_node.items() if pred[2 * k + 3] != -1}
 
     def would_increase(self, agent: int) -> bool:
         """True iff adding an edge at `agent` as a sink raises the path count.
@@ -321,11 +312,13 @@ class PathFlow:
             self._reach = self.reachable_out_agents()
         return agent in self._reach
 
-    def paths(self) -> List[List[Tuple[str, int]]]:
-        """Decompose the flow into node paths (digraph nodes, split removed).
+    def paths(self) -> List[List[int]]:
+        """Decompose the flow into paths [a0, j1, a1, ..., ak] of ids.
 
-        A saturated forward edge (even id, no capacity left) carries flow;
-        each node passes its unit on along exactly one of them.
+        Every arc runs between an agent and a heavy item, so a path from
+        agent to agent alternates: even positions are agents, odd ones
+        heavy items.  A saturated forward edge (even id, no capacity left)
+        carries flow; each node passes its unit on along exactly one of them.
         """
         head, cap, adj = self._flow.head, self._flow.cap, self._flow.adj
         result = []
@@ -336,7 +329,7 @@ class PathFlow:
             u = head[e]
             while u != 1:
                 if not u & 1:
-                    nodes.append(self._nodes[u // 2 - 1])
+                    nodes.append(self._ids[u // 2 - 1])
                 u = next(head[f] for f in adj[u] if not f & 1 and not cap[f])
             result.append(nodes)
         return result

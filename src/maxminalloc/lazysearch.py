@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .model import Instance, LatticeValue, k_of
-from .flowkit import HeavyMatching, PathFlow, ResidualDigraph, max_heavy_matching
+from .flowkit import (
+    HeavyMatching, PathFlow, ResidualDigraph, disjoint_paths, max_heavy_matching,
+)
 from .treesearch import (
     Baseline,
     Bundle,
@@ -162,12 +164,7 @@ class LazyState:
                 sources |= self.Y[i]
             sinks = {e.agent for i in range(1, t + 1) for e in self.X[i]}
             sinks |= {e.agent for e in self.I}
-            pf = PathFlow(self.digraph())
-            for a in sources:
-                pf.add_source(a)
-            for a in sinks:
-                pf.add_sink(a)
-            pf.augment_to_max()
+            pf = disjoint_paths(self.digraph(), sources, sinks)
             need = sum(len(self.X[i]) for i in range(1, t + 1))
             if pf.value < need:
                 raise LazyInvariantError(
@@ -204,17 +201,10 @@ def preprocess(inst: Instance) -> Tuple[Set[int], Set[int], Dict[int, int], Heav
 
 
 def _addability_flow(state: LazyState) -> PathFlow:
-    pf = PathFlow(state.digraph())
-    for yi in state.Y:
-        for a in yi:
-            pf.add_source(a)
-    for layer in state.X:
-        for e in layer:
-            pf.add_sink(e.agent)
-    for e in state.I:
-        pf.add_sink(e.agent)
-    pf.augment_to_max()
-    return pf
+    """Maximum flow from every blocker to every layered or unblocked edge."""
+    sources = [a for yi in state.Y for a in yi]
+    sinks = [e.agent for layer in state.X for e in layer] + [e.agent for e in state.I]
+    return disjoint_paths(state.digraph(), sources, sinks)
 
 
 def build_layer(state: LazyState) -> Tuple[int, int]:
@@ -244,7 +234,7 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
             else:
                 new_x.append(e)
             pf.add_sink(i)
-            if pf.augment_to_max() != 1:
+            if not pf.augment():
                 raise LazyInvariantError("addable edge did not raise the flow")
             tree |= e.items
             changed = True
@@ -257,7 +247,7 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
     return added_i, len(new_x)
 
 
-def compute_W(state: LazyState) -> Tuple[List[List[List[object]]], List[List[LightEdge]]]:
+def compute_W(state: LazyState) -> Tuple[List[List[List[int]]], List[List[LightEdge]]]:
     """Layer-ordered flow F(Y_<=l, I); returns per-layer paths W_i and the
     unblocked edges I_i they reach."""
     pf = PathFlow(state.digraph())
@@ -270,37 +260,31 @@ def compute_W(state: LazyState) -> Tuple[List[List[List[object]]], List[List[Lig
         pf.augment_to_max(allowed_sources=set(yi))
         prefix.append(pf.value)
     layer_of = {a: i for i, yi in enumerate(state.Y) for a in yi}
-    W: List[List[List[object]]] = [[] for _ in state.Y]
+    W: List[List[List[int]]] = [[] for _ in state.Y]
     for path in pf.paths():
-        W[layer_of[path[0][1]]].append(path)
+        W[layer_of[path[0]]].append(path)
     total = 0
     for i, wi in enumerate(W):
         total += len(wi)
         if total != prefix[i]:
             raise LazyInvariantError("layered flow does not match prefix values")
     by_agent = {e.agent: e for e in state.I}
-    I_layers = [[by_agent[path[-1][1]] for path in wi] for wi in W]
+    I_layers = [[by_agent[path[-1]] for path in wi] for wi in W]
     return W, I_layers
 
 
-def _reverse_path(state: LazyState, path: List[object]):
-    """Reverse every heavy arc on the path, reassigning the heavy items."""
-    removals = []
-    additions = []
-    for a, b in zip(path, path[1:]):
-        if a[0] == "A":  # forward arc agent -> unmatched heavy item
-            additions.append((a[1], b[1]))
-        else:  # matched arc heavy item -> agent
-            removals.append((b[1], a[1]))
-    for i, j in removals:
+def _reverse_path(state: LazyState, path: List[int]):
+    """Reverse every heavy arc on the path [a0, j1, a1, ..., ak]: agent
+    a_{t-1} takes heavy item j_t from agent a_t."""
+    for j, i in zip(path[1::2], path[2::2]):  # matched arcs j_t -> a_t
         if state.M.get(i) != (HEAVY_KIND, frozenset([j])):
             raise LazyInvariantError("path does not follow the matching")
         del state.M[i]
-    for i, j in additions:
+    for i, j in zip(path[::2], path[1::2]):  # free arcs a_{t-1} -> j_t
         state.M[i] = (HEAVY_KIND, frozenset([j]))
 
 
-def collapse(state: LazyState, t: int, W: List[List[List[object]]],
+def collapse(state: LazyState, t: int, W: List[List[List[int]]],
              I_layers: List[List[LightEdge]]) -> bool:
     """Collapse layer t; True iff the root agent got matched (t = 0).
 
@@ -314,8 +298,7 @@ def collapse(state: LazyState, t: int, W: List[List[List[object]]],
     heavy_before = sum(1 for kind, _ in state.M.values() if kind == HEAVY_KIND)
     swapped: Set[int] = set()
     for path, e2 in zip(W[t], I_layers[t]):
-        u = path[0][1]
-        v = path[-1][1]
+        u, v = path[0], path[-1]
         if e2.agent != v:
             raise LazyInvariantError("path endpoint does not own the I edge")
         free = state.free_items_of(e2, owner_before)
@@ -354,7 +337,7 @@ def collapse(state: LazyState, t: int, W: List[List[List[object]]],
         if pf.would_increase(e.agent):
             state.I.append(e)
             pf.add_sink(e.agent)
-            if pf.augment_to_max() != 1:
+            if not pf.augment():
                 raise LazyInvariantError("released edge did not raise the flow")
     return False
 

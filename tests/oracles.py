@@ -79,13 +79,34 @@ def brute_count_feasible(inst: Instance, t: int) -> bool:
     return go(0, set())
 
 
+def residual_arcs(inst: Instance, matching: Dict[int, int]) -> List[Tuple[tuple, tuple]]:
+    """Arcs of the residual digraph of a heavy matching, on labelled nodes
+    ("agent", i) and ("item", j): item -> agent along a matched pair, agent
+    -> heavy item for every other heavy item the agent likes."""
+    arcs = []
+    for i in range(inst.n):
+        for j in sorted(inst.interests[i]):
+            if inst.items[j].kind != HEAVY:
+                continue
+            if matching.get(i) == j:
+                arcs.append((("item", j), ("agent", i)))
+            else:
+                arcs.append((("agent", i), ("item", j)))
+    return arcs
+
+
 def brute_disjoint_paths(
-    succ: Dict[object, List[object]],
+    inst: Instance,
+    matching: Dict[int, int],
     sources: Sequence[int],
     sinks: Sequence[int],
 ) -> int:
-    """Max number of node-disjoint paths from agent sources to agent sinks."""
-    sink_set = {("A", t) for t in sinks}
+    """Max number of node-disjoint paths from agent sources to agent sinks
+    in the residual digraph of `matching`."""
+    succ: Dict[tuple, List[tuple]] = {}
+    for u, v in residual_arcs(inst, matching):
+        succ.setdefault(u, []).append(v)
+    sink_set = {("agent", t) for t in sinks}
 
     def paths_from(start, banned: Set[object]):
         # all simple paths from start avoiding banned nodes
@@ -108,7 +129,7 @@ def brute_disjoint_paths(
         if idx == len(srcs):
             return 0
         best = go(idx + 1, banned)  # skip this source
-        start = ("A", srcs[idx])
+        start = ("agent", srcs[idx])
         if start not in banned:
             for path in paths_from(start, banned):
                 best = max(best, 1 + go(idx + 1, banned | set(path)))

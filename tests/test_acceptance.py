@@ -209,7 +209,7 @@ def test_criterion_8_oracle_equivalences(corpus):
         sources = [i for i in range(inst.n) if rng.random() < 0.5]
         sinks = [i for i in range(inst.n) if rng.random() < 0.5]
         got = flowkit.disjoint_paths(g, sources, sinks).value
-        if got != brute_disjoint_paths(g.succ, sources, sinks):
+        if got != brute_disjoint_paths(inst, matching, sources, sinks):
             path_mismatches += 1
     # exact solver vs naive enumeration
     exact_mismatches = 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from maxminalloc import clp, exact, gen
+from maxminalloc import clp, exact, gen, simplex
 from maxminalloc.model import (
     Epsilon,
     HEAVY,
@@ -120,7 +120,48 @@ class TestSolveClpAgainstEnumeration:
             )
             for T in lattice_values(inst)[1:]:
                 want = enumerated_lambda(inst, T)
-                assert clp.solve_clp(inst, T).lambda_star == pytest.approx(want, abs=1e-7)
+                res = clp.solve_clp(inst, T)
+                assert res.converged
+                # pricing stops once the restricted master reaches 1 - tol,
+                # so from 1 up its lambda is a lower bound on the full one
+                assert min(want, 1.0) - 1e-7 <= res.lambda_star <= want + 1e-7
+
+
+class TestEarlyStop:
+    @staticmethod
+    def master_lambdas(monkeypatch):
+        """Record lambda of every restricted master simplex.solve returns."""
+        lams, real = [], simplex.solve
+
+        def counted(*args):
+            out = real(*args)
+            lams.append(out[0][0])
+            return out
+
+        monkeypatch.setattr(simplex, "solve", counted)
+        return lams
+
+    def test_one_master_when_the_first_reaches_one(self, monkeypatch):
+        """One agent, two heavy items, T = 1: the starting column alone gives
+        lambda = 1, although the full master's lambda is 2."""
+        inst = Instance(Epsilon(1, 2), [Item(0, HEAVY), Item(1, HEAVY)], [[0, 1]])
+        lams = self.master_lambdas(monkeypatch)
+        res = clp.solve_clp(inst, LatticeValue(1, 0))
+        assert lams == [pytest.approx(1.0)]
+        assert res.feasible and res.converged and res.lambda_star == pytest.approx(1.0)
+
+    def test_pricing_stops_at_the_first_feasible_master(self, monkeypatch):
+        lams = self.master_lambdas(monkeypatch)
+        rng = random.Random(9)
+        for _ in range(10):
+            inst = gen.gen_random(6, 4, 10, 0.5, Epsilon(1, 3), rng.randrange(2**30))
+            for T in lattice_values(inst)[1:]:
+                del lams[:]
+                res = clp.solve_clp(inst, T)
+                if not res.feasible:
+                    continue
+                assert lams[-1] >= 1 - clp.DEFAULT_TOL
+                assert all(lam < 1 - clp.DEFAULT_TOL for lam in lams[:-1])
 
 
 class TestEstimateTstar:

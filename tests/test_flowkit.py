@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from maxminalloc import exact, flowkit, gen, lazysearch
 from maxminalloc.model import Epsilon, Instance, Item, HEAVY, LIGHT, min_value
 
-from oracles import brute_count_feasible, brute_disjoint_paths, brute_heavy_matching
+from oracles import (
+    brute_count_feasible, brute_disjoint_paths, brute_heavy_matching, residual_arcs,
+)
 
 
 def random_tiny(rng, n_max=4, m_max=8):
@@ -150,9 +152,20 @@ class TestResidualDigraph:
             [[0, 1], [0]],
         )
         g = flowkit.ResidualDigraph(inst, {0: 0})
-        assert ("A", 0) in g.succ.get(("B", 0), [])  # matched arc item->agent
-        assert ("B", 1) in g.succ.get(("A", 0), [])  # free arc agent->item
-        assert ("B", 0) in g.succ.get(("A", 1), [])
+        assert g.nodes == [0, 1, 0, 1]  # agents 0, 1, then items 0, 1
+        # matched arc item 0 -> agent 0, free arcs agent 0 -> item 1 and
+        # agent 1 -> item 0, agent by agent
+        assert g.arcs == [(2, 0), (0, 3), (1, 2)]
+
+    def test_numbering_of_a_restriction(self):
+        inst = Instance(
+            Epsilon(1, 2),
+            [Item(0, HEAVY), Item(1, LIGHT), Item(2, HEAVY), Item(3, HEAVY)],
+            [[0, 1], [2, 3], [0, 2, 3]],
+        )
+        g = flowkit.ResidualDigraph(inst, {2: 3}, agents={2, 0}, items={3, 0})
+        assert g.nodes == [0, 2, 0, 3]
+        assert g.arcs == [(0, 2), (1, 2), (3, 1)]
 
     def test_rejects_bad_matching(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)], [[0], [0]])
@@ -170,24 +183,25 @@ class TestDisjointPaths:
             sources = [i for i in agents if rng.random() < 0.5]
             sinks = [i for i in agents if rng.random() < 0.5]
             pf = flowkit.disjoint_paths(g, sources, sinks)
-            assert pf.value == brute_disjoint_paths(g.succ, sources, sinks)
+            assert pf.value == brute_disjoint_paths(inst, matching, sources, sinks)
 
     def test_zero_length_path(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)], [[0]])
         g = flowkit.ResidualDigraph(inst, {})
         pf = flowkit.disjoint_paths(g, [0], [0])
         assert pf.value == 1
-        assert pf.paths() == [[("A", 0)]]
+        assert pf.paths() == [[0]]
 
     def test_second_path_reroutes_the_first(self):
-        """The first path is A2 -> B0 -> A1; the second enters B0 from A3 and
-        moves the first onto B1.  Both must come out disjoint and along arcs."""
+        """The first path is agent 2 -> item 0 -> agent 1; the second enters
+        item 0 from agent 3 and moves the first onto item 1.  Both must come
+        out disjoint and along arcs, as alternating agent and item ids."""
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY), Item(1, HEAVY)],
                         [[1], [0], [0, 1], [0]])
         g = flowkit.ResidualDigraph(inst, {0: 1, 1: 0})
         pf = flowkit.disjoint_paths(g, [2, 3], [0, 1])
         assert pf.value == 2
-        assert pf.paths() == [[("A", 2), ("B", 1), ("A", 0)], [("A", 3), ("B", 0), ("A", 1)]]
+        assert pf.paths() == [[2, 1, 0], [3, 0, 1]]
 
 
 class TestWouldIncrease:
@@ -205,7 +219,7 @@ class TestWouldIncrease:
                     expected = False  # sink set would not change
                 else:
                     expected = (
-                        brute_disjoint_paths(g.succ, sources, sinks + [extra])
+                        brute_disjoint_paths(inst, matching, sources, sinks + [extra])
                         > pf.value
                     )
                 assert pf.would_increase(extra) == expected, (sources, sinks, extra)
@@ -224,7 +238,7 @@ class TestWouldIncrease:
             for s in sources:  # one source at a time, restricted augmentation
                 pf.add_source(s)
                 pf.augment_to_max(allowed_sources={s})
-            assert pf.value == brute_disjoint_paths(g.succ, sources, sinks)
+            assert pf.value == brute_disjoint_paths(inst, matching, sources, sinks)
 
     def test_cache_follows_mutations(self):
         """Interleave flow changes with queries; every answer must match a
@@ -244,14 +258,14 @@ class TestWouldIncrease:
                 else:
                     pf.augment()
                 sources, sinks = sorted(pf.sources), sorted(pf.sinks)
-                at_max = pf.value == brute_disjoint_paths(g.succ, sources, sinks)
+                at_max = pf.value == brute_disjoint_paths(inst, matching, sources, sinks)
                 fresh = pf.reachable_out_agents()
                 for extra in agents:
                     answer = pf.would_increase(extra)
                     assert answer == (extra not in pf.sinks and extra in fresh)
                     if at_max:
                         expected = extra not in pf.sinks and (
-                            brute_disjoint_paths(g.succ, sources, sinks + [extra])
+                            brute_disjoint_paths(inst, matching, sources, sinks + [extra])
                             > pf.value
                         )
                         assert answer == expected, (op, sources, sinks, extra)
@@ -309,23 +323,28 @@ class TestPathFlowProperties:
             pf.add_sink(t)
         # with no flow yet every arc is residual: plain reachability
         nx = pytest.importorskip("networkx")
-        digraph = nx.DiGraph([(u, v) for u, ws in g.succ.items() for v in ws])
-        reach = {("A", s) for s in sources}
+        arcs = residual_arcs(inst, matching)
+        digraph = nx.DiGraph(arcs)
+        reach = {("agent", s) for s in sources}
         for s in sources:
-            if ("A", s) in digraph:
-                reach |= nx.descendants(digraph, ("A", s))
-        assert pf.reachable_out_agents() == {v[1] for v in reach if v[0] == "A"}
+            if ("agent", s) in digraph:
+                reach |= nx.descendants(digraph, ("agent", s))
+        assert pf.reachable_out_agents() == {v for kind, v in reach if kind == "agent"}
         pf = flowkit.disjoint_paths(g, sources, sinks)
         assert pf.value == networkx_disjoint_paths(inst, matching, sources, sinks)
         paths = pf.paths()
         assert len(paths) == pf.value
-        used = [v for path in paths for v in path]
+        # a path alternates agent, heavy item, agent, ...: label by position
+        labelled = [[("item" if t % 2 else "agent", v) for t, v in enumerate(path)]
+                    for path in paths]
+        used = [v for path in labelled for v in path]
         assert len(used) == len(set(used))  # node-disjoint
-        for path in paths:
-            assert path[0][0] == "A" and path[0][1] in sources
-            assert path[-1][0] == "A" and path[-1][1] in sinks
-            for u, v in zip(path, path[1:]):
-                assert v in g.succ.get(u, [])
+        arc_set = set(arcs)
+        for path in labelled:
+            assert len(path) % 2 == 1
+            assert path[0][1] in sources and path[-1][1] in sinks
+            for step in zip(path, path[1:]):
+                assert step in arc_set
 
     @PROPERTY
     @given(path_flow_inputs(), st.data())
@@ -346,7 +365,7 @@ class TestPathFlowProperties:
                 pf.add_source(s)
             pf.augment_to_max(allowed_sources=set(layer))
             added += layer
-            starts = {path[0][1] for path in pf.paths()}
+            starts = {path[0] for path in pf.paths()}
             assert not starts & left_unsaturated
             left_unsaturated |= set(layer) - starts
             assert pf.value == networkx_disjoint_paths(inst, matching, added, sinks)
