@@ -70,16 +70,15 @@ def _run_algo(inst: Instance, algo: str, args, baseline=None):
     if algo == "baseline":
         value, alloc = flowkit.baseline_solve(inst)
         return value, alloc, {}
-    if algo == "quasi":
-        rep = treesearch.quasi_solve(inst, args.budget, baseline)
+    if algo in ("quasi", "poly"):
+        solve = treesearch.quasi_solve if algo == "quasi" else lazysearch.poly_solve
+        rep = solve(inst, args.budget, baseline)
         extras = {"iterations": rep.iterations}
         if rep.certified_T is not None:
             extras["certified_T"] = _frac_str(rep.certified_T, inst.epsilon)
             extras["r"] = rep.r
+        extras.update(rep.meta)
         return rep.value, rep.allocation, extras
-    if algo == "poly":
-        rep = lazysearch.poly_solve(inst, args.mu, args.p_sweep, args.budget, baseline)
-        return rep.value, rep.allocation, dict(rep.meta)
     raise ValueError(algo)
 
 
@@ -238,11 +237,7 @@ def _add_exact_cap(p):
 
 def _add_search_knobs(p):
     p.add_argument("--budget", type=int, default=treesearch.DEFAULT_BUDGET,
-                   help="iteration budget per root agent")
-    p.add_argument("--mu", type=float, default=lazysearch.MU_DEFAULT,
-                   help="collapse threshold for the layered search")
-    p.add_argument("--p-sweep", action="store_true",
-                   help="sweep every addable-edge size p in (r,k)")
+                   help="local-search iteration budget per T probe, shared by its root agents")
     _add_exact_cap(p)
 
 

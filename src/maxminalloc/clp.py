@@ -67,9 +67,20 @@ class SupportSolution:
 
 @dataclass
 class SupportHypergraph:
-    heavy_edges: Set[Tuple[int, int]]  # (agent, heavy item)
-    light_configs: Dict[int, List[FrozenSet[int]]]
-    r: int
+    """The per-agent items a tree search draws addable edges from.
+
+    heavy[i] lists agent i's heavy items and light[i] its light pools,
+    each ascending; an agent without an entry has none.
+    """
+
+    heavy: Dict[int, Tuple[int, ...]]
+    light: Dict[int, List[Tuple[int, ...]]]
+
+    @classmethod
+    def of_interests(cls, inst: Instance) -> "SupportHypergraph":
+        """Every interest: each agent's heavy items and one pool of its lights."""
+        return cls({i: inst.b1(i) for i in range(inst.n)},
+                   {i: [inst.beps(i)] for i in range(inst.n)})
 
 
 def separate(
@@ -253,13 +264,13 @@ def _check_support(inst: Instance, sol: SupportSolution, tol: float = 1e-6):
     for i in range(inst.n):
         cover = 0.0
         for s, mass in sol.heavy.get(i, {}).items():
-            if not (s <= inst.heavy_ids and len(s) >= 1 and s <= inst.b1(i)):
+            if not (s <= inst.heavy_ids and len(s) >= 1 and s <= inst.interests[i]):
                 raise AssertionError(f"bad heavy configuration {sorted(s)} for {i}")
             cover += mass
             for j in s:
                 load[j] += mass
         for s, mass in sol.light.get(i, {}).items():
-            if not (s <= inst.light_ids and len(s) >= sol.k and s <= inst.beps(i)):
+            if not (s <= inst.light_ids and len(s) >= sol.k and s <= inst.interests[i]):
                 raise AssertionError(f"bad light configuration {sorted(s)} for {i}")
             cover += mass
             for j in s:
@@ -272,20 +283,15 @@ def _check_support(inst: Instance, sol: SupportSolution, tol: float = 1e-6):
 
 
 def build_support_hypergraph(sol: SupportSolution, r: int) -> SupportHypergraph:
-    """Heavy edges materialized; light r-subsets represented by their parent
-    configurations and enumerated lazily by the tree search."""
-    heavy_edges: Set[Tuple[int, int]] = set()
-    light_configs: Dict[int, List[FrozenSet[int]]] = {}
-    agents = set(sol.heavy) | set(sol.light)
-    for i, bucket in sol.heavy.items():
-        for s in bucket:
-            for j in s:
-                heavy_edges.add((i, j))
+    """Each agent's support heavy items; its light configurations, whose
+    r-subsets the tree search enumerates lazily, become its light pools."""
+    heavy = {i: tuple(sorted(set().union(*bucket))) for i, bucket in sol.heavy.items()}
+    light: Dict[int, List[Tuple[int, ...]]] = {}
     for i, bucket in sol.light.items():
         for s in bucket:
             if len(s) < r:
                 raise ValueError(f"light configuration smaller than r={r}")
-            light_configs.setdefault(i, []).append(s)
-    if not agents:
+            light.setdefault(i, []).append(tuple(sorted(s)))
+    if not heavy and not light:
         raise AssertionError("empty support (covering constraint violated)")
-    return SupportHypergraph(heavy_edges, light_configs, r)
+    return SupportHypergraph(heavy, light)

@@ -54,11 +54,9 @@ def feasible_at(
     if T.key(eps) <= 0:
         return True, {i: frozenset() for i in range(inst.n)}
 
-    heavy = [sorted(inst.b1(i)) for i in range(inst.n)]
-    light = [sorted(inst.beps(i)) for i in range(inst.n)]
     # quick reject: some agent cannot reach T even with everything it likes
     for i in range(inst.n):
-        if lights_needed(T, eps, len(heavy[i])) > len(light[i]):
+        if lights_needed(T, eps, len(inst.b1(i))) > len(inst.beps(i)):
             return False, None
 
     n = inst.n
@@ -70,8 +68,8 @@ def feasible_at(
             return True
         if (i, used) in failed:
             return False
-        ah = [j for j in heavy[i] if not (used >> j) & 1]
-        al = [j for j in light[i] if not (used >> j) & 1]
+        ah = [j for j in inst.b1(i) if not (used >> j) & 1]
+        al = [j for j in inst.beps(i) if not (used >> j) & 1]
         for h, l in _minimal_count_pairs(T, eps, len(ah), len(al)):
             for hs in itertools.combinations(ah, h):
                 for ls in itertools.combinations(al, l):

@@ -35,7 +35,7 @@ def max_heavy_matching(inst: Instance, agents: Optional[Iterable[int]] = None,
 
     def candidates(i: int):
         if i not in pool:
-            pool[i] = [j for j in sorted(inst.b1(i)) if items is None or j in items]
+            pool[i] = [j for j in inst.b1(i) if items is None or j in items]
         return iter(pool[i])
 
     for root in agent_list:
@@ -209,7 +209,7 @@ class ResidualDigraph:
         self.arcs: List[Tuple[int, int]] = []
         matched: Set[int] = set()
         for a, i in enumerate(self.agents):
-            for j in sorted(inst.b1(i)):
+            for j in inst.b1(i):
                 if j not in node_of:
                     continue
                 if matching.get(i) != j:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import Instance, LatticeValue, k_of
+from .model import Instance, LatticeValue, k_of, lowest_free
 from .flowkit import (
     HeavyMatching, PathFlow, ResidualDigraph, disjoint_paths, max_heavy_matching,
 )
@@ -33,7 +33,9 @@ from .treesearch import (
     search_solve,
 )
 
-MU_DEFAULT = 1e-10
+# collapse threshold: layer i collapses once max(1, ceil(MU * |Y_i|)) of
+# its blockers reach unblocked edges
+MU = 1e-10
 
 
 class LazyInvariantError(AssertionError):
@@ -44,13 +46,10 @@ class LazyInvariantError(AssertionError):
 class Params:
     r: int
     p: int
-    mu: float = MU_DEFAULT
 
     def validate(self, k: int):
         if not 0 < self.r < self.p < k:
             raise ValueError(f"need 0 < r < p < k, got r={self.r} p={self.p} k={k}")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,7 @@ class LazyState:
     # -- invariants ---------------------------------------------------------
 
     def signature(self):
-        mu = self.params.mu
-        scale = -math.log1p(-mu)
+        scale = -math.log1p(-MU)
         coords = []
         for i in range(1, len(self.Y)):
             if not self.Y[i]:
@@ -132,7 +130,7 @@ class LazyState:
             else:
                 coords.append(
                     math.floor(
-                        (math.log(len(self.Y[i])) - 2 * i * math.log(mu)) / scale
+                        (math.log(len(self.Y[i])) - 2 * i * math.log(MU)) / scale
                     )
                 )
         return tuple(coords) + (math.inf,)
@@ -222,12 +220,10 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
     while changed:
         changed = False
         for i in sorted(state.agents):
-            fresh = sorted(state.inst.beps(i) - tree)
-            if len(fresh) < p:
+            fresh = lowest_free(state.inst.beps(i), tree, p)
+            if fresh is None or not pf.would_increase(i):
                 continue
-            if not pf.would_increase(i):
-                continue
-            e = LightEdge(i, frozenset(fresh[:p]))
+            e = LightEdge(i, frozenset(fresh))
             if len(state.free_items_of(e, owner)) >= r:
                 state.I.append(e)
                 added_i += 1
@@ -366,7 +362,6 @@ def extend_matching_poly(
     state = LazyState(inst, M, i0, params, agents, heavy_items)
     stats = stats if stats is not None else LazyStats()
     matched_before = set(M)
-    mu = params.mu
     last_sig = None
     while stats.iterations < budget:
         stats.iterations += 1
@@ -375,7 +370,7 @@ def extend_matching_poly(
             W, I_layers = compute_W(state)
             t = None
             for i in range(len(state.Y)):
-                need = max(1, math.ceil(mu * len(state.Y[i])))
+                need = max(1, math.ceil(MU * len(state.Y[i])))
                 if len(I_layers[i]) >= need:
                     t = i
                     break
@@ -410,9 +405,9 @@ def _poly_r(k: int) -> int:
     return max(-(-k // 9), math.ceil((k - 10) / (3 + 2 * math.sqrt(2))), 1)
 
 
-def _p_candidates(r: int, k: int, sweep: bool) -> List[int]:
-    if sweep:
-        return list(range(r + 1, k))
+def _p_candidates(r: int, k: int) -> List[int]:
+    """The two analyzed addable-edge sizes, 3r-1 and ceil((2+sqrt 2)r)-1,
+    where they lie in (r, k)."""
     out = []
     for p in (3 * r - 1, math.ceil((2 + math.sqrt(2)) * r) - 1):
         if r < p < k and p not in out:
@@ -442,8 +437,6 @@ def _probe(inst: Instance, params: Params, budget: int):
 
 def poly_solve(
     inst: Instance,
-    mu: float = MU_DEFAULT,
-    p_sweep: bool = False,
     budget: int = DEFAULT_BUDGET,
     baseline: Optional[Baseline] = None,
 ) -> SolveReport:
@@ -454,8 +447,8 @@ def poly_solve(
     def probe(T: LatticeValue) -> Optional[ProbeResult]:
         k = k_of(T, eps)
         r = _poly_r(k)
-        for p in _p_candidates(r, k, p_sweep):
-            params = Params(r, p, mu)
+        for p in _p_candidates(r, k):
+            params = Params(r, p)
             params.validate(k)
             outcome, alloc, stats = _probe(inst, params, budget)
             if outcome == MATCHED:

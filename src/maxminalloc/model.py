@@ -122,8 +122,8 @@ class Instance:
             self.interests.append(s)
         self.heavy_ids = frozenset(it.id for it in self.items if it.kind == HEAVY)
         self.light_ids = frozenset(it.id for it in self.items if it.kind == LIGHT)
-        self._b1 = [self.interests[i] & self.heavy_ids for i in range(self.n)]
-        self._beps = [self.interests[i] & self.light_ids for i in range(self.n)]
+        self._b1 = [tuple(sorted(s & self.heavy_ids)) for s in self.interests]
+        self._beps = [tuple(sorted(s & self.light_ids)) for s in self.interests]
 
     @property
     def n(self) -> int:
@@ -133,15 +133,12 @@ class Instance:
     def m(self) -> int:
         return len(self.items)
 
-    def kind(self, j: int) -> str:
-        return self.items[j].kind
-
-    def b1(self, i: int) -> FrozenSet[int]:
-        """Heavy items agent i is interested in."""
+    def b1(self, i: int) -> Tuple[int, ...]:
+        """Heavy items agent i is interested in, ascending."""
         return self._b1[i]
 
-    def beps(self, i: int) -> FrozenSet[int]:
-        """Light items agent i is interested in."""
+    def beps(self, i: int) -> Tuple[int, ...]:
+        """Light items agent i is interested in, ascending."""
         return self._beps[i]
 
     def bundle_value(self, items: Iterable[int]) -> LatticeValue:
@@ -154,6 +151,18 @@ class Instance:
         return LatticeValue(h, l)
 
 
+def lowest_free(items: Sequence[int], taken, count: int) -> Optional[Tuple[int, ...]]:
+    """The first `count` (at least 1) entries of ascending `items` that are
+    not in `taken`, or None when fewer than `count` are free."""
+    fresh = []
+    for j in items:
+        if j not in taken:
+            fresh.append(j)
+            if len(fresh) == count:
+                return tuple(fresh)
+    return None
+
+
 Allocation = Dict[int, FrozenSet[int]]
 
 
@@ -164,33 +173,18 @@ def parse_instance(text: bytes) -> Instance:
         raise ParseError(f"malformed JSON: {exc}") from None
     try:
         eps = Epsilon.parse(doc["epsilon"])
-        raw_items = doc["items"]
-        raw_agents = doc["agents"]
-    except (KeyError, TypeError):
-        raise ParseError("missing epsilon/items/agents") from None
-    items_by_id = {}
-    for it in raw_items:
-        jid = it["id"]
-        if jid in items_by_id:
-            raise ParseError(f"duplicate item id {jid}")
-        items_by_id[jid] = Item(jid, it["kind"])
-    if set(items_by_id) != set(range(len(items_by_id))):
-        raise ParseError("item ids must be dense 0..m-1")
-    items = [items_by_id[j] for j in range(len(items_by_id))]
-    agents_by_id = {}
-    for ag in raw_agents:
-        aid = ag["id"]
-        if aid in agents_by_id:
-            raise ParseError(f"duplicate agent id {aid}")
-        agents_by_id[aid] = ag.get("interests", [])
-    if set(agents_by_id) != set(range(len(agents_by_id))):
-        raise ParseError("agent ids must be dense 0..n-1")
-    interests = [agents_by_id[i] for i in range(len(agents_by_id))]
-    for ids in interests:
-        for j in ids:
-            if j not in items_by_id:
-                raise ParseError(f"unknown item id {j}")
-    return Instance(eps, items, interests)
+        items = sorted((Item(it["id"], it["kind"]) for it in doc["items"]), key=lambda it: it.id)
+        agents_by_id = {}
+        for ag in doc["agents"]:
+            aid = ag["id"]
+            if aid in agents_by_id:
+                raise ParseError(f"duplicate agent id {aid}")
+            agents_by_id[aid] = ag.get("interests", [])
+        if set(agents_by_id) != set(range(len(agents_by_id))):
+            raise ParseError("agent ids must be dense 0..n-1")
+        return Instance(eps, items, [agents_by_id[i] for i in range(len(agents_by_id))])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"missing or malformed field: {exc!r}") from None
 
 
 def serialize_instance(inst: Instance) -> bytes:

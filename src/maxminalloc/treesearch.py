@@ -5,8 +5,8 @@ rooted at an unmatched agent; an unblocked addable edge triggers a
 contraction that swaps it into the matching.  Two edge-selection policies:
 ARBITRARY (first addable edge; exponential signature bound) and CLOSEST
 (minimum light-edge distance from the root; quasi-polynomial bound).
-Addable edges can be drawn from the full interest sets or from a CLP
-support hypergraph.
+Addable edges are drawn from one per-agent table of ascending item lists:
+the full interest sets, or a CLP support hypergraph.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .model import (
     k_of,
     last_feasible,
     lattice_values,
+    lowest_free,
     min_value,
 )
 from . import flowkit
@@ -78,16 +79,14 @@ class Candidate:
 
 
 class TreeState:
-    def __init__(self, inst: Instance, M: Dict[int, Bundle], owner: Dict[int, int],
-                 i0: int, r: int, policy: str,
-                 support: Optional[SupportHypergraph] = None):
-        self.inst = inst
+    def __init__(self, M: Dict[int, Bundle], owner: Dict[int, int],
+                 i0: int, r: int, policy: str, table: SupportHypergraph):
         self.M = M
         self.owner = owner  # item -> agent holding it in M
         self.i0 = i0
         self.r = r
         self.policy = policy
-        self.support = support
+        self.table = table
         self.edges: List[AddEdge] = []       # addable edges, timestamp order
         self.blockers: Dict[int, BlockEdge] = {}  # owner agent -> blocking edge
         self.tree_items: Set[int] = set()
@@ -168,31 +167,19 @@ class TreeState:
 
     # -- candidate enumeration ----------------------------------------------
 
-    def _heavy_items_for(self, i: int):
-        if self.support is None:
-            return sorted(self.inst.b1(i))
-        return sorted(j for (a, j) in self.support.heavy_edges if a == i)
-
-    def _light_pools_for(self, i: int):
-        if self.support is None:
-            return [self.inst.beps(i)]
-        return self.support.light_configs.get(i, [])
-
     def candidates(self) -> List[Candidate]:
+        # the lowest free item ids suffice for either policy
         out: List[Candidate] = []
         for i in self.agents_in_tree():
             base = self.dist_of_agent(i)
-            for j in self._heavy_items_for(i):
-                if j not in self.tree_items:
-                    out.append(Candidate(i, frozenset([j]), HEAVY_KIND, base))
-                    break  # lowest item id suffices for either policy
+            pick = lowest_free(self.table.heavy.get(i, ()), self.tree_items, 1)
+            if pick is not None:
+                out.append(Candidate(i, frozenset(pick), HEAVY_KIND, base))
             best_pool = None
-            for pool in self._light_pools_for(i):
-                fresh = sorted(pool - self.tree_items)
-                if len(fresh) >= self.r:
-                    pick = tuple(fresh[: self.r])
-                    if best_pool is None or pick < best_pool:
-                        best_pool = pick
+            for pool in self.table.light.get(i, ()):
+                pick = lowest_free(pool, self.tree_items, self.r)
+                if pick is not None and (best_pool is None or pick < best_pool):
+                    best_pool = pick
             if best_pool is not None:
                 out.append(Candidate(i, frozenset(best_pool), LIGHT_KIND, base + 1))
         return out
@@ -287,12 +274,15 @@ def extend_matching(
 ) -> str:
     """Grow M so that i0 gets a heavy item or r light items.
 
-    Returns MATCHED, STALLED or BUDGET_EXCEEDED.  Previously matched agents
-    stay matched (their bundles may be reshuffled).
+    Addable edges come from `support`, or from every interest when it is
+    None.  Returns MATCHED, STALLED or BUDGET_EXCEEDED.  Previously matched
+    agents stay matched (their bundles may be reshuffled).
     """
     if i0 in M:
         raise ValueError("root already matched")
-    state = TreeState(inst, M, owner, i0, r, policy, support)
+    if support is None:
+        support = SupportHypergraph.of_interests(inst)
+    state = TreeState(M, owner, i0, r, policy, support)
     stats = stats if stats is not None else ExtendStats()
     matched_before = set(M)
     while stats.iterations < budget:
@@ -321,7 +311,7 @@ def _probe(
     inst: Instance,
     r: int,
     policy: str,
-    support: Optional[SupportHypergraph],
+    support: SupportHypergraph,
     budget: int,
 ) -> Tuple[str, Dict[int, Bundle], ExtendStats]:
     M: Dict[int, Bundle] = {}
@@ -406,10 +396,11 @@ def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
     treated as evidence that T exceeds the optimum.  Falls back to the
     1/eps count baseline, which dominates for eps >= 1/4."""
     eps = inst.epsilon
+    interests = SupportHypergraph.of_interests(inst)
 
     def probe(T: LatticeValue) -> Optional[ProbeResult]:
         r = _quasi_r(k_of(T, eps), eps)
-        outcome, M, stats = _probe(inst, r, CLOSEST, None, budget)
+        outcome, M, stats = _probe(inst, r, CLOSEST, interests, budget)
         if outcome != MATCHED:
             return None
         return r, matching_allocation(M), stats.iterations, {}

@@ -51,7 +51,10 @@ class TestSolve:
             assert cli.main(["solve", yes_instance, "--algo", algo, "--out", out]) == 0
             from fractions import Fraction
 
-            values[algo] = Fraction(json.loads(capsys.readouterr().out)["value"])
+            report = json.loads(capsys.readouterr().out)
+            values[algo] = Fraction(report["value"])
+            if algo in ("quasi", "poly"):
+                assert isinstance(report["iterations"], int)
         assert values["auto"] >= max(values["baseline"], values["quasi"], values["poly"])
 
     def test_auto_runs_baseline_once(self, yes_instance, tmp_path, capsys, baseline_calls):
@@ -65,6 +68,21 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", str(bad)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"items": [{"kind": "heavy"}], "agents": [{"id": 0, "interests": [0]}]},
+        {"items": [[0, "heavy"]], "agents": [{"id": 0, "interests": [0]}]},
+        {"items": [{"id": 0, "kind": "heavy"}], "agents": [{"interests": [0]}]},
+        {"items": [{"id": 0, "kind": "heavy"}], "agents": [{"id": 0, "interests": 5}]},
+        {"items": None, "agents": [{"id": 0, "interests": [0]}]},
+    ])
+    def test_malformed_record_exit_2(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"epsilon": "1/2", **doc}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(bad)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_size_cap_exit_3(self, tmp_path):
         inst = gen.gen_random(2, 0, 30, 1.0, Epsilon(1, 2), 0)
@@ -108,9 +126,12 @@ class TestEstimate:
         assert report["ratio"] == "2"
 
     def test_rejects_search_knobs(self, yes_instance, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["estimate", yes_instance, "--mu", "0.5"])
-        assert exc.value.code == 2
+        for argv in (["estimate", yes_instance, "--mu", "0.5"],
+                     ["solve", yes_instance, "--mu", "0.5"],
+                     ["solve", yes_instance, "--p-sweep"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
 
 
 class TestLpFailure:
@@ -172,6 +193,8 @@ class TestBench:
             if row["ratio"]:
                 bound = {"baseline": 2, "quasi": 2, "poly": 2}[row["algo"]]
                 assert Fraction(row["ratio"]) <= bound  # 1/eps = 2 dominates here
+            if row["algo"] in ("quasi", "poly"):
+                assert int(row["iterations"]) >= 0
 
     def test_exact_over_size_cap_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

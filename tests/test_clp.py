@@ -212,10 +212,10 @@ class TestMinimalize:
             k = k_of(tstar, inst.epsilon)
             for i, bucket in sol.heavy.items():
                 for s in bucket:
-                    assert s and s <= inst.b1(i)
+                    assert s and s <= frozenset(inst.b1(i))
             for i, bucket in sol.light.items():
                 for s in bucket:
-                    assert len(s) >= k and s <= inst.beps(i)
+                    assert len(s) >= k and s <= frozenset(inst.beps(i))
             checked += 1
 
     def test_support_hypergraph_r_guard(self):
@@ -226,4 +226,4 @@ class TestMinimalize:
         with pytest.raises(ValueError, match="smaller than r"):
             clp.build_support_hypergraph(sol, r=3)
         hg = clp.build_support_hypergraph(sol, r=2)
-        assert hg.light_configs[0] == [frozenset({0, 1})]
+        assert hg.light[0] == [(0, 1)]

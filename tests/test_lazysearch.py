@@ -73,6 +73,21 @@ class TestExtendMatchingPoly:
         out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(1, 2))
         assert out == lazysearch.STALLED
 
+    def test_budget_exceeded(self):
+        # the root's lights are held by agent 1: the first iteration builds
+        # a layer, and the collapses need two more
+        inst = Instance(
+            Epsilon(1, 4),
+            [Item(j, LIGHT) for j in range(6)],
+            [[0, 1, 2], [0, 1, 2, 3, 4, 5]],
+        )
+        for budget, outcome in ((3, lazysearch.MATCHED), (1, lazysearch.BUDGET_EXCEEDED)):
+            M = {1: (L, frozenset({0, 1}))}
+            out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(2, 3),
+                                                  budget=budget)
+            assert out == outcome
+        assert M == {1: (L, frozenset({0, 1}))}
+
     def test_3dm_yes_all_matched(self):
         eps = Epsilon(1, 2)
         for seed in range(4):
@@ -136,11 +151,21 @@ class TestPolySolve:
         assert rep.meta["certified_T"] == "3/2"
         assert rep.meta["r"] == 25  # k = 150, k/r = 6.0
 
-    def test_mu_knob_accepted(self):
-        inst = gen.gen_random(3, 1, 6, 1.0, Epsilon(1, 3), 2)
-        rep = lazysearch.poly_solve(inst, mu=0.5)
-        opt_v, _ = exact.opt(inst)
-        assert 9 * rep.value.as_fraction(inst.epsilon) >= opt_v.as_fraction(inst.epsilon)
+
+@pytest.mark.parametrize("solve", [treesearch.quasi_solve, lazysearch.poly_solve])
+def test_budget_one_falls_back_to_baseline(solve):
+    # agents 2 and 3 are two roots that each need a search step, and the
+    # budget is shared by the roots of a T probe, so every probe fails
+    eps = Epsilon(1, 10)
+    items = [Item(0, HEAVY), Item(1, HEAVY)] + [Item(j, LIGHT) for j in range(2, 32)]
+    inst = Instance(eps, items, [[0, 1], [0, 1], [0, 1, *range(2, 17)],
+                                 [0, 1, *range(17, 32)]])
+    base_val, base_alloc = flowkit.baseline_solve(inst)
+    full = solve(inst)
+    assert full.value.key(eps) > base_val.key(eps)
+    rep = solve(inst, budget=1)
+    assert rep.algo == f"{full.algo}(baseline)"
+    assert (rep.value, rep.allocation) == (base_val, base_alloc)
 
 
 class TestParams:

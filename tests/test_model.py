@@ -90,7 +90,7 @@ class TestParsing:
     def test_smallest_instance(self):
         inst = parse_instance(tiny_instance())
         assert inst.n == 1 and inst.m == 1
-        assert inst.b1(0) == frozenset({0})
+        assert inst.b1(0) == (0,)
 
     def test_round_trip(self):
         inst = parse_instance(tiny_instance())

@@ -37,6 +37,20 @@ class TestExtendMatching:
         assert M[0] == (treesearch.HEAVY_KIND, frozenset({0}))
         assert M[1] == (treesearch.LIGHT_KIND, frozenset({1, 2}))
 
+    def test_budget_exceeded_leaves_matching(self):
+        # the chain above needs a grow step before its contraction
+        inst = Instance(
+            Epsilon(1, 2),
+            [Item(0, HEAVY), Item(1, LIGHT), Item(2, LIGHT)],
+            [[0], [0, 1, 2]],
+        )
+        M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
+        owner = {0: 1}
+        out = treesearch.extend_matching(inst, M, owner, 0, r=2, budget=1)
+        assert out == treesearch.BUDGET_EXCEEDED
+        assert M == {1: (treesearch.HEAVY_KIND, frozenset({0}))}
+        assert owner == {0: 1}
+
     def test_stall_when_impossible(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)], [[0], [0]])
         M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
