@@ -116,7 +116,7 @@ def cmd_solve(args) -> int:
 def cmd_estimate(args) -> int:
     inst = _load_instance(args.instance)
     eps = inst.epsilon
-    tstar = clp.estimate_Tstar(inst, args.tol)
+    tstar = clp.estimate_Tstar(inst)
     report = {"T_star": _frac_str(tstar, eps)}
     if inst.m <= args.exact_cap:
         opt_v, _ = exact.opt(inst, args.exact_cap)
@@ -255,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the CLP threshold T*")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=clp.DEFAULT_TOL,
-                   help="LP feasibility tolerance")
     _add_exact_cap(p)
     p.set_defaults(func=cmd_estimate)
 

@@ -129,12 +129,11 @@ def _starting_columns(inst: Instance, T: LatticeValue) -> List[Column]:
 def solve_clp(
     inst: Instance,
     T: LatticeValue,
-    tol: float = DEFAULT_TOL,
     pool: Optional[Set[Column]] = None,
 ) -> ClpResult:
-    """Column generation on the max-lambda master; feasible iff lambda* >= 1-tol.
+    """Column generation on the max-lambda master; feasible iff lambda* >= 1-DEFAULT_TOL.
 
-    Pricing stops at the first restricted master with lambda >= 1-tol,
+    Pricing stops at the first restricted master that reaches that bound,
     which already shows CLP(T) feasible: the result is reported converged
     and feasible, and `lambda_star` is then a lower bound on the optimum.
     """
@@ -180,7 +179,7 @@ def solve_clp(
         c[0] = 1.0
         sol, _, duals, basis = simplex.solve(c, A, b, basis)
         lam, x = sol[0], sol[1:]
-        if lam >= 1.0 - tol:
+        if lam >= 1.0 - DEFAULT_TOL:
             converged = True
             break
         y = [float(duals[i]) for i in range(n)]
@@ -205,18 +204,16 @@ def solve_clp(
         for idx in range(len(columns))
         if idx < len(x) and x[idx] > 1e-12
     ]
-    return ClpResult(T, float(lam), lam >= 1.0 - tol, converged, positive)
+    return ClpResult(T, float(lam), lam >= 1.0 - DEFAULT_TOL, converged, positive)
 
 
-def estimate_Tstar(
-    inst: Instance, tol: float = DEFAULT_TOL
-) -> LatticeValue:
+def estimate_Tstar(inst: Instance) -> LatticeValue:
     """Largest lattice value T with CLP(T) feasible.
 
     C(i,T) only changes at lattice points, so the threshold is a lattice
     value and binary search over the (monotone) feasibility predicate
     applies.  A column pool is warm-started across probes.  A probe whose
-    column generation hits MAX_ROUNDS below lambda = 1-tol shows nothing,
+    column generation hits MAX_ROUNDS below 1-DEFAULT_TOL shows nothing,
     and raises MasterNotConverged.
     """
     values = lattice_values(inst)
@@ -225,7 +222,7 @@ def estimate_Tstar(
     def probe(T: LatticeValue) -> Optional[bool]:
         if T.is_zero():
             return True
-        res = solve_clp(inst, T, tol, pool)
+        res = solve_clp(inst, T, pool)
         if not res.converged:
             raise MasterNotConverged(
                 f"column generation did not converge in {MAX_ROUNDS} rounds "

@@ -9,7 +9,6 @@ used by the lazy local search.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -227,13 +226,14 @@ class PathFlow:
     A unit-capacity view over one `_Flow`.  Digraph node k is the pair
     in = 2k + 2 -> out = 2k + 3 joined by one unit edge, which makes the
     paths node-disjoint; arcs run out -> in.  The source S = 0 has a unit
-    edge to the in-node of every source agent, in ascending agent order,
-    and the out-node of every sink agent has a unit edge to the sink T = 1,
-    after its arcs.  Sources and sinks are agents of the digraph and may
-    be added incrementally; augmentation can be restricted to start at
-    chosen sources, which keeps previously unsaturated sources unsaturated
-    (layer-ordered builds rely on this).  A node that is both source and
-    sink yields a zero-length path.
+    edge to the in-node of every source agent, in the order they were
+    added, and the out-node of every sink agent has a unit edge to the sink
+    T = 1, after its arcs.  Sources and sinks are agents of the digraph and
+    may be added incrementally.  A node that is both source and sink yields
+    a zero-length path.  Sources added to a maximum flow need no filter:
+    a source that flow left unsaturated has no residual path to T, so no
+    augmenting path touches a node it reaches, and it never starts a later
+    path; the new sources find the paths they would find alone.
     """
 
     def __init__(self, g: ResidualDigraph):
@@ -261,9 +261,7 @@ class PathFlow:
         self._reach = None
         if agent not in self.sources:
             self.sources.add(agent)
-            fl = self._flow
-            fl.add_edge(0, 2 * self._agent_node[agent] + 2, 1)
-            insort(fl.adj[0], fl.adj[0].pop(), key=fl.head.__getitem__)
+            self._flow.add_edge(0, 2 * self._agent_node[agent] + 2, 1)
 
     def add_sink(self, agent: int):
         self._reach = None
@@ -271,22 +269,16 @@ class PathFlow:
             self.sinks.add(agent)
             self._flow.add_edge(2 * self._agent_node[agent] + 3, 1, 1)
 
-    def augment(self, allowed_sources: Optional[Set[int]] = None) -> bool:
-        fl = self._flow
-        every = fl.adj[0]
-        if allowed_sources is not None:  # S keeps only the allowed edges
-            fl.adj[0] = [e for e in every if self._ids[fl.head[e] // 2 - 1] in allowed_sources]
-        found = fl.augment(0, 1)
-        fl.adj[0] = every
-        if not found:
+    def augment(self) -> bool:
+        if not self._flow.augment(0, 1):
             return False
         self.value += 1
         self._reach = None
         return True
 
-    def augment_to_max(self, allowed_sources: Optional[Set[int]] = None) -> int:
+    def augment_to_max(self) -> int:
         added = 0
-        while self.augment(allowed_sources):
+        while self.augment():
             added += 1
         return added
 

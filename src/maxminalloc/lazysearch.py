@@ -156,13 +156,14 @@ class LazyState:
             if len(self.free_items_of(e, owner)) < r:
                 raise LazyInvariantError("blocked edge in I")
         # Fact 1, from scratch: f(Y_<=t-1, X_<=t u I) >= |X_<=t|
+        g = self.digraph()
         for t in range(1, len(self.Y)):
             sources = set()
             for i in range(t):
                 sources |= self.Y[i]
             sinks = {e.agent for i in range(1, t + 1) for e in self.X[i]}
             sinks |= {e.agent for e in self.I}
-            pf = disjoint_paths(self.digraph(), sources, sinks)
+            pf = disjoint_paths(g, sources, sinks)
             need = sum(len(self.X[i]) for i in range(1, t + 1))
             if pf.value < need:
                 raise LazyInvariantError(
@@ -198,20 +199,20 @@ def preprocess(inst: Instance) -> Tuple[Set[int], Set[int], Dict[int, int], Heav
     return agents, heavy, forced, matching
 
 
-def _addability_flow(state: LazyState) -> PathFlow:
-    """Maximum flow from every blocker to every layered or unblocked edge."""
-    sources = [a for yi in state.Y for a in yi]
-    sinks = [e.agent for layer in state.X for e in layer] + [e.agent for e in state.I]
-    return disjoint_paths(state.digraph(), sources, sinks)
-
-
-def build_layer(state: LazyState) -> Tuple[int, int]:
+def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     """Scan for addable edges; returns (#added to I, #added to X_{l+1}).
 
-    A new layer is appended only when some addable edge is blocked.
+    `pf` is compute_W's flow from every blocker to I on the current
+    matching; with the X agents added as sinks it is the flow the scan
+    extends.  The scan reads it only through would_increase and augment,
+    which depend on the maximum-flow value, not on which maximum flow is
+    held.  A new layer is appended only when some addable edge is blocked.
     """
     r, p = state.params.r, state.params.p
-    pf = _addability_flow(state)
+    for layer in state.X:
+        for e in layer:
+            pf.add_sink(e.agent)
+    pf.augment_to_max()
     owner = state.owner_light()
     tree = state.tree_lights()
     new_x: List[LightEdge] = []
@@ -243,9 +244,13 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
     return added_i, len(new_x)
 
 
-def compute_W(state: LazyState) -> Tuple[List[List[List[int]]], List[List[LightEdge]]]:
-    """Layer-ordered flow F(Y_<=l, I); returns per-layer paths W_i and the
-    unblocked edges I_i they reach."""
+def compute_W(
+    state: LazyState,
+) -> Tuple[List[List[List[int]]], List[List[LightEdge]], PathFlow]:
+    """Layer-ordered flow F(Y_<=l, I); returns per-layer paths W_i, the
+    unblocked edges I_i they reach, and the flow, which build_layer
+    continues.  Each layer's sources join the maximum flow of the layers
+    below it, so a path found for layer i starts in Y_i."""
     pf = PathFlow(state.digraph())
     for e in state.I:
         pf.add_sink(e.agent)
@@ -253,7 +258,7 @@ def compute_W(state: LazyState) -> Tuple[List[List[List[int]]], List[List[LightE
     for yi in state.Y:
         for a in sorted(yi):
             pf.add_source(a)
-        pf.augment_to_max(allowed_sources=set(yi))
+        pf.augment_to_max()
         prefix.append(pf.value)
     layer_of = {a: i for i, yi in enumerate(state.Y) for a in yi}
     W: List[List[List[int]]] = [[] for _ in state.Y]
@@ -266,7 +271,7 @@ def compute_W(state: LazyState) -> Tuple[List[List[List[int]]], List[List[LightE
             raise LazyInvariantError("layered flow does not match prefix values")
     by_agent = {e.agent: e for e in state.I}
     I_layers = [[by_agent[path[-1]] for path in wi] for wi in W]
-    return W, I_layers
+    return W, I_layers, pf
 
 
 def _reverse_path(state: LazyState, path: List[int]):
@@ -328,7 +333,9 @@ def collapse(state: LazyState, t: int, W: List[List[List[int]]],
         e for e in state.X[t] if len(state.free_items_of(e, owner)) < r
     ]
     state.Y[t] &= {owner[j] for e in state.X[t] for j in e.items if j in owner}
-    pf = _addability_flow(state)
+    # the swaps reversed heavy arcs, so the flow is built on the new matching
+    sinks = [e.agent for layer in state.X for e in layer] + [e.agent for e in state.I]
+    pf = disjoint_paths(state.digraph(), [a for yi in state.Y for a in yi], sinks)
     for e in sorted(released, key=lambda e: e.agent):
         if pf.would_increase(e.agent):
             state.I.append(e)
@@ -367,7 +374,7 @@ def extend_matching_poly(
         stats.iterations += 1
         progressed = False
         while True:
-            W, I_layers = compute_W(state)
+            W, I_layers, pf = compute_W(state)
             t = None
             for i in range(len(state.Y)):
                 need = max(1, math.ceil(MU * len(state.Y[i])))
@@ -382,7 +389,7 @@ def extend_matching_poly(
                     return MATCHED
                 progressed = True
                 break
-            added_i, added_x = build_layer(state)
+            added_i, added_x = build_layer(state, pf)
             if added_x:
                 stats.layers_peak = max(stats.layers_peak, len(state.Y) - 1)
                 progressed = True
@@ -453,8 +460,6 @@ def poly_solve(
             outcome, alloc, stats = _probe(inst, params, budget)
             if outcome == MATCHED:
                 meta = {
-                    "certified_T": str(T.as_fraction(eps)),
-                    "r": r,
                     "p": p,
                     "layers_peak": stats.layers_peak,
                     "collapses": stats.collapses,

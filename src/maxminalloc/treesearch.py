@@ -387,7 +387,7 @@ def search_solve(
     value = min_value(inst, alloc)
     if value.key(eps) > base_val.key(eps):
         return SolveReport(value, alloc, algo, cands[idx], r, iterations, meta)
-    return SolveReport(base_val, base_alloc, f"{algo}(baseline)", cands[idx], r, meta=meta)
+    return SolveReport(base_val, base_alloc, f"{algo}(baseline)", cands[idx], r, iterations, meta)
 
 
 def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,

@@ -127,6 +127,7 @@ class TestEstimate:
 
     def test_rejects_search_knobs(self, yes_instance, capsys):
         for argv in (["estimate", yes_instance, "--mu", "0.5"],
+                     ["estimate", yes_instance, "--tol", "1e-6"],
                      ["solve", yes_instance, "--mu", "0.5"],
                      ["solve", yes_instance, "--p-sweep"]):
             with pytest.raises(SystemExit) as exc:

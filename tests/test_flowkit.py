@@ -235,9 +235,9 @@ class TestWouldIncrease:
             pf = flowkit.PathFlow(g)
             for t in sinks:
                 pf.add_sink(t)
-            for s in sources:  # one source at a time, restricted augmentation
+            for s in sources:  # one source at a time, each augmented to the max
                 pf.add_source(s)
-                pf.augment_to_max(allowed_sources={s})
+                pf.augment_to_max()
             assert pf.value == brute_disjoint_paths(inst, matching, sources, sinks)
 
     def test_cache_follows_mutations(self):
@@ -349,9 +349,10 @@ class TestPathFlowProperties:
     @PROPERTY
     @given(path_flow_inputs(), st.data())
     def test_layered_augmentation_leaves_earlier_sources_alone(self, drawn, data):
-        """Sources added layer by layer, each augmenting from its own layer
-        only: a source left unsaturated never starts a path later, and the
-        value is the max flow from all layers so far."""
+        """Sources added layer by layer to a maximum flow, each layer
+        augmented to the max with no filter: a source left unsaturated never
+        starts a path later, and the value is the max flow from all layers
+        so far."""
         inst, matching, sources, sinks = drawn
         g = flowkit.ResidualDigraph(inst, matching)
         pf = flowkit.PathFlow(g)
@@ -363,7 +364,7 @@ class TestPathFlowProperties:
         for layer in layers:
             for s in layer:
                 pf.add_source(s)
-            pf.augment_to_max(allowed_sources=set(layer))
+            pf.augment_to_max()
             added += layer
             starts = {path[0] for path in pf.paths()}
             assert not starts & left_unsaturated

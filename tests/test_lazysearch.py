@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,31 @@ class TestExtendMatchingPoly:
         assert out == lazysearch.MATCHED
         assert M[0] == (H, frozenset({0}))
         assert M[1][0] == L and len(M[1][1]) == 2
+
+    def test_one_digraph_per_matching(self, monkeypatch):
+        # the root direct case: compute_W, a layer scan continuing its flow,
+        # compute_W again on the same matching, then the layer-0 collapse,
+        # which needs no flow of its own
+        builds = []
+        init = flowkit.ResidualDigraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(flowkit.ResidualDigraph, "__init__", counting_init)
+        inst = Instance(
+            Epsilon(1, 4),
+            [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 5)],
+            [[0], [0, 1, 2, 3, 4]],
+        )
+        M = {1: (H, frozenset({0}))}
+        stats = lazysearch.LazyStats()
+        out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(r=2, p=3),
+                                              stats=stats)
+        assert out == lazysearch.MATCHED
+        assert (stats.collapses, stats.layers_peak) == (1, 0)
+        assert len(builds) == 2
 
     def test_zero_length_collapse(self):
         inst = Instance(
@@ -148,8 +174,9 @@ class TestPolySolve:
         items = [Item(j, LIGHT) for j in range(480)]
         inst = Instance(eps, items, [list(range(480))] * 3)
         rep = lazysearch.poly_solve(inst)
-        assert rep.meta["certified_T"] == "3/2"
-        assert rep.meta["r"] == 25  # k = 150, k/r = 6.0
+        assert rep.certified_T.as_fraction(eps) == Fraction(3, 2)
+        assert rep.r == 25  # k = 150, k/r = 6.0
+        assert "certified_T" not in rep.meta and "r" not in rep.meta
 
 
 @pytest.mark.parametrize("solve", [treesearch.quasi_solve, lazysearch.poly_solve])

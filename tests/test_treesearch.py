@@ -93,6 +93,20 @@ class TestQuasiSolve:
         rep = treesearch.quasi_solve(inst)
         assert rep.value.is_zero()
 
+    def test_baseline_fallback_reports_probe_iterations(self):
+        # the probe at T = 3/2 passes, but its allocation does not beat the
+        # baseline's two lights per agent
+        inst = Instance(Epsilon(1, 2), [Item(j, LIGHT) for j in range(4)],
+                        [[0, 1, 2, 3], [0, 1, 2, 3]])
+        rep = treesearch.quasi_solve(inst)
+        assert rep.algo == "quasi(baseline)"
+        assert (rep.certified_T, rep.r) == (LatticeValue(0, 3), 1)
+        # against an empty baseline the same probe wins and reports its own count
+        won = treesearch.quasi_solve(inst, baseline=(LatticeValue(0, 0), {0: frozenset(),
+                                                                         1: frozenset()}))
+        assert won.algo == "quasi" and won.certified_T == rep.certified_T
+        assert rep.iterations == won.iterations > 0
+
 
 class TestGap3Certify:
     def test_never_stalls_and_meets_third(self, corpus):
