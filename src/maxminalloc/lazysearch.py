@@ -80,6 +80,9 @@ class LazyState:
         self.X: List[List[LightEdge]] = [[]]
         self.Y: List[Set[int]] = [{i0}]
         self.I: List[LightEdge] = []
+        # residual digraph of the current heavy matching; _reverse_path,
+        # the only writer of heavy bundles, drops it
+        self._digraph: Optional[ResidualDigraph] = None
 
     # -- derived views ------------------------------------------------------
 
@@ -112,9 +115,12 @@ class LazyState:
         return items
 
     def digraph(self) -> ResidualDigraph:
-        return ResidualDigraph(
-            self.inst, self.heavy_matching(), self.agents, self.heavy_items
-        )
+        """The residual digraph of the heavy matching, built once per matching."""
+        if self._digraph is None:
+            self._digraph = ResidualDigraph(
+                self.inst, self.heavy_matching(), self.agents, self.heavy_items
+            )
+        return self._digraph
 
     def free_items_of(self, e: LightEdge, owner: Dict[int, int]) -> List[int]:
         return sorted(j for j in e.items if j not in owner)
@@ -156,7 +162,9 @@ class LazyState:
             if len(self.free_items_of(e, owner)) < r:
                 raise LazyInvariantError("blocked edge in I")
         # Fact 1, from scratch: f(Y_<=t-1, X_<=t u I) >= |X_<=t|
-        g = self.digraph()
+        g = ResidualDigraph(self.inst, self.heavy_matching(), self.agents, self.heavy_items)
+        if self._digraph is not None and self._digraph.arcs != g.arcs:
+            raise LazyInvariantError("cached residual digraph is stale")
         for t in range(1, len(self.Y)):
             sources = set()
             for i in range(t):
@@ -277,6 +285,7 @@ def compute_W(
 def _reverse_path(state: LazyState, path: List[int]):
     """Reverse every heavy arc on the path [a0, j1, a1, ..., ak]: agent
     a_{t-1} takes heavy item j_t from agent a_t."""
+    state._digraph = None
     for j, i in zip(path[1::2], path[2::2]):  # matched arcs j_t -> a_t
         if state.M.get(i) != (HEAVY_KIND, frozenset([j])):
             raise LazyInvariantError("path does not follow the matching")

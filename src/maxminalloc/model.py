@@ -247,13 +247,16 @@ def min_value(inst: Instance, alloc: Allocation) -> LatticeValue:
     return best
 
 
-def lattice_values(inst: Instance) -> List[LatticeValue]:
-    """Sorted, deduplicated {h + l*eps : 0<=h<=#heavy, 0<=l<=#light}."""
+def lattice_values(inst: Instance, cap: Optional[Fraction] = None) -> List[LatticeValue]:
+    """Sorted, deduplicated {h + l*eps : 0<=h<=#heavy, 0<=l<=#light}, only
+    the values up to `cap` when it is given."""
     eps = inst.epsilon
+    p, q = eps.numerator, eps.denominator
     H, L = len(inst.heavy_ids), len(inst.light_ids)
+    top = H * q + L * p if cap is None else math.floor(cap * q)  # largest key kept
     by_key: Dict[int, LatticeValue] = {}
-    for h in range(H + 1):
-        for l in range(L + 1):
+    for h in range(min(H, top // q) + 1):
+        for l in range(min(L, (top - h * q) // p) + 1):
             v = LatticeValue(h, l)
             k = v.key(eps)
             # keep the representation with the smallest heavy part

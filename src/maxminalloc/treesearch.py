@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .model import (
     Allocation,
@@ -73,12 +74,28 @@ class BlockEdge:
 @dataclass
 class Candidate:
     agent: int
-    items: FrozenSet[int]
+    items: Tuple[int, ...]  # ascending, so find_addable compares them as they are
     kind: str
     dist: int
 
 
 class TreeState:
+    """The alternating tree of one extend_matching call.
+
+    Keeps each tree agent's candidates (its lowest free heavy item and its
+    best r lowest free lights) between steps, built when candidates()
+    first reads the agent.  The cache is exact:
+    - between contractions tree_items only grows, and lowest_free keeps
+      its answer while the items added miss it (None stays None);
+    - every other light pool's pick can only rise lexicographically as
+      items are taken, so the best light pick stays best until one of its
+      own items is taken;
+    - an agent's dist is fixed while it stays in the tree.
+    take() grows tree_items and drops the candidates that use an item it
+    adds, found through an item -> agents index; rebuild_items, the only
+    other writer of tree_items, clears the whole cache.
+    """
+
     def __init__(self, M: Dict[int, Bundle], owner: Dict[int, int],
                  i0: int, r: int, policy: str, table: SupportHypergraph):
         self.M = M
@@ -92,6 +109,8 @@ class TreeState:
         self.tree_items: Set[int] = set()
         self.ts = 0
         self.last_signature = None
+        self._cands: Dict[int, List[Candidate]] = {}  # agent -> its candidates
+        self._users: Dict[int, List[int]] = {}  # item -> agents whose candidates use it
 
     # -- structure helpers -----------------------------------------------
 
@@ -101,8 +120,15 @@ class TreeState:
     def dist_of_agent(self, i: int) -> int:
         return 0 if i == self.i0 else self.blockers[i].dist
 
-    def blocking_of(self, items: FrozenSet[int]) -> Set[int]:
+    def blocking_of(self, items: Iterable[int]) -> Set[int]:
         return {self.owner[j] for j in items if j in self.owner}
+
+    def take(self, items: FrozenSet[int]):
+        """Add items to the tree, dropping the cached candidates they hit."""
+        self.tree_items |= items
+        for j in items:
+            for a in self._users.pop(j, ()):
+                self._cands.pop(a, None)
 
     def rebuild_items(self):
         items: Set[int] = set()
@@ -111,6 +137,8 @@ class TreeState:
         for a in self.blockers:
             items |= self.M[a][1]
         self.tree_items = items
+        self._cands.clear()
+        self._users.clear()
 
     # -- signatures --------------------------------------------------------
 
@@ -168,20 +196,36 @@ class TreeState:
     # -- candidate enumeration ----------------------------------------------
 
     def candidates(self) -> List[Candidate]:
-        # the lowest free item ids suffice for either policy
+        """Every tree agent's candidates, agents ascending, heavy first.
+
+        An agent's candidates come from the cache while no item in them
+        has entered the tree since they were found (see TreeState).
+        """
         out: List[Candidate] = []
         for i in self.agents_in_tree():
-            base = self.dist_of_agent(i)
-            pick = lowest_free(self.table.heavy.get(i, ()), self.tree_items, 1)
-            if pick is not None:
-                out.append(Candidate(i, frozenset(pick), HEAVY_KIND, base))
-            best_pool = None
-            for pool in self.table.light.get(i, ()):
-                pick = lowest_free(pool, self.tree_items, self.r)
-                if pick is not None and (best_pool is None or pick < best_pool):
-                    best_pool = pick
-            if best_pool is not None:
-                out.append(Candidate(i, frozenset(best_pool), LIGHT_KIND, base + 1))
+            cands = self._cands.get(i)
+            if cands is None:
+                cands = self._cands[i] = self._find_candidates(i)
+            out += cands
+        return out
+
+    def _find_candidates(self, i: int) -> List[Candidate]:
+        # the lowest free item ids suffice for either policy
+        base = self.dist_of_agent(i)
+        out: List[Candidate] = []
+        pick = lowest_free(self.table.heavy.get(i, ()), self.tree_items, 1)
+        if pick is not None:
+            out.append(Candidate(i, pick, HEAVY_KIND, base))
+        best_pool = None
+        for pool in self.table.light.get(i, ()):
+            pick = lowest_free(pool, self.tree_items, self.r)
+            if pick is not None and (best_pool is None or pick < best_pool):
+                best_pool = pick
+        if best_pool is not None:
+            out.append(Candidate(i, best_pool, LIGHT_KIND, base + 1))
+        for c in out:
+            for j in c.items:
+                self._users.setdefault(j, []).append(i)
         return out
 
 
@@ -190,8 +234,8 @@ def find_addable(state: TreeState) -> Optional[Candidate]:
     if not cands:
         return None
     if state.policy == CLOSEST:
-        return min(cands, key=lambda c: (c.dist, c.agent, sorted(c.items)))
-    return min(cands, key=lambda c: (c.agent, c.kind != HEAVY_KIND, sorted(c.items)))
+        return min(cands, key=lambda c: (c.dist, c.agent, c.items))
+    return min(cands, key=lambda c: (c.agent, c.kind != HEAVY_KIND, c.items))
 
 
 def _set_bundle(state: TreeState, agent: int, kind: str, items: FrozenSet[int]):
@@ -205,18 +249,19 @@ def _set_bundle(state: TreeState, agent: int, kind: str, items: FrozenSet[int]):
 
 
 def add_edge(state: TreeState, cand: Candidate) -> AddEdge:
-    if cand.items & state.tree_items:
+    if not state.tree_items.isdisjoint(cand.items):
         raise TreeInvariantError("edge items collide with the tree")
     state.ts += 1
     blocking = state.blocking_of(cand.items)
-    e = AddEdge(cand.agent, cand.items, cand.kind, state.ts, cand.dist, set(blocking))
+    e = AddEdge(cand.agent, frozenset(cand.items), cand.kind, state.ts, cand.dist,
+                set(blocking))
     state.edges.append(e)
-    state.tree_items |= e.items
+    state.take(e.items)
     bdist = cand.dist + (1 if cand.kind == LIGHT_KIND else 0)
     for a in sorted(blocking):
         if a not in state.blockers:
             state.blockers[a] = BlockEdge(a, state.M[a][0], state.ts, bdist)
-            state.tree_items |= state.M[a][1]
+            state.take(state.M[a][1])
     return e
 
 
@@ -229,10 +274,10 @@ def contract(state: TreeState, cand: Candidate) -> bool:
     """
     while True:
         if cand.agent == state.i0:
-            _set_bundle(state, state.i0, cand.kind, cand.items)
+            _set_bundle(state, state.i0, cand.kind, frozenset(cand.items))
             return True
         f = state.blockers[cand.agent]
-        _set_bundle(state, cand.agent, cand.kind, cand.items)
+        _set_bundle(state, cand.agent, cand.kind, frozenset(cand.items))
         ts_f = f.ts
         state.edges = [e for e in state.edges if e.ts <= ts_f]
         state.blockers = {
@@ -252,7 +297,7 @@ def contract(state: TreeState, cand: Candidate) -> bool:
         nxt = emptied[0]
         state.edges.remove(nxt)
         state.rebuild_items()
-        cand = Candidate(nxt.agent, nxt.items, nxt.kind, nxt.dist)
+        cand = Candidate(nxt.agent, tuple(sorted(nxt.items)), nxt.kind, nxt.dist)
 
 
 @dataclass
@@ -328,14 +373,7 @@ def _probe(
 
 def t_probe_candidates(inst: Instance) -> List[LatticeValue]:
     """Positive lattice values up to the 3/2 normalization cap."""
-    eps = inst.epsilon
-    out = []
-    for v in lattice_values(inst):
-        if v.key(eps) <= 0:
-            continue
-        if 2 * v.key(eps) <= 3 * eps.denominator:  # v <= 3/2
-            out.append(v)
-    return out
+    return lattice_values(inst, Fraction(3, 2))[1:]  # [0] is the value 0
 
 
 def _quasi_r(k: int, eps: Epsilon) -> int:

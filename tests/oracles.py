@@ -9,6 +9,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from maxminalloc.model import HEAVY, Instance
+from maxminalloc.treesearch import HEAVY_KIND, LIGHT_KIND
 
 
 def item_weight(inst: Instance, j: int) -> Fraction:
@@ -151,3 +152,24 @@ def brute_min_knapsack(
                 if best is None or cost < best:
                     best = cost
     return best
+
+
+def brute_candidates(state) -> List[Tuple[int, Tuple[int, ...], str, int]]:
+    """Every tree agent's candidates as (agent, ascending items, kind,
+    dist), agents ascending and heavy first, recomputed from the tree's
+    table and items: the lowest free heavy item, and over the light pools
+    with r free items the lexicographically smallest r-set of them."""
+    out = []
+    for i in sorted({state.i0} | set(state.blockers)):
+        dist = 0 if i == state.i0 else state.blockers[i].dist
+        heavy = sorted(set(state.table.heavy.get(i, ())) - state.tree_items)
+        if heavy:
+            out.append((i, tuple(heavy[:1]), HEAVY_KIND, dist))
+        picks = []
+        for pool in state.table.light.get(i, ()):
+            free = sorted(set(pool) - state.tree_items)
+            if len(free) >= state.r:
+                picks.append(free[:state.r])
+        if picks:
+            out.append((i, tuple(min(picks)), LIGHT_KIND, dist + 1))
+    return out

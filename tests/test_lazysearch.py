@@ -59,8 +59,8 @@ class TestExtendMatchingPoly:
 
     def test_one_digraph_per_matching(self, monkeypatch):
         # the root direct case: compute_W, a layer scan continuing its flow,
-        # compute_W again on the same matching, then the layer-0 collapse,
-        # which needs no flow of its own
+        # compute_W again on the same matching (reusing its digraph), then
+        # the layer-0 collapse, which needs no flow of its own
         builds = []
         init = flowkit.ResidualDigraph.__init__
 
@@ -80,7 +80,26 @@ class TestExtendMatchingPoly:
                                               stats=stats)
         assert out == lazysearch.MATCHED
         assert (stats.collapses, stats.layers_peak) == (1, 0)
-        assert len(builds) == 2
+        assert len(builds) == 1
+
+    def test_layer_collapse_along_heavy_path(self):
+        # agent 1's lights block the root's edge (layer 1); agent 1 reaches
+        # agent 2's unblocked edge through the heavy item agent 2 holds, so
+        # the layer-1 collapse moves that item to agent 1, and the flow
+        # that re-admits the root's edge runs on the new matching
+        inst = Instance(
+            Epsilon(1, 4),
+            [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 7)],
+            [[1, 2, 3], [0, 1, 2], [0, 4, 5, 6]],
+        )
+        M = {1: (L, frozenset({1, 2})), 2: (H, frozenset({0}))}
+        stats = lazysearch.LazyStats()
+        out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(r=2, p=3),
+                                              stats=stats)
+        assert out == lazysearch.MATCHED
+        assert (stats.collapses, stats.layers_peak) == (2, 1)
+        assert M == {0: (L, frozenset({1, 2})), 1: (H, frozenset({0})),
+                     2: (L, frozenset({4, 5}))}
 
     def test_zero_length_collapse(self):
         inst = Instance(

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from maxminalloc.model import (
     HEAVY,
@@ -23,6 +24,7 @@ from maxminalloc.model import (
     serialize_instance,
     verify_allocation,
 )
+from maxminalloc.treesearch import t_probe_candidates
 
 
 def tiny_instance(eps="1/2"):
@@ -187,6 +189,20 @@ class TestLattice:
         assert LatticeValue(0, 2) in vals and LatticeValue(1, 0) not in vals
         fracs = {v.as_fraction(eps) for v in vals}
         assert fracs == {Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)}
+
+    @given(st.integers(0, 6), st.integers(0, 12), st.integers(1, 8), st.integers(2, 9),
+           st.fractions(-1, 8, max_denominator=7))
+    @example(2, 5, 2, 3, Fraction(3, 2))
+    @example(3, 9, 3, 7, Fraction(3, 2))
+    def test_cap_filters_the_full_lattice(self, H, L, p, q, cap):
+        # with p > 1 the h = 0 and h = 1 values interleave below 3/2
+        eps = Epsilon(p, q) if p < q else Epsilon(1, q)
+        items = [Item(j, HEAVY) for j in range(H)] + [Item(H + j, LIGHT) for j in range(L)]
+        inst = Instance(eps, items, [[]])
+        full = lattice_values(inst)
+        assert lattice_values(inst, cap) == [v for v in full if v.as_fraction(eps) <= cap]
+        positive = [v for v in full if 0 < v.as_fraction(eps) <= Fraction(3, 2)]
+        assert t_probe_candidates(inst) == positive
 
 
 class TestLastFeasible:

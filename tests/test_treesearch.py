@@ -1,6 +1,10 @@
+import importlib
 import random
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxminalloc import clp, exact, flowkit, gen, treesearch
 from maxminalloc.model import (
@@ -10,8 +14,13 @@ from maxminalloc.model import (
     Item,
     LIGHT,
     LatticeValue,
+    k_of,
     min_value,
 )
+
+from oracles import brute_candidates
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestExtendMatching:
@@ -119,3 +128,105 @@ class TestGap3Certify:
             alloc = treesearch.gap3_certify(inst, res, tstar)
             achieved = min_value(inst, alloc).as_fraction(eps)
             assert 3 * achieved >= tstar.as_fraction(eps)
+
+
+@contextmanager
+def checked_steps():
+    """Make every find_addable call first compare the tree's cached
+    candidates with brute_candidates; yields a list that gets each
+    checked step's candidate count."""
+    original = treesearch.find_addable
+    steps = []
+
+    def checked(state):
+        cands = state.candidates()
+        assert [(c.agent, c.items, c.kind, c.dist) for c in cands] == brute_candidates(state)
+        steps.append(len(cands))
+        return original(state)
+
+    treesearch.find_addable = checked
+    try:
+        yield steps
+    finally:
+        treesearch.find_addable = original
+
+
+@contextmanager
+def allowing_f1():
+    """Fault F1, a CLOSEST signature that does not decrease, may end the
+    search, once every step before it matched."""
+    try:
+        yield
+    except treesearch.TreeInvariantError as exc:
+        assert str(exc).startswith("signature did not decrease"), exc
+
+
+def quasi_checked(inst):
+    """quasi_solve with every step checked."""
+    with checked_steps() as steps, allowing_f1():
+        treesearch.quasi_solve(inst)
+    return steps
+
+
+@pytest.fixture(scope="module")
+def planted():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        yield importlib.import_module("planted")
+
+
+epsilons = st.builds(lambda q, p: Epsilon(p, q) if p < q else Epsilon(1, q),
+                     st.integers(2, 8), st.integers(1, 3))
+
+
+class TestCandidateCache:
+    # Each @example has a contraction that leaves part of the tree standing
+    # and frees items below a cached pick: candidates kept across it differ
+    # from the oracle's.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.5, 0.7, 1.0]), epsilons, st.integers(0, 2**30))
+    @example(3, 1, 12, 0.5, Epsilon(1, 7), 526503463)
+    def test_random_matches_oracle(self, n, mh, ml, density, eps, seed):
+        quasi_checked(gen.gen_random(n, mh, ml, density, eps, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 16), st.integers(3, 12), st.integers(1, 12), st.integers(0, 2**30))
+    @example(10, 6, 6, 17)
+    def test_noisy_planted_matches_oracle(self, planted, n, q, k, seed):
+        inst, _, _ = planted.planted_instance(n, Epsilon(1, q), min(k, q), seed, True)
+        assert quasi_checked(inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 4), st.integers(2, 12),
+           st.sampled_from([treesearch.ARBITRARY, treesearch.CLOSEST]),
+           st.integers(1, 3), st.integers(0, 2**30))
+    def test_several_light_pools_match_oracle(self, n, mh, ml, policy, r, seed):
+        # each agent's lights split into up to four overlapping pools of at
+        # least r items, as a CLP support table has them
+        rng = random.Random(seed)
+        inst = gen.gen_random(n, mh, ml, 0.7, Epsilon(1, 4), seed)
+        light = {}
+        for i in range(inst.n):
+            lights = inst.beps(i)
+            if len(lights) >= r:
+                light[i] = [tuple(sorted(rng.sample(lights, rng.randint(r, len(lights)))))
+                            for _ in range(rng.randint(1, 4))]
+        table = clp.SupportHypergraph({i: inst.b1(i) for i in range(inst.n)}, light)
+        with checked_steps(), allowing_f1() if policy == treesearch.CLOSEST else nullcontext():
+            treesearch._probe(inst, r, policy, table, budget=2000)
+
+    def test_gap3_certify_matches_oracle(self, corpus):
+        several = 0
+        for inst in corpus[::2]:
+            tstar = clp.estimate_Tstar(inst)
+            if tstar.is_zero():
+                continue
+            res = clp.solve_clp(inst, tstar)
+            support = clp.build_support_hypergraph(
+                clp.minimalize(inst, res, tstar), -(-k_of(tstar, inst.epsilon) // 3))
+            several += any(len(pools) > 1 for pools in support.light.values())
+            with checked_steps() as steps:
+                treesearch.gap3_certify(inst, res, tstar)
+            assert steps
+        assert several >= 10
