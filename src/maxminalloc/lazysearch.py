@@ -1,12 +1,13 @@
-"""Layered local search with lazy updates, polynomial signature bound.
+"""Layered local search with lazy updates; the step budget bounds the
+running time.
 
 Heavy edges never enter the layered structure; they live in the residual
 digraph over heavy items and connect blocking light edges to addable
 light edges via node-disjoint paths.  Layers hold blocked size-p addable
 edges (X_i) and the size-r matching edges blocking them (Y_i); unblocked
-addable edges collect in I.  A layer collapses once enough of its
-blockers can be swapped out along flow paths, and collapsing layer 0
-matches the root agent.
+addable edges collect in I.  The lowest layer with a blocker that reaches
+an unblocked edge collapses, and collapsing layer 0 matches the root
+agent.  All arithmetic is on integers.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .treesearch import (
     SolveReport,
     search_solve,
 )
-
-# collapse threshold: layer i collapses once max(1, ceil(MU * |Y_i|)) of
-# its blockers reach unblocked edges
-MU = 1e-10
 
 
 class LazyInvariantError(AssertionError):
@@ -128,18 +125,8 @@ class LazyState:
     # -- invariants ---------------------------------------------------------
 
     def signature(self):
-        scale = -math.log1p(-MU)
-        coords = []
-        for i in range(1, len(self.Y)):
-            if not self.Y[i]:
-                coords.append(-math.inf)
-            else:
-                coords.append(
-                    math.floor(
-                        (math.log(len(self.Y[i])) - 2 * i * math.log(MU)) / scale
-                    )
-                )
-        return tuple(coords) + (math.inf,)
+        """(|Y_1|, ..., |Y_l|, inf): a new layer or a smaller Y_i lowers it."""
+        return tuple(len(yi) for yi in self.Y[1:]) + (math.inf,)
 
     def check_invariants(self):
         r, p = self.params.r, self.params.p
@@ -215,6 +202,14 @@ def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     extends.  The scan reads it only through would_increase and augment,
     which depend on the maximum-flow value, not on which maximum flow is
     held.  A new layer is appended only when some addable edge is blocked.
+
+    One ascending pass over the agents suffices.  During the scan M and
+    `owner` are fixed while the tree's items and the sink set only grow,
+    so an agent with no p free lights keeps none.  The flow is maximum at
+    every turn, and an augmenting path lies inside the set reachable from
+    the sources, so the arcs it reverses add nothing to that set: the set
+    only shrinks, and an agent that could not raise the flow at its turn
+    cannot later.
     """
     r, p = state.params.r, state.params.p
     for layer in state.X:
@@ -225,24 +220,20 @@ def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     tree = state.tree_lights()
     new_x: List[LightEdge] = []
     added_i = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(state.agents):
-            fresh = lowest_free(state.inst.beps(i), tree, p)
-            if fresh is None or not pf.would_increase(i):
-                continue
-            e = LightEdge(i, frozenset(fresh))
-            if len(state.free_items_of(e, owner)) >= r:
-                state.I.append(e)
-                added_i += 1
-            else:
-                new_x.append(e)
-            pf.add_sink(i)
-            if not pf.augment():
-                raise LazyInvariantError("addable edge did not raise the flow")
-            tree |= e.items
-            changed = True
+    for i in sorted(state.agents):
+        fresh = lowest_free(state.inst.beps(i), tree, p)
+        if fresh is None or not pf.would_increase(i):
+            continue
+        e = LightEdge(i, frozenset(fresh))
+        if len(state.free_items_of(e, owner)) >= r:
+            state.I.append(e)
+            added_i += 1
+        else:
+            new_x.append(e)
+        pf.add_sink(i)
+        if not pf.augment():
+            raise LazyInvariantError("addable edge did not raise the flow")
+        tree |= e.items
     if new_x:
         blockers = {owner[j] for e in new_x for j in e.items if j in owner}
         if not blockers:
@@ -366,8 +357,11 @@ def extend_matching_poly(
 ) -> str:
     """Grow M so that i0 gets a heavy item or r light items.
 
-    Alternates collapse (earliest qualifying layer first) and layer
-    building; returns MATCHED, STALLED or BUDGET_EXCEEDED.
+    Alternates collapse and layer building; returns MATCHED, STALLED or
+    BUDGET_EXCEEDED.  The collapse rule is the analysis's with mu -> 0:
+    collapse the lowest layer that reaches any unblocked edge.  The
+    analysis collapses layer i once ceil(mu |Y_i|) of its blockers do,
+    which is 1 for every |Y_i| < 1/mu.
     """
     if i0 in M:
         raise ValueError("root already matched")
@@ -381,27 +375,19 @@ def extend_matching_poly(
     last_sig = None
     while stats.iterations < budget:
         stats.iterations += 1
-        progressed = False
         while True:
             W, I_layers, pf = compute_W(state)
-            t = None
-            for i in range(len(state.Y)):
-                need = max(1, math.ceil(MU * len(state.Y[i])))
-                if len(I_layers[i]) >= need:
-                    t = i
-                    break
+            t = next((i for i, reached in enumerate(I_layers) if reached), None)
             if t is not None:
                 stats.collapses += 1
                 if collapse(state, t, W, I_layers):
                     if not matched_before <= set(state.M):
                         raise LazyInvariantError("a matched agent lost its bundle")
                     return MATCHED
-                progressed = True
                 break
             added_i, added_x = build_layer(state, pf)
             if added_x:
                 stats.layers_peak = max(stats.layers_peak, len(state.Y) - 1)
-                progressed = True
                 break
             if not added_i:
                 return STALLED
@@ -413,19 +399,26 @@ def extend_matching_poly(
                 f"signature did not decrease: {last_sig} -> {sig}"
             )
         last_sig = sig
-        assert progressed
     return BUDGET_EXCEEDED
 
 
 def _poly_r(k: int) -> int:
-    return max(-(-k // 9), math.ceil((k - 10) / (3 + 2 * math.sqrt(2))), 1)
+    """max(ceil(k/9), ceil((k-10)/(3+2 sqrt 2)), 1) over integers.
+
+    (k-10)/(3+2 sqrt 2) = (3 - sqrt 8) x for x = k-10, and sqrt(8x^2) is
+    irrational for x > 0, so its ceiling is 3x - isqrt(8x^2); for k <= 10
+    the term is at most 0 and the 1 wins.
+    """
+    x = max(k - 10, 0)
+    return max(-(-k // 9), 3 * x - math.isqrt(8 * x * x), 1)
 
 
 def _p_candidates(r: int, k: int) -> List[int]:
     """The two analyzed addable-edge sizes, 3r-1 and ceil((2+sqrt 2)r)-1,
-    where they lie in (r, k)."""
+    where they lie in (r, k).  For r >= 1, sqrt(2r^2) is irrational, so
+    ceil((2+sqrt 2)r)-1 = 2r + isqrt(2r^2)."""
     out = []
-    for p in (3 * r - 1, math.ceil((2 + math.sqrt(2)) * r) - 1):
+    for p in (3 * r - 1, 2 * r + math.isqrt(2 * r * r)):
         if r < p < k and p not in out:
             out.append(p)
     return out

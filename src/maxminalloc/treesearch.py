@@ -145,25 +145,19 @@ class TreeState:
     def signature(self):
         if self.policy == ARBITRARY:
             return tuple(len(e.blockers) for e in self.edges) + (math.inf,)
-        maxd = 0
+        # one pass over the edges and one over the blockers: coords[2d] is
+        # minus the addable edges at distance d, coords[2d + 1] the blockers
+        # in layer d; a blocker sits at an even distance d, in layer d if
+        # heavy and in layer d - 1 if light
+        coords = [0, 0]
         for e in self.edges:
-            maxd = max(maxd, e.dist)
+            while len(coords) <= 2 * e.dist:
+                coords += [0, 0]
+            coords[2 * e.dist] -= 1
         for b in self.blockers.values():
-            maxd = max(maxd, b.dist)
-        coords = []
-        for d in range(maxd + 1):
-            x_d = sum(1 for e in self.edges if e.dist == d)
-            if d % 2 == 0:
-                b_d = sum(
-                    1 for b in self.blockers.values()
-                    if b.dist == d and b.kind == HEAVY_KIND
-                )
-            else:
-                b_d = sum(
-                    1 for b in self.blockers.values()
-                    if b.dist == d + 1 and b.kind == LIGHT_KIND
-                )
-            coords += [-x_d, b_d]
+            while len(coords) <= 2 * b.dist:
+                coords += [0, 0]
+            coords[2 * b.dist + 1 if b.kind == HEAVY_KIND else 2 * b.dist - 1] += 1
         return tuple(coords) + (math.inf,)
 
     def check_signature_decreased(self):
@@ -289,14 +283,14 @@ def contract(state: TreeState, cand: Candidate) -> bool:
                 e.blockers.discard(f.agent)
                 if not e.blockers:
                     emptied.append(e)
+        if len(emptied) > 1:
+            raise TreeInvariantError("multiple edges emptied by one eviction")
+        if emptied:
+            state.edges.remove(emptied[0])
         state.rebuild_items()
         if not emptied:
             return False
-        if len(emptied) > 1:
-            raise TreeInvariantError("multiple edges emptied by one eviction")
         nxt = emptied[0]
-        state.edges.remove(nxt)
-        state.rebuild_items()
         cand = Candidate(nxt.agent, tuple(sorted(nxt.items)), nxt.kind, nxt.dist)
 
 

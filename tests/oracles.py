@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from maxminalloc.model import HEAVY, Instance
-from maxminalloc.treesearch import HEAVY_KIND, LIGHT_KIND
+from maxminalloc.treesearch import ARBITRARY, HEAVY_KIND, LIGHT_KIND
 
 
 def item_weight(inst: Instance, j: int) -> Fraction:
@@ -173,3 +173,24 @@ def brute_candidates(state) -> List[Tuple[int, Tuple[int, ...], str, int]]:
         if picks:
             out.append((i, tuple(min(picks)), LIGHT_KIND, dist + 1))
     return out
+
+
+def brute_signature(state) -> tuple:
+    """The tree's signature from its definition.  ARBITRARY: each addable
+    edge's live blocker count, in timestamp order.  CLOSEST: for every
+    distance d up to the largest in the tree, minus the addable edges at
+    d, then the heavy blockers at d (d even) or the light blockers at d+1
+    (d odd).  Both end in infinity, so a longer tree compares lower."""
+    if state.policy == ARBITRARY:
+        return tuple(len(e.blockers) for e in state.edges) + (float("inf"),)
+    dists = [e.dist for e in state.edges] + [b.dist for b in state.blockers.values()]
+    coords = []
+    for d in range(max(dists, default=0) + 1):
+        coords.append(-sum(1 for e in state.edges if e.dist == d))
+        if d % 2 == 0:
+            coords.append(sum(1 for b in state.blockers.values()
+                              if b.dist == d and b.kind == HEAVY_KIND))
+        else:
+            coords.append(sum(1 for b in state.blockers.values()
+                              if b.dist == d + 1 and b.kind == LIGHT_KIND))
+    return tuple(coords) + (float("inf"),)

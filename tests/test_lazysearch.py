@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,28 @@ class TestExtendMatchingPoly:
         assert out == lazysearch.MATCHED
         assert (stats.collapses, stats.layers_peak) == (1, 0)
         assert len(builds) == 1
+
+    def test_one_layer_scan(self, monkeypatch):
+        # the root direct case: the scan adds agent 1's edge to I and
+        # reads each agent's lowest free lights once
+        calls = []
+        lowest_free = lazysearch.lowest_free
+
+        def counting_lowest_free(*args):
+            calls.append(1)
+            return lowest_free(*args)
+
+        monkeypatch.setattr(lazysearch, "lowest_free", counting_lowest_free)
+        inst = Instance(
+            Epsilon(1, 4),
+            [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 5)],
+            [[0], [0, 1, 2, 3, 4]],
+        )
+        state = lazysearch.LazyState(inst, {1: (H, frozenset({0}))}, 0,
+                                     lazysearch.Params(r=2, p=3), {0, 1}, {0})
+        _, _, pf = lazysearch.compute_W(state)
+        assert lazysearch.build_layer(state, pf) == (1, 0)
+        assert len(calls) == 2
 
     def test_layer_collapse_along_heavy_path(self):
         # agent 1's lights block the root's edge (layer 1); agent 1 reaches
@@ -212,6 +235,16 @@ def test_budget_one_falls_back_to_baseline(solve):
     rep = solve(inst, budget=1)
     assert rep.algo == f"{full.algo}(baseline)"
     assert (rep.value, rep.allocation) == (base_val, base_alloc)
+
+
+def test_integer_sizes_match_float_formulas():
+    # the analysis's float forms, over k, r <= 10^5
+    for k in range(1, 10**5 + 1):
+        float_r = max(-(-k // 9), math.ceil((k - 10) / (3 + 2 * math.sqrt(2))), 1)
+        assert lazysearch._poly_r(k) == float_r, k
+    for r in range(1, 10**5 + 1):
+        float_p = math.ceil((2 + math.sqrt(2)) * r) - 1
+        assert lazysearch._p_candidates(r, 10**6) == [3 * r - 1, float_p], r
 
 
 class TestParams:

@@ -18,7 +18,7 @@ from maxminalloc.model import (
     min_value,
 )
 
-from oracles import brute_candidates
+from oracles import brute_candidates, brute_signature
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,6 +45,28 @@ class TestExtendMatching:
         assert out == treesearch.MATCHED
         assert M[0] == (treesearch.HEAVY_KIND, frozenset({0}))
         assert M[1] == (treesearch.LIGHT_KIND, frozenset({1, 2}))
+
+    def test_one_rebuild_per_cascade_step(self, monkeypatch):
+        # the chain above: the contraction at agent 1 empties the root's
+        # heavy edge, and the cascade then matches the root
+        rebuilds = []
+        rebuild = treesearch.TreeState.rebuild_items
+
+        def counting_rebuild(self):
+            rebuilds.append(1)
+            rebuild(self)
+
+        monkeypatch.setattr(treesearch.TreeState, "rebuild_items", counting_rebuild)
+        inst = Instance(
+            Epsilon(1, 2),
+            [Item(0, HEAVY), Item(1, LIGHT), Item(2, LIGHT)],
+            [[0], [0, 1, 2]],
+        )
+        M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
+        stats = treesearch.ExtendStats()
+        out = treesearch.extend_matching(inst, M, {0: 1}, 0, r=2, stats=stats)
+        assert (out, stats.contractions) == (treesearch.MATCHED, 1)
+        assert len(rebuilds) == 1
 
     def test_budget_exceeded_leaves_matching(self):
         # the chain above needs a grow step before its contraction
@@ -133,9 +155,11 @@ class TestGap3Certify:
 @contextmanager
 def checked_steps():
     """Make every find_addable call first compare the tree's cached
-    candidates with brute_candidates; yields a list that gets each
-    checked step's candidate count."""
+    candidates with brute_candidates, and every step's signature with
+    brute_signature; yields a list that gets each checked step's
+    candidate count."""
     original = treesearch.find_addable
+    signature = treesearch.TreeState.signature
     steps = []
 
     def checked(state):
@@ -144,11 +168,18 @@ def checked_steps():
         steps.append(len(cands))
         return original(state)
 
+    def checked_signature(state):
+        sig = signature(state)
+        assert sig == brute_signature(state)
+        return sig
+
     treesearch.find_addable = checked
+    treesearch.TreeState.signature = checked_signature
     try:
         yield steps
     finally:
         treesearch.find_addable = original
+        treesearch.TreeState.signature = signature
 
 
 @contextmanager
@@ -180,6 +211,7 @@ epsilons = st.builds(lambda q, p: Epsilon(p, q) if p < q else Epsilon(1, q),
 
 
 class TestCandidateCache:
+    # Every step also checks the tree's signature against brute_signature.
     # Each @example has a contraction that leaves part of the tree standing
     # and frees items below a cached pick: candidates kept across it differ
     # from the oracle's.
