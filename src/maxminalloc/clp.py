@@ -10,7 +10,8 @@ integrality-gap certification matcher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -97,10 +98,11 @@ def separate(
     when C(agent, T) is empty.
     """
     eps = inst.epsilon
-    heavies = sorted(inst.b1(agent), key=lambda j: (z[j], j))
-    lights = sorted(inst.beps(agent), key=lambda j: (z[j], j))
-    hcost = np.cumsum([0.0] + [z[j] for j in heavies])
-    lcost = np.cumsum([0.0] + [z[j] for j in lights])
+    # b1 and beps ascend and sorted is stable, so equal prices stay by index
+    heavies = sorted(inst.b1(agent), key=z.__getitem__)
+    lights = sorted(inst.beps(agent), key=z.__getitem__)
+    hcost = list(accumulate(map(z.__getitem__, heavies), initial=0.0))
+    lcost = list(accumulate(map(z.__getitem__, lights), initial=0.0))
     best = None
     for h in range(len(heavies) + 1):
         l = lights_needed(T, eps, h)
@@ -157,11 +159,10 @@ def solve_clp(
     n, m = inst.n, inst.m
     # rows: lambda - sum_S x_{i,S} <= 0 per agent, then packing per item;
     # variables: lambda, then one per column, appended as they are priced in
-    A = np.zeros((n + m, 1))
-    A[:n, 0] = 1.0
-    b = np.zeros(n + m)
-    b[n:] = 1.0
-    basis: Optional[List[int]] = None
+    master = simplex.Master(np.concatenate([np.zeros(n), np.ones(m)]))
+    lam_col = np.zeros((n + m, 1))
+    lam_col[:n] = 1.0
+    master.add(lam_col, np.ones(1))
     lam = 0.0
     x = np.zeros(0)
     converged = False
@@ -171,19 +172,14 @@ def solve_clp(
         for idx, col in enumerate(new):
             block[col.agent, idx] = -1.0
             block[[n + j for j in col.items], idx] = 1.0
-        if basis is not None:
-            # the slacks follow the structural columns, so they shift
-            basis = [v + len(new) if v >= A.shape[1] else v for v in basis]
-        A = np.hstack([A, block])
-        c = np.zeros(A.shape[1])
-        c[0] = 1.0
-        sol, _, duals, basis = simplex.solve(c, A, b, basis)
+        master.add(block, np.zeros(len(new)))
+        sol, _, duals = simplex.solve(master)
         lam, x = sol[0], sol[1:]
         if lam >= 1.0 - DEFAULT_TOL:
             converged = True
             break
-        y = [float(duals[i]) for i in range(n)]
-        z = [float(duals[n + j]) for j in range(m)]
+        y = duals[:n].tolist()
+        z = duals[n:].tolist()
         new = []
         for i in range(n):
             cost, s = separate(inst, i, T, z)

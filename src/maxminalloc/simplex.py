@@ -1,24 +1,32 @@
-"""Dense tableau simplex for the small column-generation masters.
+"""Revised simplex for the column-generation masters.
 
 Solves  max c.x  s.t.  A x <= b, x >= 0  with b >= 0, so the slack basis
-is primal feasible and no phase-one is needed.  A caller that re-solves
-after appending columns passes the previous optimal basis: appending
-columns changes neither B nor b, so that basis stays primal feasible, and
-the tableau is re-factored from it with one dense solve instead of
-pivoting again from the slack basis.  Each pivot is one rank-1 update of
-the tableau.  Dantzig pricing with a switch to Bland's rule after a
-degeneracy threshold guarantees termination; duals are read off the
-slack columns of the final tableau.
+is primal feasible and no phase-one is needed.  A `Master` keeps the
+structural columns, which only ever get appended, and one (m+1)x(m+1)
+matrix [B^-1 | x_B ; y | z] for its current basis.  Appending columns
+changes neither B nor b, so the basis stays primal feasible and the next
+`solve` pivots on from it with nothing re-factored.  Each pivot prices
+y.A - c and the slacks at y, computes the entering column as B^-1 a, and
+updates only the small matrix.
+
+Every pivot enters by Dantzig's rule (most negative reduced cost, the
+structural columns first, then the slacks).  Ratio ties go to the lowest
+basis label (structural before slack) for the first LEX_AFTER pivots of
+a solve, and after that to the lexicographically smallest row of B^-1
+over the pivot column.  The lexicographic rule cannot cycle from a
+lexicographically positive basis; the slack basis is one, but the first
+LEX_AFTER pivots need not keep it one, so MAX_ITERS stays as the
+backstop that bounds a solve.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 TOL = 1e-9
-BLAND_AFTER = 200
+LEX_AFTER = 200
 MAX_ITERS = 20000
 
 
@@ -26,83 +34,92 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-             basis: Optional[Sequence[int]]) -> Optional[np.ndarray]:
-    """Tableau of basis (the slack basis when None); None if that basis is
-    singular or not primal feasible."""
-    m, n = A.shape
-    # rows = constraints then objective; cols = structural + slacks + rhs
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = np.maximum(b, 0.0)
-    T[m, :n] = -c  # objective row holds reduced costs (negated for max)
-    if basis is None:
-        return T
-    try:
-        T[:m] = np.linalg.solve(T[:m, basis], T[:m])
-    except np.linalg.LinAlgError:
-        return None
-    rhs = T[:m, -1]
-    if np.any(rhs < -TOL):
-        return None
-    rhs[rhs < 0] = 0.0
-    T[m] -= T[m, basis] @ T[:m]  # price out the basic columns
-    return T
+class Master:
+    """max c.x s.t. Ax <= b, x >= 0 over columns appended by `add`.
 
-
-def solve(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    basis: Optional[Sequence[int]] = None,
-) -> Tuple[np.ndarray, float, np.ndarray, List[int]]:
-    """Return (x, objective, duals, basis) for max c.x s.t. Ax <= b, x >= 0.
-
-    `basis` lists one column per row of A, numbering the structural
-    columns 0..n-1 and the slack of row r as n + r; the returned basis uses
-    the same numbering.  When given, pivoting starts from it, falling back
-    to the slack basis if it is singular or infeasible for b.
+    Basis labels number the structural columns 0, 1, ... and the slack of
+    row r as -1 - r.
     """
-    m, n = A.shape
-    if np.any(b < -TOL):
-        raise SimplexError("negative rhs; slack basis infeasible")
-    T = None if basis is None else _tableau(c, A, b, basis)
-    if T is None:
-        T = _tableau(c, A, b, None)
-        basis = range(n, n + m)
-    basis = list(basis)
 
+    def __init__(self, b: np.ndarray):
+        b = np.asarray(b, dtype=float)
+        if np.any(b < -TOL):
+            raise SimplexError("negative rhs; slack basis infeasible")
+        m = len(b)
+        self.m = m
+        self.ncols = 0
+        self._At = np.zeros((16, m))  # structural columns, one per row
+        self._c = np.zeros(16)
+        self.basis = -1 - np.arange(m)
+        self.inv = np.zeros((m + 1, m + 1))  # [B^-1 | x_B ; y | z]
+        self.inv[:m, :m] = np.eye(m)
+        self.inv[:m, m] = np.maximum(b, 0.0)
+
+    def add(self, A_new: np.ndarray, c_new: np.ndarray) -> None:
+        """Append the columns of A_new with costs c_new; the basis is kept."""
+        k = A_new.shape[1]
+        end = self.ncols + k
+        if end > len(self._c):  # grow by doubling; rows past ncols are unused
+            cap = max(end, 2 * len(self._c))
+            self._At = np.resize(self._At, (cap, self.m))
+            self._c = np.resize(self._c, cap)
+        self._At[self.ncols : end] = A_new.T
+        self._c[self.ncols : end] = c_new
+        self.ncols = end
+
+
+def solve(master: Master) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Pivot `master`, which has at least one column, to optimality;
+    return (x, objective, duals).
+
+    x has one entry per structural column, in the order they were added;
+    the duals are y, one per row.
+    """
+    m, inv, basis = master.m, master.inv, master.basis
+    At, c = master._At[: master.ncols], master._c[: master.ncols]
+    ratios = np.empty(m)
     for it in range(MAX_ITERS):
-        red = T[m, :-1]
-        if it < BLAND_AFTER:
-            enter = int(np.argmin(red))
-            if red[enter] >= -TOL:
+        y = inv[m, :m]
+        red = At @ y - c
+        j = int(red.argmin())
+        r = int(y.argmin())
+        if red[j] <= y[r]:
+            if red[j] >= -TOL:
                 break
+            col = inv[:, :m] @ At[j]
+            col[m] -= c[j]
+            label = j
         else:
-            neg = np.nonzero(red < -TOL)[0]
-            if len(neg) == 0:
+            if y[r] >= -TOL:
                 break
-            enter = int(neg[0])  # Bland: lowest index
-        col = T[:m, enter]
-        pos = np.nonzero(col > TOL)[0]
-        if len(pos) == 0:
-            raise SimplexError("unbounded master LP")
-        ratios = T[pos, -1] / col[pos]
+            col = inv[:, r].copy()
+            label = -1 - r
+        d = col[:m]
+        ratios.fill(np.inf)
+        np.divide(inv[:m, m], d, out=ratios, where=d > TOL)
         best = ratios.min()
-        cand = pos[ratios <= best + TOL]
-        # tie-break by lowest basis variable index (Bland-compatible)
-        leave = int(min(cand, key=lambda r: basis[r]))
-        T[leave] /= T[leave, enter]
-        factor = T[:, enter].copy()
-        factor[leave] = 0.0
-        T -= np.outer(factor, T[leave])
-        basis[leave] = enter
+        if best == np.inf:
+            raise SimplexError("unbounded master LP")
+        cand = (ratios <= best + TOL).nonzero()[0]
+        if len(cand) == 1:
+            leave = int(cand[0])
+        elif it < LEX_AFTER:
+            labels = basis[cand]
+            keys = np.where(labels >= 0, labels, master.ncols - 1 - labels)
+            leave = int(cand[keys.argmin()])
+        else:
+            rows = inv[cand, :m] / d[cand, None]
+            leave = int(cand[np.lexsort(rows.T[::-1])[0]])
+        row = inv[leave] / col[leave]
+        inv -= col[:, None] * row
+        inv[leave] = row
+        basis[leave] = label
     else:
         raise SimplexError("simplex iteration cap exceeded")
 
-    x = np.zeros(n + m)
-    x[basis] = T[:m, -1]
-    duals = T[m, n : n + m].copy()
+    x = np.zeros(master.ncols)
+    structural = basis >= 0
+    x[basis[structural]] = inv[:m, m][structural]
+    duals = inv[m, :m].copy()
     duals[np.abs(duals) < TOL] = 0.0
-    return x[:n], float(T[m, -1]), duals, basis
+    return x, float(inv[m, m]), duals

@@ -185,6 +185,13 @@ class TestEstimateTstar:
         inst = gen.gen_random(24, 24, 56, 0.3, Epsilon(1, 3), seed=0)
         assert clp.estimate_Tstar(inst) == LatticeValue(0, 5)  # 5/3, as HiGHS
 
+    def test_fault_f2_n40_matches_highs(self):
+        # F2's larger input, 176 rows: at T = 5/3 the first master takes
+        # thousands of degenerate pivots, and Bland's lowest-index entering
+        # rule ran into the simplex iteration cap there
+        inst = gen.gen_random(40, 40, 96, 0.3, Epsilon(1, 3), seed=0)
+        assert clp.estimate_Tstar(inst) == LatticeValue(0, 5)  # 5/3, as HiGHS
+
     def test_unconverged_probe_raises(self, monkeypatch):
         inst = gen.gen_random(6, 3, 8, 0.5, Epsilon(1, 3), seed=4)
         assert clp.estimate_Tstar(inst).as_fraction(inst.epsilon) > 0
