@@ -11,6 +11,7 @@ integrality-gap certification matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -25,6 +26,7 @@ from .model import (
     last_feasible,
     lattice_values,
     lights_needed,
+    packing_cap,
 )
 
 DEFAULT_TOL = 1e-9
@@ -207,12 +209,17 @@ def estimate_Tstar(inst: Instance) -> LatticeValue:
     """Largest lattice value T with CLP(T) feasible.
 
     C(i,T) only changes at lattice points, so the threshold is a lattice
-    value and binary search over the (monotone) feasibility predicate
-    applies.  A column pool is warm-started across probes.  A probe whose
-    column generation hits MAX_ROUNDS below 1-DEFAULT_TOL shows nothing,
-    and raises MasterNotConverged.
+    value.  It is at most `model.packing_cap`: a CLP(T) point at coverage
+    lambda has n*T*lambda <= W, the weight the agents want, and above the
+    cap that holds only with lambda <= 1 - 1/(key(W) + 1), which fails
+    the 1 - DEFAULT_TOL test whenever key(W) < 10**9 - 1.  The top value
+    up to the cap is probed first, since T* often equals it; when it
+    fails, a binary search over the (monotone) feasibility predicate
+    covers the values below.  A column pool is warm-started across
+    probes.  A probe whose column generation hits MAX_ROUNDS below
+    1-DEFAULT_TOL shows nothing, and raises MasterNotConverged.
     """
-    values = lattice_values(inst)
+    values = lattice_values(inst, Fraction(packing_cap(inst), inst.epsilon.denominator))
     pool: Set[Column] = set()
 
     def probe(T: LatticeValue) -> Optional[bool]:
@@ -226,8 +233,10 @@ def estimate_Tstar(inst: Instance) -> LatticeValue:
             )
         return res.feasible or None
 
+    if probe(values[-1]):
+        return values[-1]
     # values[0] is zero, which always passes, so some index is found
-    return values[last_feasible(values, probe)[0]]
+    return values[last_feasible(values[:-1], probe)[0]]
 
 
 def minimalize(inst: Instance, res: ClpResult, T: LatticeValue) -> SupportSolution:

@@ -265,6 +265,31 @@ def lattice_values(inst: Instance, cap: Optional[Fraction] = None) -> List[Latti
     return [by_key[k] for k in sorted(by_key)]
 
 
+def packing_cap(inst: Instance) -> int:
+    """Largest lattice key that OPT or the LP threshold T* can take.
+
+    Returns cap = min(min_i v(I_i), floor(key(W) / n)) in key units
+    (`LatticeValue.key`), where I_i is agent i's interest set and W is the
+    total weight of the items at least one agent wants.
+
+    Above min_i v(I_i) some agent has no configuration at all.  For the
+    second term take a CLP(T) point at coverage level lambda: every
+    configuration is worth at least T and every item is packed at most
+    once, so n*T*lambda <= sum_{i,S} x_{iS} v(S) <= W.  With lambda = 1
+    (a T-allocation is such a point) this gives key(OPT) <= cap and
+    key(T*) <= cap exactly.  The LP predicate is a float test, lambda* >=
+    1 - clp.DEFAULT_TOL, but it agrees: at a lattice value T above the
+    cap n*key(T) >= key(W) + 1, so lambda* <= 1 - 1/(key(W) + 1), which
+    fails the test whenever key(W) < 10**9 - 1.  Searching only up to the
+    cap therefore answers as searching the whole lattice does.
+    """
+    p, q = inst.epsilon.numerator, inst.epsilon.denominator
+    wanted = frozenset().union(*inst.interests)
+    w_key = sum(q if j in inst.heavy_ids else p for j in wanted)
+    reach = min(len(inst.b1(i)) * q + len(inst.beps(i)) * p for i in range(inst.n))
+    return min(reach, w_key // inst.n)
+
+
 def last_feasible(values: Sequence, probe: Callable) -> Tuple[int, Optional[object]]:
     """Binary search for the last value a monotone probe passes.
 

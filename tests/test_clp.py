@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from maxminalloc import clp, exact, gen, simplex
@@ -16,9 +17,10 @@ from maxminalloc.model import (
     LatticeValue,
     k_of,
     lattice_values,
+    packing_cap,
 )
 
-from oracles import brute_min_knapsack
+from oracles import brute_min_knapsack, naive_opt
 
 
 class TestSeparate:
@@ -179,18 +181,44 @@ class TestEstimateTstar:
         tstar = clp.estimate_Tstar(inst)
         assert tstar.as_fraction(inst.epsilon) == Fraction(3, 2)
 
-    def test_fault_f2_instance_matches_highs(self):
+    @staticmethod
+    def probed(monkeypatch):
+        """Record the T of every solve_clp call."""
+        seen, real = [], clp.solve_clp
+
+        def counted(inst, T, pool=None):
+            seen.append(T)
+            return real(inst, T, pool)
+
+        monkeypatch.setattr(clp, "solve_clp", counted)
+        return seen
+
+    def test_fault_f2_instance_matches_highs(self, monkeypatch):
         # fault F2 of bench/README.md: a master solved from the slack basis
-        # in every round hits the simplex iteration cap here
+        # in every round hits the simplex iteration cap here.  T* is the
+        # packing cap, so the top probe is the only one.
+        probes = self.probed(monkeypatch)
         inst = gen.gen_random(24, 24, 56, 0.3, Epsilon(1, 3), seed=0)
         assert clp.estimate_Tstar(inst) == LatticeValue(0, 5)  # 5/3, as HiGHS
+        assert probes == [LatticeValue(0, 5)]
 
     def test_fault_f2_n40_matches_highs(self):
-        # F2's larger input, 176 rows: at T = 5/3 the first master takes
-        # thousands of degenerate pivots, and Bland's lowest-index entering
-        # rule ran into the simplex iteration cap there
+        # F2's larger input, 176 rows.  T = 5/3 is the packing cap and the
+        # only probe: its 25 masters take 4,222 pivots, up to 652 in one,
+        # and 31 ratio ties past simplex.LEX_AFTER go to the lexicographic
+        # rule, which this test covers on a real master.  Bland's rule ran
+        # into the simplex iteration cap on this input.
         inst = gen.gen_random(40, 40, 96, 0.3, Epsilon(1, 3), seed=0)
         assert clp.estimate_Tstar(inst) == LatticeValue(0, 5)  # 5/3, as HiGHS
+
+    def test_search_below_a_failed_top_probe(self, monkeypatch):
+        # an lp-mid-shaped instance whose T* lies below the packing cap
+        probes = self.probed(monkeypatch)
+        inst = gen.gen_random(12, 12, 24, 0.35, Epsilon(1, 3), seed=0)
+        assert packing_cap(inst) == 5  # 5/3
+        assert clp.estimate_Tstar(inst) == LatticeValue(0, 4)  # 4/3, as HiGHS
+        assert probes[0] == LatticeValue(0, 5) and len(probes) > 1
+        assert all(T.key(inst.epsilon) < 5 for T in probes[1:])
 
     def test_unconverged_probe_raises(self, monkeypatch):
         inst = gen.gen_random(6, 3, 8, 0.5, Epsilon(1, 3), seed=4)
@@ -203,6 +231,37 @@ class TestEstimateTstar:
         eps = Epsilon(1, 2)
         inst, tstar, opt_v = gen.search_gap_witness(4, 6, eps, budget=300, seed=1)
         assert tstar.as_fraction(eps) == 2 * opt_v.as_fraction(eps)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def small_random_instances(draw):
+    """A gen_random instance with at most 3 agents and 7 items."""
+    n, mh = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return gen.gen_random(
+        n, mh, draw(st.integers(1, 7 - mh)), draw(st.sampled_from([0.3, 0.6, 1.0])),
+        draw(st.sampled_from([Epsilon(1, 2), Epsilon(1, 3), Epsilon(2, 5), Epsilon(1, 6)])),
+        draw(st.integers(0, 2**30)),
+    )
+
+
+class TestPackingCap:
+    @PROPERTY
+    @given(small_random_instances())
+    # the cap, key 3, is no lattice key: the keys are 0, 2, 5 and 7
+    @example(Instance(Epsilon(2, 5), [Item(0, HEAVY), Item(1, LIGHT)], [[0, 1], [0, 1]]))
+    # an agent that wants nothing: the cap is 0
+    @example(Instance(Epsilon(1, 6), [Item(0, HEAVY), Item(1, LIGHT)], [[0, 1], []]))
+    def test_bounds_opt_and_keeps_the_highs_threshold(self, inst):
+        eps = inst.epsilon
+        assert naive_opt(inst) <= Fraction(packing_cap(inst), eps.denominator)
+        # the threshold over the whole lattice, by HiGHS on every configuration
+        feasible = [T for T in lattice_values(inst)[1:]
+                    if enumerated_lambda(inst, T) >= 1 - 1e-7]
+        want = feasible[-1] if feasible else LatticeValue(0, 0)
+        assert clp.estimate_Tstar(inst) == want
 
 
 class TestMinimalize:

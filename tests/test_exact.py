@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxminalloc import exact, gen
-from maxminalloc.model import Epsilon, Instance, Item, LIGHT, lattice_values, min_value
+from maxminalloc.model import (
+    Epsilon, Instance, Item, LIGHT, lattice_values, min_value, packing_cap,
+)
 
 from oracles import naive_opt
 
@@ -24,6 +27,42 @@ class TestAgainstNaive:
             v, alloc = exact.opt(inst)
             assert v.as_fraction(inst.epsilon) == naive_opt(inst)
             assert min_value(inst, alloc).key(inst.epsilon) >= v.key(inst.epsilon)
+
+
+@st.composite
+def tiny_instances(draw):
+    """random_tiny's shapes, drawn by hypothesis."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12 // n))
+    mh = draw(st.integers(0, m))
+    return gen.gen_random(
+        n, mh, m - mh, draw(st.floats(0.2, 1.0)), Epsilon(1, draw(st.integers(2, 4))),
+        draw(st.integers(0, 2**30)),
+    )
+
+
+class TestOptProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(tiny_instances())
+    def test_matches_naive_enumeration(self, inst):
+        v, alloc = exact.opt(inst)
+        assert v.as_fraction(inst.epsilon) == naive_opt(inst)
+        assert min_value(inst, alloc).key(inst.epsilon) >= v.key(inst.epsilon)
+
+    def test_never_probes_above_the_cap(self, monkeypatch):
+        probed, real = [], exact.feasible_at
+
+        def counted(inst, T, size_cap):
+            probed.append(T.key(inst.epsilon))
+            return real(inst, T, size_cap)
+
+        monkeypatch.setattr(exact, "feasible_at", counted)
+        rng = random.Random(8)
+        for _ in range(60):
+            inst = random_tiny(rng)
+            del probed[:]
+            exact.opt(inst)
+            assert probed and max(probed) <= packing_cap(inst)
 
 
 class TestFeasibility:

@@ -10,6 +10,8 @@ from oracles import (
     brute_count_feasible, brute_disjoint_paths, brute_heavy_matching, residual_arcs,
 )
 
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
 
 def random_tiny(rng, n_max=4, m_max=8):
     n = rng.randint(1, n_max)
@@ -31,6 +33,21 @@ class TestHeavyMatching:
             assert len(set(m.values())) == len(m)  # items distinct
             for i, j in m.items():
                 assert j in inst.b1(i)
+
+    @PROPERTY
+    @given(st.integers(1, 12), st.integers(0, 12), st.floats(0.05, 1.0), st.integers(0, 2**30))
+    def test_size_against_networkx(self, n, mh, density, seed):
+        nx = pytest.importorskip("networkx")
+        inst = gen.gen_random(n, mh, 2, density, Epsilon(1, 2), seed)
+        m = flowkit.max_heavy_matching(inst)
+        assert len(set(m.values())) == len(m)
+        assert all(j in inst.b1(i) for i, j in m.items())
+        g = nx.Graph()
+        agents = [("a", i) for i in range(inst.n)]
+        g.add_nodes_from(agents)
+        g.add_edges_from((("a", i), ("b", j)) for i in range(inst.n) for j in inst.b1(i))
+        # the returned dict holds each matched edge in both directions
+        assert 2 * len(m) == len(nx.bipartite.maximum_matching(g, top_nodes=agents))
 
     def test_restriction(self):
         inst = gen.gen_random(3, 3, 0, 1.0, Epsilon(1, 2), 5)
@@ -305,9 +322,6 @@ def networkx_disjoint_paths(inst, matching, sources, sinks):
     for i in sinks:
         g.add_edge(("out", "a", i), "t", capacity=1)
     return nx.maximum_flow_value(g, "s", "t")
-
-
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 class TestPathFlowProperties:

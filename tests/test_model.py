@@ -18,6 +18,7 @@ from maxminalloc.model import (
     lattice_values,
     lights_needed,
     min_value,
+    packing_cap,
     parse_allocation,
     parse_instance,
     serialize_allocation,
@@ -203,6 +204,20 @@ class TestLattice:
         assert lattice_values(inst, cap) == [v for v in full if v.as_fraction(eps) <= cap]
         positive = [v for v in full if 0 < v.as_fraction(eps) <= Fraction(3, 2)]
         assert t_probe_candidates(inst) == positive
+
+
+class TestPackingCap:
+    def test_hand_instances(self):
+        heavy_light = [Item(0, HEAVY), Item(1, LIGHT)]
+        # W = 7/5 over 2 agents: floor(7/2) = 3, which no lattice key equals
+        assert packing_cap(Instance(Epsilon(2, 5), heavy_light, [[0, 1], [0, 1]])) == 3
+        # an agent that wants nothing caps everything at 0
+        assert packing_cap(Instance(Epsilon(1, 6), heavy_light, [[0, 1], []])) == 0
+        # heavy item 2 is wanted by nobody, so W = 4/3, not 7/3
+        items = heavy_light + [Item(2, HEAVY)]
+        assert packing_cap(Instance(Epsilon(1, 3), items, [[0, 1], [0, 1]])) == 2
+        # agent 1 reaches only 1/3 although W/n = 2/3
+        assert packing_cap(Instance(Epsilon(1, 3), items, [[0, 1], [1]])) == 1
 
 
 class TestLastFeasible:
