@@ -22,6 +22,7 @@ from .model import (
     Instance,
     ParseError,
     min_value,
+    packing_cap,
     parse_allocation,
     parse_instance,
     serialize_allocation,
@@ -48,16 +49,22 @@ def _frac_str(value, eps: Epsilon) -> str:
     return str(value.as_fraction(eps))
 
 
-def _ratio_bound(algo: str, eps: Epsilon) -> float:
+def _ratio_bound(algo: str, inst: Instance) -> float:
+    """The ratio OPT/value that `algo`'s report is promised to meet.
+
+    The local searches keep their promise only while OPT <= 3/2 (they
+    certify T up to 3/2), which 2*packing_cap <= 3*q shows; above it only
+    the 1/eps of the baseline holds, and every search report meets that,
+    since search_solve never returns less than the baseline.
+    """
+    eps = inst.epsilon
     e = eps.numerator / eps.denominator
     if algo == "exact":
         return 1.0
-    if algo == "baseline":
+    if algo in ("quasi", "poly") and 2 * packing_cap(inst) <= 3 * eps.denominator:
+        return min(1.0 / e, 3.0 + 4.0 * e if algo == "quasi" else 9.0)
+    if algo in ("baseline", "quasi", "poly"):
         return 1.0 / e
-    if algo == "quasi":
-        return min(1.0 / e, 3.0 + 4.0 * e)
-    if algo == "poly":
-        return min(1.0 / e, 9.0)
     raise ValueError(algo)
 
 
@@ -104,7 +111,7 @@ def cmd_solve(args) -> int:
     report = {
         "value": _frac_str(value, eps),
         "algo": algo,
-        "certified_ratio_bound": min(_ratio_bound(a, eps) for a in algos),
+        "certified_ratio_bound": min(_ratio_bound(a, inst) for a in algos),
         "allocation": out,
         "wall_ms": timings,
     }

@@ -2,11 +2,13 @@
 
 Grows a tree of addable edges and the matching edges that block them,
 rooted at an unmatched agent; an unblocked addable edge triggers a
-contraction that swaps it into the matching.  Two edge-selection policies:
-ARBITRARY (first addable edge; exponential signature bound) and CLOSEST
-(minimum light-edge distance from the root; quasi-polynomial bound).
-Addable edges are drawn from one per-agent table of ascending item lists:
-the full interest sets, or a CLP support hypergraph.
+contraction that swaps it into the matching.  Each step picks an addable
+edge closest to the root (least light-edge distance), which bounds the
+search quasi-polynomially, and a contraction cuts the tree by layer (see
+contract), which makes the layered signature fall on every step whatever
+the pick.  quasi_solve and gap3_certify run this one search; addable
+edges are drawn from one per-agent table of ascending item lists: the
+full interest sets, or a CLP support hypergraph.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .model import (
 )
 from . import flowkit
 from .clp import ClpResult, SupportHypergraph, build_support_hypergraph, minimalize
-
-ARBITRARY = "arbitrary"
-CLOSEST = "closest"
 
 MATCHED = "matched"
 STALLED = "stalled"
@@ -58,7 +57,6 @@ class AddEdge:
     agent: int
     items: FrozenSet[int]
     kind: str
-    ts: int
     dist: int
     blockers: Set[int] = field(default_factory=set)  # live blocking-edge owners
 
@@ -67,8 +65,8 @@ class AddEdge:
 class BlockEdge:
     agent: int  # owner of the blocking matching edge
     kind: str
-    ts: int
     dist: int
+    layer: int  # dist of the addable edge it blocks: dist if heavy, dist - 1 if light
 
 
 @dataclass
@@ -97,17 +95,15 @@ class TreeState:
     """
 
     def __init__(self, M: Dict[int, Bundle], owner: Dict[int, int],
-                 i0: int, r: int, policy: str, table: SupportHypergraph):
+                 i0: int, r: int, table: SupportHypergraph):
         self.M = M
         self.owner = owner  # item -> agent holding it in M
         self.i0 = i0
         self.r = r
-        self.policy = policy
         self.table = table
-        self.edges: List[AddEdge] = []       # addable edges, timestamp order
+        self.edges: List[AddEdge] = []       # addable edges, in the order added
         self.blockers: Dict[int, BlockEdge] = {}  # owner agent -> blocking edge
         self.tree_items: Set[int] = set()
-        self.ts = 0
         self.last_signature = None
         self._cands: Dict[int, List[Candidate]] = {}  # agent -> its candidates
         self._users: Dict[int, List[int]] = {}  # item -> agents whose candidates use it
@@ -143,21 +139,18 @@ class TreeState:
     # -- signatures --------------------------------------------------------
 
     def signature(self):
-        if self.policy == ARBITRARY:
-            return tuple(len(e.blockers) for e in self.edges) + (math.inf,)
         # one pass over the edges and one over the blockers: coords[2d] is
         # minus the addable edges at distance d, coords[2d + 1] the blockers
-        # in layer d; a blocker sits at an even distance d, in layer d if
-        # heavy and in layer d - 1 if light
+        # in layer d
         coords = [0, 0]
         for e in self.edges:
             while len(coords) <= 2 * e.dist:
                 coords += [0, 0]
             coords[2 * e.dist] -= 1
         for b in self.blockers.values():
-            while len(coords) <= 2 * b.dist:
+            while len(coords) <= 2 * b.layer:
                 coords += [0, 0]
-            coords[2 * b.dist + 1 if b.kind == HEAVY_KIND else 2 * b.dist - 1] += 1
+            coords[2 * b.layer + 1] += 1
         return tuple(coords) + (math.inf,)
 
     def check_signature_decreased(self):
@@ -169,22 +162,27 @@ class TreeState:
         self.last_signature = sig
 
     def check_structure(self):
-        """Distance parity / blocker-kind invariants."""
-        for e in self.edges:
-            if e.kind == LIGHT_KIND and e.dist % 2 == 0:
-                raise TreeInvariantError("light addable edge at even distance")
-            if e.kind == HEAVY_KIND and e.dist % 2 == 1:
-                raise TreeInvariantError("heavy addable edge at odd distance")
-        for b in self.blockers.values():
+        """Distance parity, blocker-kind and membership invariants."""
+        M, blockers = self.M, self.blockers
+        for b in blockers.values():
             if b.dist % 2 == 1:
                 raise TreeInvariantError("blocking edge at odd distance")
-            if b.agent not in self.M:
+            if b.agent not in M:
                 raise TreeInvariantError("blocker is not a matching edge")
         for e in self.edges:
-            if e.kind == HEAVY_KIND and len(e.blockers) > 1:
-                raise TreeInvariantError("heavy edge with more than one blocker")
+            if e.kind == HEAVY_KIND:
+                if e.dist % 2 == 1:
+                    raise TreeInvariantError("heavy addable edge at odd distance")
+                if len(e.blockers) > 1:
+                    raise TreeInvariantError("heavy edge with more than one blocker")
+            elif e.dist % 2 == 0:
+                raise TreeInvariantError("light addable edge at even distance")
+            if e.agent != self.i0 and e.agent not in blockers:
+                raise TreeInvariantError("addable edge of an agent outside the tree")
             for a in e.blockers:
-                if self.M[a][0] != e.kind:
+                if a not in blockers:
+                    raise TreeInvariantError("addable edge lists a blocker outside the tree")
+                if M[a][0] != e.kind:
                     raise TreeInvariantError("blocker kind mismatch")
 
     # -- candidate enumeration ----------------------------------------------
@@ -204,7 +202,7 @@ class TreeState:
         return out
 
     def _find_candidates(self, i: int) -> List[Candidate]:
-        # the lowest free item ids suffice for either policy
+        # the lowest free item ids suffice: find_addable breaks ties by them
         base = self.dist_of_agent(i)
         out: List[Candidate] = []
         pick = lowest_free(self.table.heavy.get(i, ()), self.tree_items, 1)
@@ -224,12 +222,12 @@ class TreeState:
 
 
 def find_addable(state: TreeState) -> Optional[Candidate]:
+    """The candidate closest to the root; ties go to the lowest agent, then
+    to the lowest items."""
     cands = state.candidates()
     if not cands:
         return None
-    if state.policy == CLOSEST:
-        return min(cands, key=lambda c: (c.dist, c.agent, c.items))
-    return min(cands, key=lambda c: (c.agent, c.kind != HEAVY_KIND, c.items))
+    return min(cands, key=lambda c: (c.dist, c.agent, c.items))
 
 
 def _set_bundle(state: TreeState, agent: int, kind: str, items: FrozenSet[int]):
@@ -245,16 +243,14 @@ def _set_bundle(state: TreeState, agent: int, kind: str, items: FrozenSet[int]):
 def add_edge(state: TreeState, cand: Candidate) -> AddEdge:
     if not state.tree_items.isdisjoint(cand.items):
         raise TreeInvariantError("edge items collide with the tree")
-    state.ts += 1
     blocking = state.blocking_of(cand.items)
-    e = AddEdge(cand.agent, frozenset(cand.items), cand.kind, state.ts, cand.dist,
-                set(blocking))
+    e = AddEdge(cand.agent, frozenset(cand.items), cand.kind, cand.dist, set(blocking))
     state.edges.append(e)
     state.take(e.items)
     bdist = cand.dist + (1 if cand.kind == LIGHT_KIND else 0)
     for a in sorted(blocking):
         if a not in state.blockers:
-            state.blockers[a] = BlockEdge(a, state.M[a][0], state.ts, bdist)
+            state.blockers[a] = BlockEdge(a, state.M[a][0], bdist, cand.dist)
             state.take(state.M[a][1])
     return e
 
@@ -262,21 +258,49 @@ def add_edge(state: TreeState, cand: Candidate) -> AddEdge:
 def contract(state: TreeState, cand: Candidate) -> bool:
     """Swap the unblocked edge into the matching; True iff the root got matched.
 
-    Evicts the blocking edge that introduced the edge's agent, truncates
-    all tree edges added after it and cascades on any edge whose blocker
-    set empties.
+    The blocker f that held cand's agent gives way to cand.  With L the
+    layer of f (the dist of the edge it blocks), the tree keeps every other blocker of
+    layer <= L and every edge of dist <= L whose agent is the root or a
+    kept blocker, and cuts the rest.  f leaves the blocker set of the one
+    edge that lists it (a new edge's items miss the tree, so each blocker
+    is listed by the edge that brought it in); if that set empties, the
+    edge is unblocked and the loop goes on with it.
+
+    Why signature() falls.  It is (-A_0, B_0, -A_1, B_1, ..., inf), with
+    A_d the edges at dist d and B_d the blockers in layer d: the layered
+    signature of Polacek-Svensson (ICALP 2012).
+    - A grow step adds an edge at some dist d and its new blockers in
+      layer d, so it lowers -A_d and keeps every coordinate before it.
+    - A heavy edge has one blocker, so contracting a heavy blocker always
+      empties its edge: a cascade ends at the root (the search is over)
+      or at a light blocker f of odd layer L and dist L + 1.  The dists
+      of the blockers a cascade contracts never rise, since an emptied
+      edge's agent is no farther than the edge.  So every blocker it
+      contracted has dist > L, and every edge it emptied has dist > L (one
+      at dist L would have handed on to an agent at dist L - 1, nearer
+      than f).  An edge at dist d <= L belongs to the root or to a blocker
+      of layer <= d that was not contracted, so the cut keeps -A_0, B_0,
+      ..., -A_L and B_d for d < L; B_L falls by one as f leaves, and what
+      follows B_L may change.
+    Neither step depends on which edge find_addable picked; the closest
+    pick only bounds how many layers the tree holds.  The timestamp cut of
+    Asadpour-Feige-Saberi (TALG 2012), which drops all that was added
+    after f, would also drop any edge at dist < L added after f, raising
+    -A_d for its d.
+
+    Nor does the gap-3 no-stall argument depend on the pick: it reads only
+    a stalled tree, its agents and its items, and the structure that
+    check_structure keeps on every step.
     """
     while True:
         if cand.agent == state.i0:
             _set_bundle(state, state.i0, cand.kind, frozenset(cand.items))
             return True
-        f = state.blockers[cand.agent]
+        f = state.blockers.pop(cand.agent)
         _set_bundle(state, cand.agent, cand.kind, frozenset(cand.items))
-        ts_f = f.ts
-        state.edges = [e for e in state.edges if e.ts <= ts_f]
-        state.blockers = {
-            a: b for a, b in state.blockers.items() if b.ts <= ts_f and a != f.agent
-        }
+        state.blockers = {a: b for a, b in state.blockers.items() if b.layer <= f.layer}
+        state.edges = [e for e in state.edges if e.dist <= f.layer
+                       and (e.agent == state.i0 or e.agent in state.blockers)]
         emptied: List[AddEdge] = []
         for e in state.edges:
             if f.agent in e.blockers:
@@ -306,7 +330,6 @@ def extend_matching(
     owner: Dict[int, int],
     i0: int,
     r: int,
-    policy: str = CLOSEST,
     support: Optional[SupportHypergraph] = None,
     budget: int = DEFAULT_BUDGET,
     stats: Optional[ExtendStats] = None,
@@ -321,7 +344,7 @@ def extend_matching(
         raise ValueError("root already matched")
     if support is None:
         support = SupportHypergraph.of_interests(inst)
-    state = TreeState(M, owner, i0, r, policy, support)
+    state = TreeState(M, owner, i0, r, support)
     stats = stats if stats is not None else ExtendStats()
     matched_before = set(M)
     while stats.iterations < budget:
@@ -349,7 +372,6 @@ def matching_allocation(M: Dict[int, Bundle]) -> Allocation:
 def _probe(
     inst: Instance,
     r: int,
-    policy: str,
     support: SupportHypergraph,
     budget: int,
 ) -> Tuple[str, Dict[int, Bundle], ExtendStats]:
@@ -357,9 +379,7 @@ def _probe(
     owner: Dict[int, int] = {}
     stats = ExtendStats()
     for i0 in range(inst.n):
-        outcome = extend_matching(
-            inst, M, owner, i0, r, policy, support, budget, stats
-        )
+        outcome = extend_matching(inst, M, owner, i0, r, support, budget, stats)
         if outcome != MATCHED:
             return outcome, M, stats
     return MATCHED, M, stats
@@ -424,7 +444,7 @@ def search_solve(
 
 def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
                 baseline: Optional[Baseline] = None) -> SolveReport:
-    """Binary search on T with the CLOSEST-policy matcher; a stalled probe is
+    """Binary search on T with the tree search; a stalled probe is
     treated as evidence that T exceeds the optimum.  Falls back to the
     1/eps count baseline, which dominates for eps >= 1/4."""
     eps = inst.epsilon
@@ -432,7 +452,7 @@ def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
 
     def probe(T: LatticeValue) -> Optional[ProbeResult]:
         r = _quasi_r(k_of(T, eps), eps)
-        outcome, M, stats = _probe(inst, r, CLOSEST, interests, budget)
+        outcome, M, stats = _probe(inst, r, interests, budget)
         if outcome != MATCHED:
             return None
         return r, matching_allocation(M), stats.iterations, {}
@@ -444,16 +464,17 @@ def gap3_certify(inst: Instance, clpres: ClpResult, T: LatticeValue,
                  budget: int = DEFAULT_BUDGET) -> Allocation:
     """Round a feasible CLP(T) point into an allocation of value >= T/3.
 
-    Builds the minimal support hypergraph with r = ceil(k/3) and runs the
-    ARBITRARY-policy matcher on it.  The support hypergraph always admits
-    a perfect matching at this r, so a stall indicates a bug and raises.
+    Builds the minimal support hypergraph with r = ceil(k/3) and runs on
+    it the tree search quasi_solve runs.  The support hypergraph always
+    admits a perfect matching at this r, so a stall indicates a bug and
+    raises.
     """
     eps = inst.epsilon
     k = k_of(T, eps)
     r = -(-k // 3)
     sol = minimalize(inst, clpres, T)
     support = build_support_hypergraph(sol, r)
-    outcome, M, _ = _probe(inst, r, ARBITRARY, support, budget)
+    outcome, M, _ = _probe(inst, r, support, budget)
     if outcome != MATCHED:
         raise CertificationError(
             f"support matcher stalled at T={T}; this should be impossible"

@@ -1,6 +1,7 @@
-"""Independent brute-force oracles used to pin down solver results.
+"""Independent oracles used to pin down solver results.
 
 Everything here is deliberately naive: plain enumeration over Fractions,
+or for milp_opt an integer program handed to an off-the-shelf solver,
 sharing no code paths with the package under test.
 """
 
@@ -8,8 +9,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from maxminalloc.model import HEAVY, Instance
-from maxminalloc.treesearch import ARBITRARY, HEAVY_KIND, LIGHT_KIND
+from maxminalloc.treesearch import HEAVY_KIND, LIGHT_KIND
 
 
 def item_weight(inst: Instance, j: int) -> Fraction:
@@ -42,6 +45,40 @@ def naive_opt(inst: Instance) -> Fraction:
 
     go(0)
     return best
+
+
+def milp_opt(inst: Instance) -> Fraction:
+    """OPT for instances too large for naive_opt (n up to about 16, m up
+    to about 22), by an integer program that HiGHS solves through
+    scipy.optimize.milp: maximize t with every agent's bundle worth at
+    least t and every item given at most once.  Weights are in units of
+    1/q (heavy q, light p, eps = p/q), so t is an integer; the allocation
+    read back from the solution must be worth exactly t."""
+    from scipy.optimize import LinearConstraint, milp
+
+    p, q = inst.epsilon.numerator, inst.epsilon.denominator
+    pairs = [(i, j) for i in range(inst.n) for j in sorted(inst.interests[i])]
+    weight = [q if inst.items[j].kind == HEAVY else p for _, j in pairs]
+    agent_rows = np.zeros((inst.n, len(pairs) + 1))
+    item_rows = np.zeros((inst.m, len(pairs) + 1))
+    for col, (i, j) in enumerate(pairs):
+        agent_rows[i, col] = weight[col]
+        item_rows[j, col] = 1
+    agent_rows[:, -1] = -1  # the bundle of agent i minus t
+    cost = np.zeros(len(pairs) + 1)
+    cost[-1] = -1
+    res = milp(cost, integrality=np.ones(len(pairs) + 1),
+               bounds=(0, [1] * len(pairs) + [np.inf]),
+               constraints=[LinearConstraint(agent_rows, 0, np.inf),
+                            LinearConstraint(item_rows, 0, 1)],
+               options={"mip_rel_gap": 0})
+    assert res.success, res.message
+    t = round(res.x[-1])
+    got = [0] * inst.n
+    for col, (i, j) in enumerate(pairs):
+        got[i] += weight[col] * round(res.x[col])
+    assert min(got) == t, (got, t)
+    return Fraction(t, q)
 
 
 def brute_heavy_matching(inst: Instance) -> int:
@@ -176,14 +213,13 @@ def brute_candidates(state) -> List[Tuple[int, Tuple[int, ...], str, int]]:
 
 
 def brute_signature(state) -> tuple:
-    """The tree's signature from its definition.  ARBITRARY: each addable
-    edge's live blocker count, in timestamp order.  CLOSEST: for every
-    distance d up to the largest in the tree, minus the addable edges at
-    d, then the heavy blockers at d (d even) or the light blockers at d+1
-    (d odd).  Both end in infinity, so a longer tree compares lower."""
-    if state.policy == ARBITRARY:
-        return tuple(len(e.blockers) for e in state.edges) + (float("inf"),)
-    dists = [e.dist for e in state.edges] + [b.dist for b in state.blockers.values()]
+    """The tree's signature from its definition: for every distance d up
+    to the largest that an edge or a blocker's layer reaches, minus the
+    addable edges at d, then the blockers in layer d: the heavy blockers
+    at d (d even) or the light blockers at d+1 (d odd).  It ends in
+    infinity, so a longer tree compares lower."""
+    dists = [e.dist for e in state.edges] + [
+        b.dist if b.kind == HEAVY_KIND else b.dist - 1 for b in state.blockers.values()]
     coords = []
     for d in range(max(dists, default=0) + 1):
         coords.append(-sum(1 for e in state.edges if e.dist == d))

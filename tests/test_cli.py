@@ -1,10 +1,11 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
 from maxminalloc import cli, clp, exact, flowkit, gen, lazysearch, simplex, treesearch
-from maxminalloc.model import Epsilon, serialize_instance
+from maxminalloc.model import HEAVY, LIGHT, Epsilon, Instance, Item, serialize_instance
 
 
 def write_instance(tmp_path, inst, name="inst.json"):
@@ -61,6 +62,32 @@ class TestSolve:
         out = str(tmp_path / "a.json")
         assert cli.main(["solve", yes_instance, "--algo", "auto", "--out", out]) == 0
         assert len(baseline_calls) == 1
+
+    def test_auto_on_fault_f1_input(self, tmp_path):
+        # quasi_solve once raised TreeInvariantError here, as a traceback
+        inst = gen.gen_random(80, 40, 400, 0.05, Epsilon(1, 10), seed=0)
+        out = str(tmp_path / "a.json")
+        assert cli.main(["solve", write_instance(tmp_path, inst), "--algo", "auto",
+                         "--out", out]) == 0
+
+    @pytest.mark.parametrize("lights, bounds", [(10, {"quasi": 3.4, "poly": 9.0}),
+                                                (20, {"quasi": 10.0, "poly": 10.0})])
+    def test_ratio_bound_only_up_to_three_halves(self, tmp_path, capsys, lights, bounds):
+        # agent 0 wants two heavy items, agent 1 `lights` light items: OPT is
+        # 1 with 10 lights, and 2 with 20, where the searches certify only
+        # T = 3/2 (quasi returns 1/2, poly the baseline's 1/5) and only the
+        # baseline's 1/eps holds
+        eps = Epsilon(1, 10)
+        items = [Item(0, HEAVY), Item(1, HEAVY)] + [Item(j, LIGHT) for j in range(2, 2 + lights)]
+        inst = Instance(eps, items, [[0, 1], list(range(2, 2 + lights))])
+        path = write_instance(tmp_path, inst)
+        opt, _ = exact.opt(inst)
+        for algo, bound in bounds.items():
+            out = str(tmp_path / f"{algo}.json")
+            assert cli.main(["solve", path, "--algo", algo, "--out", out]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["certified_ratio_bound"] == bound
+            assert opt.as_fraction(eps) <= bound * Fraction(report["value"])
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

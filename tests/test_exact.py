@@ -9,7 +9,7 @@ from maxminalloc.model import (
     Epsilon, Instance, Item, LIGHT, lattice_values, min_value, packing_cap,
 )
 
-from oracles import naive_opt
+from oracles import milp_opt, naive_opt
 
 
 def random_tiny(rng):
@@ -48,6 +48,12 @@ class TestOptProperties:
         v, alloc = exact.opt(inst)
         assert v.as_fraction(inst.epsilon) == naive_opt(inst)
         assert min_value(inst, alloc).key(inst.epsilon) >= v.key(inst.epsilon)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(tiny_instances())
+    def test_milp_oracle_matches_naive_enumeration(self, inst):
+        # milp_opt is the OPT oracle of the instances too large for naive_opt
+        assert milp_opt(inst) == naive_opt(inst)
 
     def test_never_probes_above_the_cap(self, monkeypatch):
         probed, real = [], exact.feasible_at
