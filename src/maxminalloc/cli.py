@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -126,7 +127,7 @@ def cmd_estimate(args) -> int:
     tstar = clp.estimate_Tstar(inst)
     report = {"T_star": _frac_str(tstar, eps)}
     if inst.m <= args.exact_cap:
-        opt_v, _ = exact.opt(inst, args.exact_cap)
+        opt_v, _ = exact.opt(inst, args.exact_cap, upper=tstar)  # OPT <= T*
         report["opt"] = _frac_str(opt_v, eps)
         if not opt_v.is_zero():
             ratio = tstar.as_fraction(eps) / opt_v.as_fraction(eps)
@@ -248,7 +249,10 @@ def _add_search_knobs(p):
     _add_exact_cap(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: option
+    defaults and each subcommand's `func` are bound then, once."""
     ap = argparse.ArgumentParser(prog="maxminalloc")
     sub = ap.add_subparsers(dest="command", required=True)
 

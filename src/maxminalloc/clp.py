@@ -11,7 +11,6 @@ integrality-gap certification matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -22,11 +21,10 @@ from .model import (
     Epsilon,
     Instance,
     LatticeValue,
+    capped_values,
     k_of,
     last_feasible,
-    lattice_values,
     lights_needed,
-    packing_cap,
 )
 
 DEFAULT_TOL = 1e-9
@@ -205,6 +203,24 @@ def solve_clp(
     return ClpResult(T, float(lam), lam >= 1.0 - DEFAULT_TOL, converged, positive)
 
 
+def feasible_at(
+    inst: Instance, T: LatticeValue, pool: Optional[Set[Column]] = None
+) -> bool:
+    """Whether CLP(T) is feasible: lambda* >= 1-DEFAULT_TOL, as `solve_clp`
+    decides it.  `pool` warm-starts the master and collects its columns.
+    A probe whose column generation hits MAX_ROUNDS below that bound shows
+    nothing, and raises MasterNotConverged."""
+    if T.is_zero():
+        return True
+    res = solve_clp(inst, T, pool)
+    if not res.converged:
+        raise MasterNotConverged(
+            f"column generation did not converge in {MAX_ROUNDS} rounds "
+            f"at T = {T.as_fraction(inst.epsilon)}"
+        )
+    return res.feasible
+
+
 def estimate_Tstar(inst: Instance) -> LatticeValue:
     """Largest lattice value T with CLP(T) feasible.
 
@@ -214,24 +230,15 @@ def estimate_Tstar(inst: Instance) -> LatticeValue:
     cap that holds only with lambda <= 1 - 1/(key(W) + 1), which fails
     the 1 - DEFAULT_TOL test whenever key(W) < 10**9 - 1.  The top value
     up to the cap is probed first, since T* often equals it; when it
-    fails, a binary search over the (monotone) feasibility predicate
+    fails, a binary search over the (monotone) `feasible_at` predicate
     covers the values below.  A column pool is warm-started across
-    probes.  A probe whose column generation hits MAX_ROUNDS below
-    1-DEFAULT_TOL shows nothing, and raises MasterNotConverged.
+    probes.
     """
-    values = lattice_values(inst, Fraction(packing_cap(inst), inst.epsilon.denominator))
+    values = capped_values(inst)
     pool: Set[Column] = set()
 
     def probe(T: LatticeValue) -> Optional[bool]:
-        if T.is_zero():
-            return True
-        res = solve_clp(inst, T, pool)
-        if not res.converged:
-            raise MasterNotConverged(
-                f"column generation did not converge in {MAX_ROUNDS} rounds "
-                f"at T = {T.as_fraction(inst.epsilon)}"
-            )
-        return res.feasible or None
+        return feasible_at(inst, T, pool) or None
 
     if probe(values[-1]):
         return values[-1]

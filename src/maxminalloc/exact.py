@@ -10,17 +10,15 @@ that is feasible (feasibility is monotone decreasing in T).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .model import (
     Allocation,
     Instance,
     LatticeValue,
+    capped_values,
     last_feasible,
-    lattice_values,
     lights_needed,
-    packing_cap,
 )
 
 DEFAULT_SIZE_CAP = 22
@@ -92,17 +90,21 @@ def feasible_at(
 
 
 def opt(
-    inst: Instance, size_cap: int = DEFAULT_SIZE_CAP
+    inst: Instance,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    upper: Optional[LatticeValue] = None,
 ) -> Tuple[LatticeValue, Allocation]:
     """Largest feasible lattice value plus a witness allocation.
 
     Only values up to `model.packing_cap` are searched: a T-allocation
     gives every agent T out of the W that the agents want, so
     n*key(T) <= key(W), and no agent reaches more than all it wants.
-    Every value above the cap fails, so the answer and its witness are
-    those of a search over the whole lattice.
+    Every value above the cap fails, so the answer is that of a search
+    over the whole lattice.  `upper`, when given, must be at least OPT
+    (T* is, since a T-allocation is a CLP(T) point), and the values above
+    it are not searched either; the witness may then differ.
     """
-    values = lattice_values(inst, Fraction(packing_cap(inst), inst.epsilon.denominator))
+    values = capped_values(inst, upper)
     # values[0] is zero, which always passes, so some index is found
     i, witness = last_feasible(values, lambda T: feasible_at(inst, T, size_cap)[1])
     return values[i], witness

@@ -16,6 +16,7 @@ from .model import (
     LatticeValue,
     LIGHT,
     ZERO,
+    capped_values,
 )
 from . import exact
 
@@ -198,6 +199,13 @@ def search_gap_witness(
     Returns (instance, Tstar, opt).  Instances with OPT = 0 are skipped
     (the ratio is undefined there); if no probe beats ratio 1 the
     best-found ratio-1 instance is returned.
+
+    A candidate replaces the best only on a strictly greater ratio rho,
+    so after the first one only T* > rho*OPT matters.  T* is a lattice
+    value up to `packing_cap`, and CLP feasibility is monotone in T, so
+    one `clp.feasible_at` probe at the lowest such value above rho*OPT
+    decides it; only a candidate that passes gets a full
+    `clp.estimate_Tstar`.
     """
     from . import clp  # local import: clp pulls in the simplex machinery
 
@@ -210,6 +218,11 @@ def search_gap_witness(
         opt_v, _ = exact.opt(inst)
         if opt_v.is_zero():
             continue
+        if best_ratio is not None:
+            beat = best_ratio * opt_v.as_fraction(eps)
+            lowest = next((T for T in capped_values(inst) if T.as_fraction(eps) > beat), None)
+            if lowest is None or not clp.feasible_at(inst, lowest):
+                continue  # T* <= rho*OPT: no better than the best
         tstar = clp.estimate_Tstar(inst)
         ratio = tstar.as_fraction(eps) / opt_v.as_fraction(eps)
         if best_ratio is None or ratio > best_ratio:

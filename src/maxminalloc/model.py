@@ -290,6 +290,15 @@ def packing_cap(inst: Instance) -> int:
     return min(reach, w_key // inst.n)
 
 
+def capped_values(inst: Instance, upper: Optional[LatticeValue] = None) -> List[LatticeValue]:
+    """The lattice values up to `packing_cap`, and up to `upper` when given:
+    the values a search for OPT or T* has to look at."""
+    key = packing_cap(inst)
+    if upper is not None:
+        key = min(key, upper.key(inst.epsilon))
+    return lattice_values(inst, Fraction(key, inst.epsilon.denominator))
+
+
 def last_feasible(values: Sequence, probe: Callable) -> Tuple[int, Optional[object]]:
     """Binary search for the last value a monotone probe passes.
 

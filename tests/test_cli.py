@@ -152,6 +152,23 @@ class TestEstimate:
         report = json.loads(capsys.readouterr().out)
         assert report["ratio"] == "2"
 
+    def test_opt_search_stops_at_tstar(self, tmp_path, capsys, monkeypatch):
+        # OPT = T* = 2/3 and the packing cap is 1, where a search up to the
+        # cap probes once above T*
+        items = [Item(0, HEAVY), Item(1, HEAVY)] + [Item(j, LIGHT) for j in range(2, 6)]
+        inst = Instance(Epsilon(1, 3), items, [[0, 5], [1, 2, 3, 4, 5], [0, 4, 5]])
+        probed, real = [], exact.feasible_at
+
+        def counted(inst, T, size_cap):
+            probed.append(T.key(inst.epsilon))
+            return real(inst, T, size_cap)
+
+        monkeypatch.setattr(exact, "feasible_at", counted)
+        assert cli.main(["estimate", write_instance(tmp_path, inst)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["T_star"], report["opt"]) == ("2/3", "2/3")
+        assert probed and max(probed) <= 2
+
     def test_rejects_search_knobs(self, yes_instance, capsys):
         for argv in (["estimate", yes_instance, "--mu", "0.5"],
                      ["estimate", yes_instance, "--tol", "1e-6"],
@@ -266,3 +283,20 @@ class TestBench:
         out = str(tmp_path / "bench.csv")
         assert cli.main(["bench", str(corpus), "--out", out]) == 0
         assert len(baseline_calls) == 3
+
+
+class TestParser:
+    def test_built_once_and_defaults_survive(self, yes_instance, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        budgets, real = [], treesearch.quasi_solve
+
+        def recorded(inst, budget, baseline=None):
+            budgets.append(budget)
+            return real(inst, budget, baseline)
+
+        monkeypatch.setattr(treesearch, "quasi_solve", recorded)
+        out = str(tmp_path / "a.json")
+        for extra in (["--budget", "5"], []):
+            argv = ["solve", yes_instance, "--algo", "quasi", "--out", out] + extra
+            assert cli.main(argv) == 0
+        assert budgets == [5, treesearch.DEFAULT_BUDGET]

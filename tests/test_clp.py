@@ -43,6 +43,28 @@ class TestSeparate:
                 assert cost == pytest.approx(want, abs=1e-9)
                 assert inst.bundle_value(items).key(inst.epsilon) >= T.key(inst.epsilon)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([Epsilon(1, 2), Epsilon(1, 3), Epsilon(2, 5), Epsilon(1, 6)]),
+           st.integers(0, 4), st.integers(0, 8), st.data())
+    def test_matches_exhaustive_property(self, eps, mh, ml, data):
+        items = [Item(j, HEAVY) for j in range(mh)] + [Item(mh + j, LIGHT) for j in range(ml)]
+        wanted = data.draw(st.sets(st.integers(0, mh + ml - 1)) if items else st.just(set()))
+        inst = Instance(eps, items, [wanted])
+        # few distinct prices, so that ties between items come up
+        z = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1),
+                               min_size=inst.m, max_size=inst.m))
+        T = LatticeValue(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 6)))
+        want = brute_min_knapsack(inst, 0, T.as_fraction(eps), z)
+        if want is None:
+            with pytest.raises(clp.NoConfiguration):
+                clp.separate(inst, 0, T, z)
+            return
+        cost, items = clp.separate(inst, 0, T, z)
+        assert cost == pytest.approx(want, abs=1e-9)
+        assert items <= inst.interests[0]
+        assert inst.bundle_value(items).key(eps) >= T.key(eps)
+        assert sum(z[j] for j in items) == pytest.approx(cost, abs=1e-9)
+
     def test_zero_duals_cost_zero(self):
         inst = gen.gen_random(1, 1, 3, 1.0, Epsilon(1, 2), 0)
         cost, _ = clp.separate(inst, 0, LatticeValue(1, 0), [0.0] * inst.m)

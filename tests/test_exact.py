@@ -55,6 +55,16 @@ class TestOptProperties:
         # milp_opt is the OPT oracle of the instances too large for naive_opt
         assert milp_opt(inst) == naive_opt(inst)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(tiny_instances(), st.data())
+    def test_upper_bound_keeps_the_answer(self, inst, data):
+        v, _ = exact.opt(inst)
+        upper = data.draw(st.sampled_from(
+            [T for T in lattice_values(inst) if T.key(inst.epsilon) >= v.key(inst.epsilon)]))
+        w, alloc = exact.opt(inst, upper=upper)
+        assert w == v
+        assert min_value(inst, alloc).key(inst.epsilon) >= v.key(inst.epsilon)
+
     def test_never_probes_above_the_cap(self, monkeypatch):
         probed, real = [], exact.feasible_at
 

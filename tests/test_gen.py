@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from maxminalloc import exact, gen
+from maxminalloc import clp, exact, gen
 from maxminalloc.model import Epsilon, parse_instance, serialize_instance
 
 
@@ -94,3 +94,62 @@ class TestGapWitness:
         a = gen.search_gap_witness(4, 6, eps, budget=50, seed=3)
         b = gen.search_gap_witness(4, 6, eps, budget=50, seed=3)
         assert serialize_instance(a[0]) == serialize_instance(b[0])
+
+
+def full_search_gap_witness(n_max, m_max, eps, budget, seed):
+    """The search without pruning: a full estimate_Tstar on every candidate."""
+    rng = random.Random(seed)
+    best, best_ratio = None, None
+    for inst in gen._gap_candidates(eps, rng, budget):
+        if inst.n > n_max or inst.m > m_max:
+            continue
+        opt_v, _ = exact.opt(inst)
+        if opt_v.is_zero():
+            continue
+        tstar = clp.estimate_Tstar(inst)
+        ratio = tstar.as_fraction(eps) / opt_v.as_fraction(eps)
+        if best_ratio is None or ratio > best_ratio:
+            best_ratio, best = ratio, (inst, tstar, opt_v)
+        if ratio >= 2:
+            break
+    return best
+
+
+PRUNE_CASES = [(Epsilon(1, d), seed) for d in range(2, 7) for seed in (0, 1, 5)]
+
+
+class TestPrunedGapSearch:
+    @pytest.mark.parametrize("eps,seed", PRUNE_CASES, ids=str)
+    def test_matches_full_search(self, eps, seed):
+        inst, tstar, opt_v = gen.search_gap_witness(4, 6, eps, budget=60, seed=seed)
+        want_inst, want_tstar, want_opt = full_search_gap_witness(4, 6, eps, 60, seed)
+        assert serialize_instance(inst) == serialize_instance(want_inst)
+        assert (tstar, opt_v) == (want_tstar, want_opt)
+
+    def test_at_most_one_probe_per_candidate_outside_estimate(self, monkeypatch):
+        counts = {"candidates": 0, "outside": 0, "inside": 0}
+        depth = [0]
+        real_opt, real_solve, real_estimate = exact.opt, clp.solve_clp, clp.estimate_Tstar
+
+        def opt(inst, *args, **kwargs):
+            counts["candidates"] += 1
+            return real_opt(inst, *args, **kwargs)
+
+        def solve_clp(*args, **kwargs):
+            counts["inside" if depth[0] else "outside"] += 1
+            return real_solve(*args, **kwargs)
+
+        def estimate_Tstar(inst):
+            depth[0] += 1
+            try:
+                return real_estimate(inst)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(exact, "opt", opt)
+        monkeypatch.setattr(clp, "solve_clp", solve_clp)
+        monkeypatch.setattr(clp, "estimate_Tstar", estimate_Tstar)
+        for eps, seed in [(Epsilon(1, 3), 2), (Epsilon(1, 5), 3)]:
+            gen.search_gap_witness(4, 6, eps, budget=300, seed=seed)
+        assert 0 < counts["outside"] <= counts["candidates"]
+        assert counts["inside"] > 0
