@@ -120,11 +120,46 @@ def separate(
 
 
 def _starting_columns(inst: Instance, T: LatticeValue) -> List[Column]:
-    cols = []
-    zeros = [0.0] * inst.m
-    for i in range(inst.n):
-        _, s = separate(inst, i, T, zeros)
-        cols.append(Column(i, s))
+    """Congestion-priced seed columns: the multiplicative-weights step of
+    Garg-Koenemann for fractional packing, used only to pick columns.
+
+    Every item's price starts at 1.  A pass takes each agent in turn, in
+    ascending order, keeps its cheapest configuration under the prices
+    when it is new, and doubles the price of every item in it, so later
+    agents steer around the items already taken; after each pass the
+    prices are divided by their maximum, which changes no comparison in
+    `separate` (it compares sums only) and keeps them finite.  Doubling,
+    the Garg-Koenemann update 1 + step with step 1, makes an item already
+    taken cost as much as two free ones, so later agents turn to free
+    items where they have them.  The passes stop after one that adds no
+    new column, or once the seed holds at least n + m columns, one per
+    master row: more columns than rows only lengthen every pricing step
+    of the simplex, and without the cap a large sparse instance keeps
+    finding new columns for thousands of passes.
+
+    Every seed column is a configuration in C(i, T), so the full master
+    and its optimum lambda* are the same for any seed; a seed that spreads
+    the agents out only lets the restricted master reach that optimum in
+    fewer rounds.  Raises NoConfiguration when some C(i, T) is empty.
+    """
+    n, m = inst.n, inst.m
+    price = [1.0] * m
+    cols: List[Column] = []
+    seen: Set[Column] = set()
+    while len(cols) < n + m:
+        before = len(cols)
+        for i in range(n):
+            _, s = separate(inst, i, T, price)
+            col = Column(i, s)
+            if col not in seen:
+                seen.add(col)
+                cols.append(col)
+            for j in s:
+                price[j] *= 2.0
+        if len(cols) == before:
+            break
+        top = max(price)
+        price = [p / top for p in price]
     return cols
 
 
@@ -135,7 +170,12 @@ def solve_clp(
 ) -> ClpResult:
     """Column generation on the max-lambda master; feasible iff lambda* >= 1-DEFAULT_TOL.
 
-    Pricing stops at the first restricted master that reaches that bound,
+    The first master holds the congestion-priced seed of
+    `_starting_columns` and the valid columns of `pool`.  Each is a
+    configuration in some C(i, T), and pricing adds every column the
+    duals ask for, so which columns the master starts from changes only
+    the number of rounds, never the optimum lambda* it converges to.
+    Pricing stops at the first restricted master that reaches 1-DEFAULT_TOL,
     which already shows CLP(T) feasible: the result is reported converged
     and feasible, and `lambda_star` is then a lower bound on the optimum.
     """
@@ -221,7 +261,11 @@ def feasible_at(
     return res.feasible
 
 
-def estimate_Tstar(inst: Instance) -> LatticeValue:
+def estimate_Tstar(
+    inst: Instance,
+    lower: Optional[LatticeValue] = None,
+    pool: Optional[Set[Column]] = None,
+) -> LatticeValue:
     """Largest lattice value T with CLP(T) feasible.
 
     C(i,T) only changes at lattice points, so the threshold is a lattice
@@ -233,16 +277,24 @@ def estimate_Tstar(inst: Instance) -> LatticeValue:
     fails, a binary search over the (monotone) `feasible_at` predicate
     covers the values below.  A column pool is warm-started across
     probes.
+
+    `lower`, a lattice value up to the cap that the caller already found
+    feasible, and `pool`, the columns of that probe, let the search start
+    from there: no value below `lower` is probed, nor `lower` itself.
     """
     values = capped_values(inst)
-    pool: Set[Column] = set()
+    if lower is not None:
+        key = lower.key(inst.epsilon)
+        values = [T for T in values if T.key(inst.epsilon) >= key]
+    if pool is None:
+        pool = set()
 
+    # values[0] is zero or `lower`, which passes either way, so some index is found
     def probe(T: LatticeValue) -> Optional[bool]:
-        return feasible_at(inst, T, pool) or None
+        return T is values[0] or feasible_at(inst, T, pool) or None
 
     if probe(values[-1]):
         return values[-1]
-    # values[0] is zero, which always passes, so some index is found
     return values[last_feasible(values[:-1], probe)[0]]
 
 

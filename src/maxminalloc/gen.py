@@ -4,6 +4,7 @@ reduction, and the integrality-gap witness search."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
@@ -204,8 +205,8 @@ def search_gap_witness(
     so after the first one only T* > rho*OPT matters.  T* is a lattice
     value up to `packing_cap`, and CLP feasibility is monotone in T, so
     one `clp.feasible_at` probe at the lowest such value above rho*OPT
-    decides it; only a candidate that passes gets a full
-    `clp.estimate_Tstar`.
+    decides it; only a candidate that passes gets `clp.estimate_Tstar`,
+    which searches from that value up with that probe's columns.
     """
     from . import clp  # local import: clp pulls in the simplex machinery
 
@@ -218,12 +219,14 @@ def search_gap_witness(
         opt_v, _ = exact.opt(inst)
         if opt_v.is_zero():
             continue
+        lowest, pool = None, set()
         if best_ratio is not None:
-            beat = best_ratio * opt_v.as_fraction(eps)
-            lowest = next((T for T in capped_values(inst) if T.as_fraction(eps) > beat), None)
-            if lowest is None or not clp.feasible_at(inst, lowest):
+            # key(T) > rho*OPT*q iff key(T) > floor(rho*OPT*q), keys being integers
+            beat = math.floor(best_ratio * opt_v.as_fraction(eps) * eps.denominator)
+            lowest = next((T for T in capped_values(inst) if T.key(eps) > beat), None)
+            if lowest is None or not clp.feasible_at(inst, lowest, pool):
                 continue  # T* <= rho*OPT: no better than the best
-        tstar = clp.estimate_Tstar(inst)
+        tstar = clp.estimate_Tstar(inst, lowest, pool)
         ratio = tstar.as_fraction(eps) / opt_v.as_fraction(eps)
         if best_ratio is None or ratio > best_ratio:
             best_ratio = ratio

@@ -15,6 +15,7 @@ from maxminalloc.model import (
     Item,
     LIGHT,
     LatticeValue,
+    capped_values,
     k_of,
     lattice_values,
     packing_cap,
@@ -132,23 +133,29 @@ def enumerated_lambda(inst, T):
     return -res.fun
 
 
+@st.composite
+def enumerable_instances(draw):
+    """A gen_random instance with at most 4 agents and 8 items."""
+    mh = draw(st.integers(0, 3))
+    return gen.gen_random(
+        draw(st.integers(1, 4)), mh, draw(st.integers(1, 8 - mh)),
+        draw(st.sampled_from([0.3, 0.5, 0.7, 1.0])),
+        draw(st.sampled_from([Epsilon(1, 2), Epsilon(1, 3), Epsilon(2, 5)])),
+        draw(st.integers(0, 2**30)),
+    )
+
+
 class TestSolveClpAgainstEnumeration:
-    def test_lambda_matches_full_configuration_lp(self):
-        rng = random.Random(3)
-        eps_pool = [Epsilon(1, 2), Epsilon(1, 3), Epsilon(2, 5)]
-        for _ in range(40):
-            mh = rng.randint(0, 3)
-            inst = gen.gen_random(
-                rng.randint(1, 4), mh, rng.randint(1, 8 - mh), rng.uniform(0.3, 1.0),
-                rng.choice(eps_pool), rng.randrange(2**30),
-            )
-            for T in lattice_values(inst)[1:]:
-                want = enumerated_lambda(inst, T)
-                res = clp.solve_clp(inst, T)
-                assert res.converged
-                # pricing stops once the restricted master reaches 1 - tol,
-                # so from 1 up its lambda is a lower bound on the full one
-                assert min(want, 1.0) - 1e-7 <= res.lambda_star <= want + 1e-7
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(enumerable_instances())
+    def test_lambda_matches_full_configuration_lp(self, inst):
+        for T in lattice_values(inst)[1:]:
+            want = enumerated_lambda(inst, T)
+            res = clp.solve_clp(inst, T)
+            assert res.converged
+            # pricing stops once the restricted master reaches 1 - tol,
+            # so from 1 up its lambda is a lower bound on the full one
+            assert min(want, 1.0) - 1e-7 <= res.lambda_star <= want + 1e-7
 
 
 class TestEarlyStop:
@@ -166,13 +173,17 @@ class TestEarlyStop:
         return lams
 
     def test_one_master_when_the_first_reaches_one(self, monkeypatch):
-        """One agent, two heavy items, T = 1: the starting column alone gives
-        lambda = 1, although the full master's lambda is 2."""
-        inst = Instance(Epsilon(1, 2), [Item(0, HEAVY), Item(1, HEAVY)], [[0, 1]])
+        """One agent, one heavy and three light items, eps = 1/2, T = 1: the
+        seed columns {0} and {1, 2} alone give lambda = 2, although the
+        full master's lambda is 5/2 (the three light pairs add 1/2)."""
+        inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)] + [Item(j, LIGHT) for j in (1, 2, 3)],
+                        [[0, 1, 2, 3]])
+        T = LatticeValue(0, 2)
+        assert enumerated_lambda(inst, T) == pytest.approx(2.5)
         lams = self.master_lambdas(monkeypatch)
-        res = clp.solve_clp(inst, LatticeValue(1, 0))
-        assert lams == [pytest.approx(1.0)]
-        assert res.feasible and res.converged and res.lambda_star == pytest.approx(1.0)
+        res = clp.solve_clp(inst, T)
+        assert lams == [pytest.approx(2.0)]
+        assert res.feasible and res.converged and res.lambda_star == pytest.approx(2.0)
 
     def test_pricing_stops_at_the_first_feasible_master(self, monkeypatch):
         lams = self.master_lambdas(monkeypatch)
@@ -226,12 +237,26 @@ class TestEstimateTstar:
 
     def test_fault_f2_n40_matches_highs(self):
         # F2's larger input, 176 rows.  T = 5/3 is the packing cap and the
-        # only probe: its 25 masters take 4,222 pivots, up to 652 in one,
-        # and 31 ratio ties past simplex.LEX_AFTER go to the lexicographic
-        # rule, which this test covers on a real master.  Bland's rule ran
-        # into the simplex iteration cap on this input.
+        # only probe: from the congestion-priced seed its one master takes
+        # 65 pivots (25 masters and 4,222 pivots from one column per
+        # agent).  Bland's rule ran into the simplex iteration cap here.
         inst = gen.gen_random(40, 40, 96, 0.3, Epsilon(1, 3), seed=0)
         assert clp.estimate_Tstar(inst) == LatticeValue(0, 5)  # 5/3, as HiGHS
+
+    def test_lexicographic_ties_on_a_real_master(self, monkeypatch):
+        # the fault F1 input, 520 rows: the seed stops at 538 columns, and
+        # the one master of the top probe, T = 9/10, takes 753 pivots, so
+        # ratio ties past simplex.LEX_AFTER go to the lexicographic rule
+        calls, real = [], np.lexsort
+
+        def counted(keys):
+            calls.append(len(keys))
+            return real(keys)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        inst = gen.gen_random(80, 40, 400, 0.05, Epsilon(1, 10), seed=0)
+        assert clp.estimate_Tstar(inst) == LatticeValue(0, 9)
+        assert calls
 
     def test_search_below_a_failed_top_probe(self, monkeypatch):
         # an lp-mid-shaped instance whose T* lies below the packing cap
@@ -243,9 +268,14 @@ class TestEstimateTstar:
         assert all(T.key(inst.epsilon) < 5 for T in probes[1:])
 
     def test_unconverged_probe_raises(self, monkeypatch):
-        inst = gen.gen_random(6, 3, 8, 0.5, Epsilon(1, 3), seed=4)
-        assert clp.estimate_Tstar(inst).as_fraction(inst.epsilon) > 0
+        # the top probe, T = 1, is infeasible (lambda* = 2/3), and its
+        # first master stops at lambda = 1/2 with columns left to price
+        inst = gen.gen_random(4, 2, 6, 0.6, Epsilon(1, 3), seed=24)
+        assert clp.estimate_Tstar(inst) == LatticeValue(0, 2)
+        assert packing_cap(inst) == 3
         monkeypatch.setattr(clp, "MAX_ROUNDS", 1)
+        res = clp.solve_clp(inst, LatticeValue(0, 3))
+        assert not res.converged and res.lambda_star < 1 - clp.DEFAULT_TOL
         with pytest.raises(clp.MasterNotConverged):
             clp.estimate_Tstar(inst)
 
@@ -284,6 +314,65 @@ class TestPackingCap:
                     if enumerated_lambda(inst, T) >= 1 - 1e-7]
         want = feasible[-1] if feasible else LatticeValue(0, 0)
         assert clp.estimate_Tstar(inst) == want
+
+
+class TestStartingColumns:
+    @PROPERTY
+    @given(small_random_instances(), st.data())
+    def test_seed_columns_are_configurations(self, inst, data):
+        eps = inst.epsilon
+        T = data.draw(st.sampled_from(lattice_values(inst)[1:]))
+        prices, real = [], clp.separate
+
+        def recorded(inst, agent, T, z):
+            prices.extend(z)
+            return real(inst, agent, T, z)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clp, "separate", recorded)
+            if any(inst.bundle_value(s).key(eps) < T.key(eps) for s in inst.interests):
+                with pytest.raises(clp.NoConfiguration):
+                    clp._starting_columns(inst, T)
+                return
+            cols = clp._starting_columns(inst, T)
+        assert len(set(cols)) == len(cols) < inst.n + inst.m + inst.n
+        for col in cols:
+            assert col.items <= inst.interests[col.agent]
+            assert inst.bundle_value(col.items).key(eps) >= T.key(eps)
+        assert prices and all(0 <= p < float("inf") for p in prices)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 8), st.integers(0, 3), st.integers(0, 12), st.integers(0, 2**30))
+    def test_cap_on_larger_instances(self, n, mh, ml, seed):
+        # up to 8 agents: without the n + m stop the seed grows past n + m + n here
+        inst = gen.gen_random(n, mh, ml + 1, 0.6, Epsilon(1, 4), seed)
+        for T in lattice_values(inst)[1:3]:
+            try:
+                cols = clp._starting_columns(inst, T)
+            except clp.NoConfiguration:
+                continue
+            assert len(set(cols)) == len(cols) < inst.n + inst.m + inst.n
+
+
+class TestEstimateFromALowerBound:
+    @PROPERTY
+    @given(small_random_instances(), st.data())
+    def test_same_threshold_and_no_probe_at_or_below_lower(self, inst, data):
+        eps = inst.epsilon
+        tstar = clp.estimate_Tstar(inst)
+        lower = data.draw(st.sampled_from(
+            [T for T in capped_values(inst) if T.key(eps) <= tstar.key(eps)]))
+        pool = set()
+        probes, real = [], clp.solve_clp
+
+        def counted(inst, T, pool=None):
+            probes.append(T.key(eps))
+            return real(inst, T, pool)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clp, "solve_clp", counted)
+            assert clp.estimate_Tstar(inst, lower, pool) == tstar
+        assert all(key > lower.key(eps) for key in probes)
 
 
 class TestMinimalize:

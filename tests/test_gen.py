@@ -139,10 +139,10 @@ class TestPrunedGapSearch:
             counts["inside" if depth[0] else "outside"] += 1
             return real_solve(*args, **kwargs)
 
-        def estimate_Tstar(inst):
+        def estimate_Tstar(*args, **kwargs):
             depth[0] += 1
             try:
-                return real_estimate(inst)
+                return real_estimate(*args, **kwargs)
             finally:
                 depth[0] -= 1
 
