@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--size", type=int, default=2, help="3DM ground-set size")
     p.add_argument("--extra-edges", type=int, default=2)
-    p.add_argument("--budget", type=int, default=2000, help="gap-search probes")
+    p.add_argument("--budget", type=int, default=2000,
+                   help="gap-search: up to this many structured candidates, then as many "
+                        "random ones, repeats included")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="check an allocation file")

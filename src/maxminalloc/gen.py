@@ -3,6 +3,7 @@ reduction, and the integrality-gap witness search."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -188,6 +189,44 @@ def _gap_candidates(eps: Epsilon, rng: random.Random, budget: int):
         yield gen_random(n, mh, ml, rng.uniform(0.3, 0.9), eps, rng.randrange(2**30))
 
 
+@functools.cache
+def _same_kind_relabelings(h: int, l: int) -> Tuple[Tuple[int, ...], ...]:
+    """One table per permutation of h heavy and l light item ranks.
+
+    Bits 0..h-1 of a mask are heavy ranks and bits h..h+l-1 light ranks;
+    entry `mask` of a table is the mask with its bits permuted, heavy
+    among heavy and light among light.  That is h!*l! tables of 2^(h+l)
+    entries each: 48 of 64 for the gap search's 2 heavy and 4 light items.
+    """
+    m = h + l
+    tables = []
+    for heavy in itertools.permutations(range(h)):
+        for light in itertools.permutations(range(h, m)):
+            to = heavy + light
+            table = [0] * (1 << m)
+            for mask in range(1, 1 << m):
+                low = mask & -mask
+                table[mask] = table[mask ^ low] | (1 << to[low.bit_length() - 1])
+            tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _isomorphism_key(inst: Instance) -> tuple:
+    """Equal for two instances iff one is the other after renaming agents,
+    heavy items among heavy items and light items among light items.
+
+    Each agent's interests become a bitmask over item ranks (heavy ids
+    ranked among the sorted heavy ids, light among the light); the key is
+    the least sorted mask list over all same-kind relabelings.  Exponential
+    in the item count: meant for the gap search's tiny candidates.
+    """
+    heavy, light = sorted(inst.heavy_ids), sorted(inst.light_ids)
+    bit = {j: 1 << r for r, j in enumerate(heavy + light)}
+    masks = [sum(bit[j] for j in s) for s in inst.interests]
+    tables = _same_kind_relabelings(len(heavy), len(light))
+    return len(heavy), len(light), tuple(min(sorted(t[x] for x in masks) for t in tables))
+
+
 def search_gap_witness(
     n_max: int,
     m_max: int,
@@ -207,15 +246,29 @@ def search_gap_witness(
     one `clp.feasible_at` probe at the lowest such value above rho*OPT
     decides it; only a candidate that passes gets `clp.estimate_Tstar`,
     which searches from that value up with that probe's columns.
+
+    A candidate isomorphic to one already visited (`_isomorphism_key`) is
+    skipped before its OPT is computed.  It has the same OPT and T* as its
+    first copy.  Where that OPT is 0 it would be skipped anyway; otherwise
+    it has the same ratio, and rho, which never falls, has been at least
+    that ratio since the first copy was seen, whether that copy became
+    the best, lost to it, or was ruled out by its probe.  A repeat can
+    never beat rho, so skipping it leaves the returned (instance, T*, OPT)
+    unchanged.
     """
     from . import clp  # local import: clp pulls in the simplex machinery
 
     rng = random.Random(seed)
     best = None
     best_ratio = None  # Fraction
+    seen = set()
     for inst in _gap_candidates(eps, rng, budget):
         if inst.n > n_max or inst.m > m_max:
             continue
+        key = _isomorphism_key(inst)
+        if key in seen:
+            continue
+        seen.add(key)
         opt_v, _ = exact.opt(inst)
         if opt_v.is_zero():
             continue

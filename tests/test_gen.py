@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxminalloc import clp, exact, gen
-from maxminalloc.model import Epsilon, parse_instance, serialize_instance
+from maxminalloc.model import (
+    Epsilon, HEAVY, Instance, Item, LIGHT, parse_instance, serialize_instance,
+)
 
 
 def brute_has_perfect_matching(h):
@@ -115,16 +119,41 @@ def full_search_gap_witness(n_max, m_max, eps, budget, seed):
     return best
 
 
-PRUNE_CASES = [(Epsilon(1, d), seed) for d in range(2, 7) for seed in (0, 1, 5)]
+# The longest of the 54 gap searches of the benchmark's desk workload:
+# 185 candidates within the caps, 18 of them up to renaming.
+DESK_LONGEST = (Epsilon(1, 5), 3, 2000)
+PRUNE_CASES = [
+    pytest.param(Epsilon(1, d), seed, 60, id=f"1/{d}-{seed}")
+    for d in range(2, 7) for seed in (0, 1, 5)
+] + [pytest.param(*DESK_LONGEST, id="desk-longest")]
 
 
 class TestPrunedGapSearch:
-    @pytest.mark.parametrize("eps,seed", PRUNE_CASES, ids=str)
-    def test_matches_full_search(self, eps, seed):
-        inst, tstar, opt_v = gen.search_gap_witness(4, 6, eps, budget=60, seed=seed)
-        want_inst, want_tstar, want_opt = full_search_gap_witness(4, 6, eps, 60, seed)
+    @pytest.mark.parametrize("eps,seed,budget", PRUNE_CASES)
+    def test_matches_full_search(self, eps, seed, budget):
+        inst, tstar, opt_v = gen.search_gap_witness(4, 6, eps, budget, seed)
+        want_inst, want_tstar, want_opt = full_search_gap_witness(4, 6, eps, budget, seed)
         assert serialize_instance(inst) == serialize_instance(want_inst)
         assert (tstar, opt_v) == (want_tstar, want_opt)
+
+    def test_one_opt_per_isomorphism_class(self, monkeypatch):
+        counts = {"candidates": 0, "opt": 0}
+        real_candidates, real_opt = gen._gap_candidates, exact.opt
+
+        def candidates(*args):
+            for inst in real_candidates(*args):
+                counts["candidates"] += inst.n <= 4 and inst.m <= 6
+                yield inst
+
+        def opt(inst, *args, **kwargs):
+            counts["opt"] += 1
+            return real_opt(inst, *args, **kwargs)
+
+        monkeypatch.setattr(gen, "_gap_candidates", candidates)
+        monkeypatch.setattr(exact, "opt", opt)
+        eps, seed, budget = DESK_LONGEST
+        gen.search_gap_witness(4, 6, eps, budget, seed)
+        assert counts == {"candidates": 185, "opt": 18}
 
     def test_at_most_one_probe_per_candidate_outside_estimate(self, monkeypatch):
         counts = {"candidates": 0, "outside": 0, "inside": 0}
@@ -153,3 +182,81 @@ class TestPrunedGapSearch:
             gen.search_gap_witness(4, 6, eps, budget=300, seed=seed)
         assert 0 < counts["outside"] <= counts["candidates"]
         assert counts["inside"] > 0
+
+
+@st.composite
+def small_instances(draw):
+    """Up to 4 agents, 2 heavy and 4 light items with the kinds in any id
+    order, each interest present with one drawn density."""
+    kinds = [HEAVY] * draw(st.integers(0, 2)) + [LIGHT] * draw(st.integers(0, 4))
+    kinds = draw(st.permutations(kinds))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    density = draw(st.floats(0.0, 1.0))
+    interests = [
+        [j for j in range(len(kinds)) if rng.random() < density]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return Instance(Epsilon(1, 2), [Item(j, k) for j, k in enumerate(kinds)], interests)
+
+
+def relabeled(inst, rng):
+    """`inst` with its item ids permuted (each item keeps its kind) and its
+    agents shuffled."""
+    new_id = list(range(inst.m))
+    rng.shuffle(new_id)
+    items = sorted((Item(new_id[it.id], it.kind) for it in inst.items), key=lambda it: it.id)
+    interests = [[new_id[j] for j in s] for s in inst.interests]
+    rng.shuffle(interests)
+    return Instance(inst.epsilon, items, interests)
+
+
+@st.composite
+def instance_pairs(draw):
+    """An instance and either a fresh one, a relabeled copy, a relabeled
+    copy with one interest flipped, or one where a heavy and a light item
+    trade kinds (same edges and kind counts)."""
+    a = draw(small_instances())
+    how = draw(st.sampled_from(["fresh", "relabeled", "flipped", "swapped"]))
+    if how == "fresh":
+        return a, draw(small_instances())
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    b = relabeled(a, rng)
+    if how == "flipped" and b.m:
+        interests = [set(s) for s in b.interests]
+        interests[rng.randrange(b.n)] ^= {rng.randrange(b.m)}
+        b = Instance(b.epsilon, b.items, interests)
+    if how == "swapped" and b.heavy_ids and b.light_ids:
+        h, l = rng.choice(sorted(b.heavy_ids)), rng.choice(sorted(b.light_ids))
+        kind = {h: LIGHT, l: HEAVY}
+        items = [Item(it.id, kind.get(it.id, it.kind)) for it in b.items]
+        b = Instance(b.epsilon, items, b.interests)
+    return a, b
+
+
+def interest_graph(inst):
+    """The agent-item bipartite graph, each node labeled agent, heavy or light."""
+    g = nx.Graph()
+    g.add_nodes_from((("agent", i), {"kind": "agent"}) for i in range(inst.n))
+    g.add_nodes_from((("item", it.id), {"kind": it.kind}) for it in inst.items)
+    g.add_edges_from(
+        (("agent", i), ("item", j)) for i, s in enumerate(inst.interests) for j in s
+    )
+    return g
+
+
+class TestIsomorphismKey:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(instance_pairs())
+    def test_equal_iff_networkx_isomorphic(self, pair):
+        a, b = pair
+        iso = nx.is_isomorphic(
+            interest_graph(a), interest_graph(b),
+            node_match=lambda x, y: x["kind"] == y["kind"],
+        )
+        assert (gen._isomorphism_key(a) == gen._isomorphism_key(b)) == iso
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_instances(), st.integers(0, 2**30))
+    def test_unchanged_by_relabeling(self, inst, seed):
+        assert gen._isomorphism_key(relabeled(inst, random.Random(seed))) == \
+            gen._isomorphism_key(inst)
