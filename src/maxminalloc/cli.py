@@ -46,6 +46,20 @@ def _load_instance(path: str) -> Instance:
         raise SystemExit(EXIT_PARSE)
 
 
+def _epsilon_arg(text: str) -> Epsilon:
+    try:
+        return Epsilon.parse(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad fraction {text!r}") from None
+
+
 def _frac_str(value, eps: Epsilon) -> str:
     return str(value.as_fraction(eps))
 
@@ -137,17 +151,21 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    eps = Epsilon.parse(args.eps)
-    if args.kind == "random":
-        inst = gen.gen_random(
-            args.n, args.m_heavy, args.m_light, args.density, eps, args.seed
-        )
-    elif args.kind == "3dm-yes":
-        h, _ = gen.gen_3dm_yes(args.size, args.extra_edges, args.seed)
-        inst = gen.reduce_3dm(h, eps)
-    elif args.kind == "3dm-no":
-        inst = gen.reduce_3dm(gen.gen_3dm_no(args.size, args.seed), eps)
-    else:  # gap-search
+    eps = args.eps
+    try:
+        if args.kind == "random":
+            inst = gen.gen_random(
+                args.n, args.m_heavy, args.m_light, args.density, eps, args.seed
+            )
+        elif args.kind == "3dm-yes":
+            h, _ = gen.gen_3dm_yes(args.size, args.extra_edges, args.seed)
+            inst = gen.reduce_3dm(h, eps)
+        elif args.kind == "3dm-no":
+            inst = gen.reduce_3dm(gen.gen_3dm_no(args.size, args.seed), eps)
+    except ValueError as exc:  # ParseError too: a random instance without agents
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.kind == "gap-search":
         inst, tstar, opt_v = gen.search_gap_witness(
             args.n, args.m, eps, args.budget, args.seed
         )
@@ -181,9 +199,8 @@ def cmd_verify(args) -> int:
             print(v)
         return EXIT_INVALID
     value = min_value(inst, alloc)
-    threshold = Fraction(args.min_value)
-    if value.as_fraction(inst.epsilon) < threshold:
-        print(f"min value {value.as_fraction(inst.epsilon)} below {threshold}")
+    if value.as_fraction(inst.epsilon) < args.min_value:
+        print(f"min value {value.as_fraction(inst.epsilon)} below {args.min_value}")
         return EXIT_INVALID
     return EXIT_OK
 
@@ -272,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a generated instance")
     p.add_argument("kind", choices=["random", "3dm-yes", "3dm-no", "gap-search"])
     p.add_argument("--out", required=True)
-    p.add_argument("--eps", default="1/2", help="light weight as p/q")
+    p.add_argument("--eps", type=_epsilon_arg, default="1/2", help="light weight as p/q")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=4, help="agents (random/gap-search cap)")
     p.add_argument("--m", type=int, default=6, help="item cap for gap-search")
@@ -289,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an allocation file")
     p.add_argument("instance")
     p.add_argument("allocation")
-    p.add_argument("--min-value", default="0", help="required min value, p/q")
+    p.add_argument("--min-value", type=_fraction_arg, default="0",
+                   help="required min value, p/q")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run algorithms over a corpus directory")

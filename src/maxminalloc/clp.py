@@ -18,13 +18,12 @@ import numpy as np
 
 from . import simplex
 from .model import (
-    Epsilon,
     Instance,
     LatticeValue,
     capped_values,
     k_of,
     last_feasible,
-    lights_needed,
+    minimal_count_pairs,
 )
 
 DEFAULT_TOL = 1e-9
@@ -49,7 +48,6 @@ class Column:
 
 @dataclass
 class ClpResult:
-    T: LatticeValue
     lambda_star: float
     feasible: bool
     converged: bool
@@ -60,7 +58,6 @@ class ClpResult:
 class SupportSolution:
     """Per-agent heavy-only / light-only configurations with fractional mass."""
 
-    T: LatticeValue
     k: int
     heavy: Dict[int, Dict[FrozenSet[int], float]]
     light: Dict[int, Dict[FrozenSet[int], float]]
@@ -92,29 +89,24 @@ def separate(
 ) -> Tuple[float, FrozenSet[int]]:
     """Cheapest configuration of agent under item prices z, exactly.
 
-    For each heavy count h, the optimum takes the h cheapest heavy prices
-    plus the minimally required number of cheapest light prices (prices
-    are non-negative, so extra items never help).  Raises NoConfiguration
-    when C(agent, T) is empty.
+    For each minimal (heavy, light) count pair (`minimal_count_pairs`),
+    the optimum takes that many of the cheapest heavy and light prices
+    (prices are non-negative, so extra items never help).  Raises
+    NoConfiguration when C(agent, T) is empty.
     """
-    eps = inst.epsilon
     # b1 and beps ascend and sorted is stable, so equal prices stay by index
     heavies = sorted(inst.b1(agent), key=z.__getitem__)
     lights = sorted(inst.beps(agent), key=z.__getitem__)
+    pairs = minimal_count_pairs(T, inst.epsilon, len(heavies), len(lights))
+    if not pairs:
+        raise NoConfiguration(f"agent {agent} cannot reach T")
     hcost = list(accumulate(map(z.__getitem__, heavies), initial=0.0))
     lcost = list(accumulate(map(z.__getitem__, lights), initial=0.0))
     best = None
-    for h in range(len(heavies) + 1):
-        l = lights_needed(T, eps, h)
-        if l > len(lights):
-            continue
+    for h, l in pairs:
         cost = hcost[h] + lcost[l]
         if best is None or cost < best[0] - 1e-15:
             best = (cost, h, l)
-        if l == 0:
-            break  # adding more heavies only raises the cost
-    if best is None:
-        raise NoConfiguration(f"agent {agent} cannot reach T")
     cost, h, l = best
     return float(cost), frozenset(heavies[:h] + lights[:l])
 
@@ -181,11 +173,11 @@ def solve_clp(
     """
     eps = inst.epsilon
     if T.key(eps) <= 0:
-        return ClpResult(T, 1.0, True, True, [])
+        return ClpResult(1.0, True, True, [])
     try:
         columns: List[Column] = _starting_columns(inst, T)
     except NoConfiguration:
-        return ClpResult(T, 0.0, False, True, [])
+        return ClpResult(0.0, False, True, [])
     seen: Set[Column] = set(columns)
     tkey = T.key(eps)
     if pool:
@@ -240,7 +232,7 @@ def solve_clp(
         for idx in range(len(columns))
         if idx < len(x) and x[idx] > 1e-12
     ]
-    return ClpResult(T, float(lam), lam >= 1.0 - DEFAULT_TOL, converged, positive)
+    return ClpResult(float(lam), lam >= 1.0 - DEFAULT_TOL, converged, positive)
 
 
 def feasible_at(
@@ -261,11 +253,7 @@ def feasible_at(
     return res.feasible
 
 
-def estimate_Tstar(
-    inst: Instance,
-    lower: Optional[LatticeValue] = None,
-    pool: Optional[Set[Column]] = None,
-) -> LatticeValue:
+def estimate_Tstar(inst: Instance, above: Optional[int] = None) -> Optional[LatticeValue]:
     """Largest lattice value T with CLP(T) feasible.
 
     C(i,T) only changes at lattice points, so the threshold is a lattice
@@ -278,18 +266,19 @@ def estimate_Tstar(
     covers the values below.  A column pool is warm-started across
     probes.
 
-    `lower`, a lattice value up to the cap that the caller already found
-    feasible, and `pool`, the columns of that probe, let the search start
-    from there: no value below `lower` is probed, nor `lower` itself.
+    `above`, a lattice key, asks only whether key(T*) > above: the lowest
+    value up to the cap above it is probed first, and None is returned
+    when there is none or it fails.  Otherwise the search goes on from
+    that value, and no value with a key up to `above` is probed.
     """
     values = capped_values(inst)
-    if lower is not None:
-        key = lower.key(inst.epsilon)
-        values = [T for T in values if T.key(inst.epsilon) >= key]
-    if pool is None:
-        pool = set()
+    pool: Set[Column] = set()
+    if above is not None:
+        values = [T for T in values if T.key(inst.epsilon) > above]
+        if not values or not feasible_at(inst, values[0], pool):
+            return None
 
-    # values[0] is zero or `lower`, which passes either way, so some index is found
+    # values[0] is zero or was found feasible, so some index is found
     def probe(T: LatticeValue) -> Optional[bool]:
         return T is values[0] or feasible_at(inst, T, pool) or None
 
@@ -315,7 +304,7 @@ def minimalize(inst: Instance, res: ClpResult, T: LatticeValue) -> SupportSoluti
         else:
             bucket = light.setdefault(col.agent, {})
             bucket[col.items] = bucket.get(col.items, 0.0) + mass
-    sol = SupportSolution(T, k, heavy, light)
+    sol = SupportSolution(k, heavy, light)
     _check_support(inst, sol)
     return sol
 

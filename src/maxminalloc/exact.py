@@ -10,7 +10,7 @@ that is feasible (feasibility is monotone decreasing in T).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .model import (
     Allocation,
@@ -18,7 +18,7 @@ from .model import (
     LatticeValue,
     capped_values,
     last_feasible,
-    lights_needed,
+    minimal_count_pairs,
 )
 
 DEFAULT_SIZE_CAP = 22
@@ -26,22 +26,6 @@ DEFAULT_SIZE_CAP = 22
 
 class InstanceTooLarge(ValueError):
     """Instance exceeds the exact-mode item cap."""
-
-
-def _minimal_count_pairs(T, eps, max_h: int, max_l: int) -> List[Tuple[int, int]]:
-    """Inclusion-minimal (heavy, light) count pairs reaching weight >= T."""
-    pairs = []
-    prev_l = None
-    for h in range(max_h + 1):
-        l = lights_needed(T, eps, h)
-        if h > 0 and prev_l is not None and l >= prev_l:
-            break  # extra heavies no longer reduce the light need: not minimal
-        if l <= max_l:
-            pairs.append((h, l))
-        prev_l = l
-        if l == 0:
-            break
-    return pairs
 
 
 def feasible_at(
@@ -55,9 +39,9 @@ def feasible_at(
         return True, {i: frozenset() for i in range(inst.n)}
 
     # quick reject: some agent cannot reach T even with everything it likes
-    for i in range(inst.n):
-        if lights_needed(T, eps, len(inst.b1(i))) > len(inst.beps(i)):
-            return False, None
+    if any(not minimal_count_pairs(T, eps, len(inst.b1(i)), len(inst.beps(i)))
+           for i in range(inst.n)):
+        return False, None
 
     n = inst.n
     failed: set = set()
@@ -70,7 +54,7 @@ def feasible_at(
             return False
         ah = [j for j in inst.b1(i) if not (used >> j) & 1]
         al = [j for j in inst.beps(i) if not (used >> j) & 1]
-        for h, l in _minimal_count_pairs(T, eps, len(ah), len(al)):
+        for h, l in minimal_count_pairs(T, eps, len(ah), len(al)):
             for hs in itertools.combinations(ah, h):
                 for ls in itertools.combinations(al, l):
                     mask = used

@@ -18,7 +18,6 @@ from .model import (
     LatticeValue,
     LIGHT,
     ZERO,
-    capped_values,
 )
 from . import exact
 
@@ -241,11 +240,9 @@ def search_gap_witness(
     best-found ratio-1 instance is returned.
 
     A candidate replaces the best only on a strictly greater ratio rho,
-    so after the first one only T* > rho*OPT matters.  T* is a lattice
-    value up to `packing_cap`, and CLP feasibility is monotone in T, so
-    one `clp.feasible_at` probe at the lowest such value above rho*OPT
-    decides it; only a candidate that passes gets `clp.estimate_Tstar`,
-    which searches from that value up with that probe's columns.
+    so after the first one only T* > rho*OPT matters: `clp.estimate_Tstar`
+    is asked for T* above that bound, and rules a candidate out with one
+    LP probe.
 
     A candidate isomorphic to one already visited (`_isomorphism_key`) is
     skipped before its OPT is computed.  It has the same OPT and T* as its
@@ -272,14 +269,12 @@ def search_gap_witness(
         opt_v, _ = exact.opt(inst)
         if opt_v.is_zero():
             continue
-        lowest, pool = None, set()
-        if best_ratio is not None:
-            # key(T) > rho*OPT*q iff key(T) > floor(rho*OPT*q), keys being integers
-            beat = math.floor(best_ratio * opt_v.as_fraction(eps) * eps.denominator)
-            lowest = next((T for T in capped_values(inst) if T.key(eps) > beat), None)
-            if lowest is None or not clp.feasible_at(inst, lowest, pool):
-                continue  # T* <= rho*OPT: no better than the best
-        tstar = clp.estimate_Tstar(inst, lowest, pool)
+        # key(T) > rho*OPT*q iff key(T) > floor(rho*OPT*q), keys being integers
+        beat = (None if best_ratio is None
+                else math.floor(best_ratio * opt_v.as_fraction(eps) * eps.denominator))
+        tstar = clp.estimate_Tstar(inst, beat)
+        if tstar is None:
+            continue  # T* <= rho*OPT: no better than the best
         ratio = tstar.as_fraction(eps) / opt_v.as_fraction(eps)
         if best_ratio is None or ratio > best_ratio:
             best_ratio = ratio

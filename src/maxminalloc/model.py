@@ -166,6 +166,13 @@ def lowest_free(items: Sequence[int], taken, count: int) -> Optional[Tuple[int, 
 Allocation = Dict[int, FrozenSet[int]]
 
 
+def _json_int(value, what: str) -> int:
+    """`value` when it is a JSON integer; JSON true and 1.0 are not."""
+    if type(value) is not int:
+        raise ParseError(f"bad {what} {value!r}")
+    return value
+
+
 def parse_instance(text: bytes) -> Instance:
     try:
         doc = json.loads(text.decode("utf-8"))
@@ -173,13 +180,14 @@ def parse_instance(text: bytes) -> Instance:
         raise ParseError(f"malformed JSON: {exc}") from None
     try:
         eps = Epsilon.parse(doc["epsilon"])
-        items = sorted((Item(it["id"], it["kind"]) for it in doc["items"]), key=lambda it: it.id)
+        items = sorted((Item(_json_int(it["id"], "item id"), it["kind"]) for it in doc["items"]),
+                       key=lambda it: it.id)
         agents_by_id = {}
         for ag in doc["agents"]:
-            aid = ag["id"]
+            aid = _json_int(ag["id"], "agent id")
             if aid in agents_by_id:
                 raise ParseError(f"duplicate agent id {aid}")
-            agents_by_id[aid] = ag.get("interests", [])
+            agents_by_id[aid] = [_json_int(j, "item id") for j in ag.get("interests", [])]
         if set(agents_by_id) != set(range(len(agents_by_id))):
             raise ParseError("agent ids must be dense 0..n-1")
         return Instance(eps, items, [agents_by_id[i] for i in range(len(agents_by_id))])
@@ -201,8 +209,12 @@ def serialize_instance(inst: Instance) -> bytes:
 def parse_allocation(text: bytes) -> Allocation:
     try:
         doc = json.loads(text.decode("utf-8"))
-        raw = doc["assignment"]
-        return {int(a): frozenset(int(j) for j in js) for a, js in raw.items()}
+        alloc = {}
+        for a, js in doc["assignment"].items():
+            if str(int(a)) != a:  # in decimal as serialized: not "01", "+1" or "1_0"
+                raise ParseError(f"bad agent key {a!r}")
+            alloc[int(a)] = frozenset(_json_int(j, "item id") for j in js)
+        return alloc
     except Exception as exc:
         raise ParseError(f"malformed allocation: {exc}") from None
 
@@ -335,3 +347,22 @@ def lights_needed(T: LatticeValue, eps: Epsilon, heavies: int) -> int:
     if need <= 0:
         return 0
     return -(-need // eps.numerator)
+
+
+def minimal_count_pairs(
+    T: LatticeValue, eps: Epsilon, max_h: int, max_l: int
+) -> List[Tuple[int, int]]:
+    """The inclusion-minimal count pairs (h, l) with h <= max_h, l <= max_l
+    and h + l*eps >= T, by ascending h; empty when none reaches T.
+
+    Each h takes the fewest lights it needs, and since eps < 1 one more
+    heavy cuts that need by at least one light, until it is zero.
+    """
+    pairs = []
+    for h in range(max_h + 1):
+        l = lights_needed(T, eps, h)
+        if l <= max_l:
+            pairs.append((h, l))
+        if l == 0:
+            break
+    return pairs

@@ -102,6 +102,15 @@ class TestSolve:
         {"items": [{"id": 0, "kind": "heavy"}], "agents": [{"interests": [0]}]},
         {"items": [{"id": 0, "kind": "heavy"}], "agents": [{"id": 0, "interests": 5}]},
         {"items": None, "agents": [{"id": 0, "interests": [0]}]},
+        # JSON true and 1.0 are not integer ids
+        {"items": [{"id": 0, "kind": "heavy"}, {"id": True, "kind": "light"}],
+         "agents": [{"id": 0, "interests": [0]}]},
+        {"items": [{"id": 0.0, "kind": "heavy"}], "agents": [{"id": 0, "interests": [0]}]},
+        {"items": [{"id": 0, "kind": "heavy"}],
+         "agents": [{"id": 0, "interests": [0]}, {"id": True, "interests": []}]},
+        {"items": [{"id": 0, "kind": "heavy"}], "agents": [{"id": 0.0, "interests": [0]}]},
+        {"items": [{"id": 0, "kind": "heavy"}, {"id": 1, "kind": "light"}],
+         "agents": [{"id": 0, "interests": [True]}]},
     ])
     def test_malformed_record_exit_2(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -142,6 +151,17 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert cli.main(["verify", yes_instance, str(out)]) == 1
         assert "duplicate item" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("assignment", [
+        {"0": [1.7]}, {"0": [1.0]}, {"0": ["1"]}, {"0": [True]}, {"0": "01"},
+        {"1_0": []}, {"01": []}, {" 1": []}, {"+1": []}, {"-0": []},
+    ])
+    def test_malformed_allocation_exit_2(self, yes_instance, tmp_path, capsys, assignment):
+        bad = tmp_path / "a.json"
+        bad.write_text(json.dumps({"assignment": assignment}))
+        assert cli.main(["verify", yes_instance, str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed allocation")
 
 
 class TestEstimate:
@@ -214,6 +234,29 @@ class TestGenerate:
         for out in (a, b):
             cli.main(["generate", "random", "--out", out, "--seed", "7"])
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{inst}", "{alloc}", "--min-value", "abc"],
+        ["verify", "{inst}", "{alloc}", "--min-value", "1/0"],
+        ["generate", "random", "--eps", "2/1", "--out", "{out}"],
+        ["generate", "random", "--eps", "x", "--out", "{out}"],
+        ["generate", "random", "--n", "0", "--out", "{out}"],
+        ["generate", "3dm-no", "--size", "1", "--out", "{out}"],
+    ], ids=" ".join)
+    def test_exit_2_with_one_error_line(self, yes_instance, tmp_path, capsys, argv):
+        alloc, out = tmp_path / "a.json", tmp_path / "out.json"
+        alloc.write_text('{"assignment": {}}')
+        argv = [arg.format(inst=yes_instance, alloc=alloc, out=out) for arg in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a bad option value this way
+            code = exc.code
+        assert code == 2
+        assert len([line for line in capsys.readouterr().err.splitlines()
+                    if "error:" in line]) == 1
+        assert not out.exists()
 
 
 class TestBench:

@@ -354,25 +354,30 @@ class TestStartingColumns:
             assert len(set(cols)) == len(cols) < inst.n + inst.m + inst.n
 
 
-class TestEstimateFromALowerBound:
+class TestEstimateAbove:
     @PROPERTY
-    @given(small_random_instances(), st.data())
-    def test_same_threshold_and_no_probe_at_or_below_lower(self, inst, data):
+    @given(small_random_instances())
+    @example(gen.gen_random(4, 2, 6, 0.6, Epsilon(1, 3), seed=24))  # T* 2/3, cap 1
+    def test_tstar_above_or_none_and_no_probe_at_or_below(self, inst):
         eps = inst.epsilon
         tstar = clp.estimate_Tstar(inst)
-        lower = data.draw(st.sampled_from(
-            [T for T in capped_values(inst) if T.key(eps) <= tstar.key(eps)]))
-        pool = set()
+        keys = [T.key(eps) for T in capped_values(inst)]
         probes, real = [], clp.solve_clp
 
         def counted(inst, T, pool=None):
             probes.append(T.key(eps))
             return real(inst, T, pool)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clp, "solve_clp", counted)
-            assert clp.estimate_Tstar(inst, lower, pool) == tstar
-        assert all(key > lower.key(eps) for key in probes)
+        for above in [-1] + keys:
+            probes.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(clp, "solve_clp", counted)
+                got = clp.estimate_Tstar(inst, above)
+            assert got == (tstar if tstar.key(eps) > above else None)
+            assert all(key > above for key in probes)
+            if got is None:
+                # one probe, at the lowest value above; none when the cap is not above
+                assert probes == [key for key in keys if key > above][:1]
 
 
 class TestMinimalize:

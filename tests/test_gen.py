@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxminalloc import clp, exact, gen
 from maxminalloc.model import (
-    Epsilon, HEAVY, Instance, Item, LIGHT, parse_instance, serialize_instance,
+    Epsilon, HEAVY, Instance, Item, LIGHT, capped_values, parse_instance, serialize_instance,
 )
 
 
@@ -155,33 +155,33 @@ class TestPrunedGapSearch:
         gen.search_gap_witness(4, 6, eps, budget, seed)
         assert counts == {"candidates": 185, "opt": 18}
 
-    def test_at_most_one_probe_per_candidate_outside_estimate(self, monkeypatch):
-        counts = {"candidates": 0, "outside": 0, "inside": 0}
-        depth = [0]
-        real_opt, real_solve, real_estimate = exact.opt, clp.solve_clp, clp.estimate_Tstar
-
-        def opt(inst, *args, **kwargs):
-            counts["candidates"] += 1
-            return real_opt(inst, *args, **kwargs)
+    def test_one_probe_per_candidate_ruled_out(self, monkeypatch):
+        # every LP probe is made inside estimate_Tstar, and one that rules a
+        # candidate out makes one probe, or none when no value up to the
+        # packing cap beats the best ratio
+        ruled_out, probes = [], [0]
+        real_solve, real_estimate = clp.solve_clp, clp.estimate_Tstar
 
         def solve_clp(*args, **kwargs):
-            counts["inside" if depth[0] else "outside"] += 1
+            probes[0] += 1
             return real_solve(*args, **kwargs)
 
-        def estimate_Tstar(*args, **kwargs):
-            depth[0] += 1
-            try:
-                return real_estimate(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+        def estimate_Tstar(inst, above=None):
+            assert probes[0] == 0
+            tstar = real_estimate(inst, above)
+            if tstar is None:
+                eps = inst.epsilon
+                beats = any(T.key(eps) > above for T in capped_values(inst))
+                ruled_out.append((beats, probes[0]))
+            probes[0] = 0
+            return tstar
 
-        monkeypatch.setattr(exact, "opt", opt)
         monkeypatch.setattr(clp, "solve_clp", solve_clp)
         monkeypatch.setattr(clp, "estimate_Tstar", estimate_Tstar)
         for eps, seed in [(Epsilon(1, 3), 2), (Epsilon(1, 5), 3)]:
             gen.search_gap_witness(4, 6, eps, budget=300, seed=seed)
-        assert 0 < counts["outside"] <= counts["candidates"]
-        assert counts["inside"] > 0
+        assert all(count == int(beats) for beats, count in ruled_out)
+        assert {beats for beats, _ in ruled_out} == {False, True}
 
 
 @st.composite

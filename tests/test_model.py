@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from maxminalloc import clp
 from maxminalloc.model import (
     HEAVY,
     LIGHT,
@@ -18,6 +19,7 @@ from maxminalloc.model import (
     lattice_values,
     lights_needed,
     min_value,
+    minimal_count_pairs,
     packing_cap,
     parse_allocation,
     parse_instance,
@@ -204,6 +206,34 @@ class TestLattice:
         assert lattice_values(inst, cap) == [v for v in full if v.as_fraction(eps) <= cap]
         positive = [v for v in full if 0 < v.as_fraction(eps) <= Fraction(3, 2)]
         assert t_probe_candidates(inst) == positive
+
+
+class TestMinimalCountPairs:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5), st.integers(2, 9), st.integers(0, 4), st.integers(0, 8),
+           st.integers(0, 4), st.integers(0, 10), st.data())
+    def test_brute_force_and_separate(self, p, q, H, L, th, tl, data):
+        eps = Epsilon(p, q) if p < q else Epsilon(1, q)
+        T = LatticeValue(th, tl)
+
+        def reaches(h, l):
+            return h >= 0 and l >= 0 and LatticeValue(h, l).key(eps) >= T.key(eps)
+
+        want = [(h, l) for h in range(H + 1) for l in range(L + 1)
+                if reaches(h, l) and not reaches(h - 1, l) and not reaches(h, l - 1)]
+        pairs = minimal_count_pairs(T, eps, H, L)
+        assert pairs == want
+        # separate walks these pairs: it finds no configuration iff there are none
+        items = [Item(j, HEAVY) for j in range(H)] + [Item(H + j, LIGHT) for j in range(L)]
+        inst = Instance(eps, items, [range(H + L)])
+        z = data.draw(st.lists(st.floats(0, 1), min_size=H + L, max_size=H + L))
+        try:
+            _, bundle = clp.separate(inst, 0, T, z)
+        except clp.NoConfiguration:
+            assert pairs == []
+        else:
+            value = inst.bundle_value(bundle)
+            assert (value.h, value.l) in pairs
 
 
 class TestPackingCap:
