@@ -53,6 +53,17 @@ def _epsilon_arg(text: str) -> Epsilon:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count_arg(text: str) -> int:
+    """A count option's value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count {value} is negative")
+    return value
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -256,12 +267,12 @@ def cmd_bench(args) -> int:
 
 
 def _add_exact_cap(p):
-    p.add_argument("--exact-cap", type=int, default=exact.DEFAULT_SIZE_CAP,
+    p.add_argument("--exact-cap", type=_count_arg, default=exact.DEFAULT_SIZE_CAP,
                    help="max item count for the exact solver")
 
 
 def _add_search_knobs(p):
-    p.add_argument("--budget", type=int, default=treesearch.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_count_arg, default=treesearch.DEFAULT_BUDGET,
                    help="local-search iteration budget per T probe, shared by its root agents")
     _add_exact_cap(p)
 
@@ -291,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--eps", type=_epsilon_arg, default="1/2", help="light weight as p/q")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=4, help="agents (random/gap-search cap)")
-    p.add_argument("--m", type=int, default=6, help="item cap for gap-search")
-    p.add_argument("--m-heavy", type=int, default=2)
-    p.add_argument("--m-light", type=int, default=6)
+    p.add_argument("--n", type=_count_arg, default=4, help="agents (random/gap-search cap)")
+    p.add_argument("--m", type=_count_arg, default=6, help="item cap for gap-search")
+    p.add_argument("--m-heavy", type=_count_arg, default=2)
+    p.add_argument("--m-light", type=_count_arg, default=6)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--size", type=int, default=2, help="3DM ground-set size")
-    p.add_argument("--extra-edges", type=int, default=2)
-    p.add_argument("--budget", type=int, default=2000,
+    p.add_argument("--size", type=_count_arg, default=2, help="3DM ground-set size")
+    p.add_argument("--extra-edges", type=_count_arg, default=2)
+    p.add_argument("--budget", type=_count_arg, default=2000,
                    help="gap-search: up to this many structured candidates, then as many "
                         "random ones, repeats included")
     p.set_defaults(func=cmd_generate)

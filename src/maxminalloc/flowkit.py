@@ -2,9 +2,11 @@
 
 Contains the bipartite heavy matching, one integer-indexed max-flow
 engine (`_Flow`) and its two uses: the count flow behind the unweighted
-count-allocation baseline (max-flow + binary search), and the incremental
-node-disjoint path flow (`PathFlow`) over the heavy-item residual digraph
-used by the lazy local search.
+count-allocation baseline (max-flow + binary search), solved by Dinic's
+blocking flows (`_Flow.max_flow`), and the incremental node-disjoint path
+flow (`PathFlow`) over the heavy-item residual digraph used by the lazy
+local search, which augments one breadth-first shortest path at a time
+(`_Flow.augment`) so that it can stop or add terminals between paths.
 """
 
 from __future__ import annotations
@@ -129,13 +131,64 @@ class _Flow:
         return aug
 
     def max_flow(self, s: int, t: int) -> int:
-        """Edmonds-Karp: augment along BFS-shortest residual paths."""
+        """Dinic's algorithm (Dinitz 1970) on integer capacities; the value.
+
+        Each phase labels nodes with their residual BFS distance from s,
+        stopping at t's level, then pushes a blocking flow along
+        level-increasing edges: a depth-first search that keeps a
+        current-arc pointer per node and drops a node from the level graph
+        once it is a dead end.  Phases repeat until t is unreachable.
+        The count flows run on it; `PathFlow` instead calls `augment`, one
+        BFS-shortest path at a time.
+        """
+        adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
-            aug = self.augment(s, t)
-            if not aug:
+            level = [-1] * len(adj)
+            level[s] = 0
+            frontier = [s]
+            while frontier and level[t] == -1:
+                nxt = []
+                for u in frontier:
+                    d = level[u] + 1
+                    for e in adj[u]:
+                        v = head[e]
+                        if level[v] == -1 and cap[e] > 0:
+                            level[v] = d
+                            nxt.append(v)
+                frontier = nxt
+            if level[t] == -1:
                 return total
-            total += aug
+            arc = [0] * len(adj)  # current-arc pointer: index into adj[u]
+            path: List[int] = []  # edges of the s-u path being extended
+            u = s
+            while True:
+                if u == t:
+                    aug = min(cap[e] for e in path)
+                    total += aug
+                    for e in path:
+                        cap[e] -= aug
+                        cap[e ^ 1] += aug
+                    # retreat to the tail of the first saturated edge
+                    k = next(k for k, e in enumerate(path) if not cap[e])
+                    del path[k:]
+                    u = head[path[-1]] if path else s
+                    continue
+                edges, d = adj[u], level[u] + 1
+                for i in range(arc[u], len(edges)):
+                    e = edges[i]
+                    if cap[e] > 0 and level[head[e]] == d:
+                        arc[u] = i
+                        path.append(e)
+                        u = head[e]
+                        break
+                else:
+                    if u == s:
+                        break
+                    # dead end: no blocking-flow path passes u
+                    level[u] = -1
+                    u = head[path.pop() ^ 1]
+                    arc[u] += 1
 
 
 def _count_flow(inst: Instance, t: int) -> Tuple[_Flow, int]:

@@ -244,11 +244,21 @@ class TestBadArguments:
         ["generate", "random", "--eps", "x", "--out", "{out}"],
         ["generate", "random", "--n", "0", "--out", "{out}"],
         ["generate", "3dm-no", "--size", "1", "--out", "{out}"],
+        # negative counts
+        ["generate", "random", "--m-heavy", "-2", "--m-light", "-1", "--out", "{out}"],
+        ["generate", "3dm-yes", "--extra-edges", "-3", "--out", "{out}"],
+        ["generate", "gap-search", "--budget", "-5", "--out", "{out}"],
+        ["solve", "{inst}", "--budget", "-1", "--out", "{out}"],
+        ["solve", "{inst}", "--exact-cap", "-1", "--out", "{out}"],
+        ["bench", "{corpus}", "--budget", "-1", "--out", "{out}"],
     ], ids=" ".join)
     def test_exit_2_with_one_error_line(self, yes_instance, tmp_path, capsys, argv):
         alloc, out = tmp_path / "a.json", tmp_path / "out.json"
         alloc.write_text('{"assignment": {}}')
-        argv = [arg.format(inst=yes_instance, alloc=alloc, out=out) for arg in argv]
+        corpus = tmp_path / "corpus"  # empty, so only a bad argument fails bench
+        corpus.mkdir()
+        argv = [arg.format(inst=yes_instance, alloc=alloc, out=out, corpus=corpus)
+                for arg in argv]
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a bad option value this way

@@ -65,6 +65,50 @@ class TestHeavyMatching:
         assert len(m) == len(set(m.values())) == n - 1
 
 
+@st.composite
+def capacitated_digraphs(draw, max_nodes=12):
+    """(size, s, t, edges): a digraph with integer capacities 1-5 as
+    (tail, head, capacity) triples.  Besides random edges, which make
+    cycles and parallel edges, a drawn prefix of them is repeated reversed
+    (antiparallel pairs), and one edge enters s and one leaves t."""
+    size = draw(st.integers(2, max_nodes))
+    node, capacity = st.integers(0, size - 1), st.integers(1, 5)
+    s, t = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    edges = draw(st.lists(st.tuples(node, node, capacity).filter(lambda e: e[0] != e[1]),
+                          max_size=40))
+    edges += [(v, u, draw(capacity)) for u, v, _ in edges[:draw(st.integers(0, len(edges)))]]
+    edges.append((draw(node.filter(lambda v: v != s)), s, draw(capacity)))
+    edges.append((t, draw(node.filter(lambda v: v != t)), draw(capacity)))
+    return size, s, t, edges
+
+
+class TestMaxFlow:
+    @PROPERTY
+    @given(capacitated_digraphs())
+    def test_value_and_flow_against_networkx(self, drawn):
+        nx = pytest.importorskip("networkx")
+        size, s, t, edges = drawn
+        fl = flowkit._Flow(size)
+        g = nx.DiGraph()
+        g.add_nodes_from(range(size))
+        for u, v, c in edges:
+            fl.add_edge(u, v, c)
+            # networkx holds one edge per ordered pair: parallel capacities add
+            g.add_edge(u, v, capacity=g.get_edge_data(u, v, {"capacity": 0})["capacity"] + c)
+        value = fl.max_flow(s, t)
+        assert value == nx.maximum_flow_value(g, s, t)
+        assert fl.reachable(s, t)[t] == -1
+        # edge 2k is the k-th edge added; its reverse 2k + 1 holds its flow
+        net = [0] * size
+        for k, (u, v, c) in enumerate(edges):
+            flow = fl.cap[2 * k + 1]
+            assert 0 <= flow <= c and fl.cap[2 * k] == c - flow
+            net[u] -= flow
+            net[v] += flow
+        assert net[s] == -value and net[t] == value
+        assert all(net[v] == 0 for v in range(size) if v not in (s, t))
+
+
 def networkx_count_feasible(inst, t):
     """count_feasible by networkx max-flow on the same network."""
     nx = pytest.importorskip("networkx")
@@ -103,6 +147,16 @@ class TestCountFeasible:
                 assert flowkit.count_feasible(inst, t) == networkx_count_feasible(inst, t)
 
 
+def check_count_allocation(inst, alloc, best):
+    """Every agent holds exactly `best` items it wants, in disjoint bundles."""
+    assert sorted(alloc) == list(range(inst.n))
+    taken = [j for bundle in alloc.values() for j in bundle]
+    assert len(taken) == len(set(taken))
+    for i, bundle in alloc.items():
+        assert len(bundle) == best
+        assert bundle <= inst.interests[i]
+
+
 class TestBaseline:
     def test_dominates_eps_times_opt(self):
         rng = random.Random(5)
@@ -119,14 +173,22 @@ class TestBaseline:
         rng = random.Random(12)
         for _ in range(80):
             inst = random_tiny(rng, n_max=3, m_max=7)
-            best = best_count(inst)
             _, alloc = flowkit.baseline_solve(inst)
-            assert sorted(alloc) == list(range(inst.n))
-            taken = [j for bundle in alloc.values() for j in bundle]
-            assert len(taken) == len(set(taken))  # bundles disjoint
-            for i, bundle in alloc.items():
-                assert len(bundle) == best
-                assert bundle <= inst.interests[i]
+            check_count_allocation(inst, alloc, best_count(inst))
+
+    @PROPERTY
+    @given(st.integers(1, 30), st.integers(1, 120), st.integers(0, 120),
+           st.floats(0.05, 0.7), st.integers(2, 5), st.integers(0, 2**30))
+    def test_best_count_at_mid_size(self, n, m, mh, density, q, seed):
+        """Networks with up to 152 nodes, where later blocking-flow phases
+        run along longer paths than the tiny instances above have."""
+        mh = min(mh, m)
+        inst = gen.gen_random(n, mh, m - mh, density, Epsilon(1, q), seed)
+        _, alloc = flowkit.baseline_solve(inst)
+        best = len(alloc[0])
+        assert best == 0 or networkx_count_feasible(inst, best)
+        assert not networkx_count_feasible(inst, best + 1)
+        check_count_allocation(inst, alloc, best)
 
     def test_one_count_flow_per_probe(self, monkeypatch):
         builds, probes = [], []
