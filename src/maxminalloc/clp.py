@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import simplex
+from . import flowkit, simplex
 from .model import (
     Instance,
     LatticeValue,
@@ -260,31 +260,46 @@ def estimate_Tstar(inst: Instance, above: Optional[int] = None) -> Optional[Latt
     value.  It is at most `model.packing_cap`: a CLP(T) point at coverage
     lambda has n*T*lambda <= W, the weight the agents want, and above the
     cap that holds only with lambda <= 1 - 1/(key(W) + 1), which fails
-    the 1 - DEFAULT_TOL test whenever key(W) < 10**9 - 1.  The top value
-    up to the cap is probed first, since T* often equals it; when it
-    fails, a binary search over the (monotone) `feasible_at` predicate
-    covers the values below.  A column pool is warm-started across
-    probes.
+    the 1 - DEFAULT_TOL test whenever key(W) < 10**9 - 1.
+
+    It is also at most the flow cap, the largest value whose allocation
+    network saturates (`flowkit.weight_feasible`).  Where the network at
+    T does not saturate, lambda* <= 1 - 1/(n*key(T)), which fails the
+    same test whenever n*key(T) < 10**9, so such a T is ruled out exactly
+    as an LP probe would rule it out, and saturation is monotone in T, so
+    the flow cap is found by binary search.
+
+    The top value up to the packing cap is probed first, since T* often
+    equals it.  When that probe fails, the search finds the flow cap below
+    it, probes it, and when it fails too, binary-searches the (monotone)
+    `feasible_at` predicate below it.  A column pool is warm-started
+    across probes.
 
     `above`, a lattice key, asks only whether key(T*) > above: the lowest
-    value up to the cap above it is probed first, and None is returned
-    when there is none or it fails.  Otherwise the search goes on from
-    that value, and no value with a key up to `above` is probed.
+    value up to the cap above it is checked first, by its network and
+    then by an LP probe, and None is returned when there is no such value
+    or either check fails.  Otherwise the search goes on from that value,
+    and no value with a key up to `above` is probed.
     """
     values = capped_values(inst)
     pool: Set[Column] = set()
     if above is not None:
         values = [T for T in values if T.key(inst.epsilon) > above]
-        if not values or not feasible_at(inst, values[0], pool):
+        if (not values or not flowkit.weight_feasible(inst, values[0])
+                or not feasible_at(inst, values[0], pool)):
             return None
+    low = values[0]  # zero, or found feasible
 
-    # values[0] is zero or was found feasible, so some index is found
     def probe(T: LatticeValue) -> Optional[bool]:
-        return T is values[0] or feasible_at(inst, T, pool) or None
+        return T is low or feasible_at(inst, T, pool) or None
 
     if probe(values[-1]):
         return values[-1]
-    return values[last_feasible(values[:-1], probe)[0]]
+    top, _ = last_feasible(values[:-1],
+                           lambda T: T is low or flowkit.weight_feasible(inst, T) or None)
+    if probe(values[top]):
+        return values[top]
+    return values[last_feasible(values[:top], probe)[0]]
 
 
 def minimalize(inst: Instance, res: ClpResult, T: LatticeValue) -> SupportSolution:

@@ -86,7 +86,10 @@ def opt(
     Every value above the cap fails, so the answer is that of a search
     over the whole lattice.  `upper`, when given, must be at least OPT
     (T* is, since a T-allocation is a CLP(T) point), and the values above
-    it are not searched either; the witness may then differ.
+    it are not searched either.  The witness does not change: the binary
+    search returns the payload of its last passing probe, which is the
+    probe at OPT, so with or without `upper` it is the witness that
+    `feasible_at(inst, OPT)` returns.
     """
     values = capped_values(inst, upper)
     # values[0] is zero, which always passes, so some index is found

@@ -1,20 +1,24 @@
 """Matching and flow primitives.
 
 Contains the bipartite heavy matching, one integer-indexed max-flow
-engine (`_Flow`) and its two uses: the count flow behind the unweighted
-count-allocation baseline (max-flow + binary search), solved by Dinic's
-blocking flows (`_Flow.max_flow`), and the incremental node-disjoint path
+engine (`_Flow`) and its uses.  The allocation network
+(`allocation_flow`), solved by Dinic's blocking flows (`_Flow.max_flow`),
+carries both the count flow behind the unweighted count-allocation
+baseline (max-flow + binary search) and the weight flow that bounds the
+LP threshold T* (`weight_feasible`).  The incremental node-disjoint path
 flow (`PathFlow`) over the heavy-item residual digraph used by the lazy
-local search, which augments one breadth-first shortest path at a time
+local search augments one breadth-first shortest path at a time
 (`_Flow.augment`) so that it can stop or add terminals between paths.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .model import Allocation, Instance, LatticeValue, ZERO, last_feasible, min_value
+from .model import (
+    Allocation, HEAVY, Instance, LatticeValue, ZERO, last_feasible, min_value,
+)
 
 HeavyMatching = Dict[int, int]  # agent -> heavy item
 
@@ -191,27 +195,86 @@ class _Flow:
                     arc[u] += 1
 
 
-def _count_flow(inst: Instance, t: int) -> Tuple[_Flow, int]:
-    """Max flow in the network giving each agent up to t interesting items.
+def allocation_flow(inst: Instance, supply: int, caps: Sequence[int]) -> Tuple[_Flow, int]:
+    """Max flow in the allocation network of `inst`.
 
-    Agents are nodes 0..n-1, items n..n+m-1, the source n+m and the sink
-    n+m+1.
+    The source has an edge of capacity `supply` to every agent, agent i an
+    edge of capacity caps[j] to every item j it wants, and item j an edge
+    of capacity caps[j] to the sink.  Agents are nodes 0..n-1, items
+    n..n+m-1, the source n+m and the sink n+m+1.  The edges go in agent by
+    agent (its source edge, then its item edges in interest order), then
+    the sink edges by item; the edge lists are built in one pass, without
+    an `add_edge` call per edge.
+
+    Two networks use it: the count flow (`supply` t, every cap 1) and the
+    weight flow of `weight_feasible` (in key units).
     """
     n, m = inst.n, inst.m
     s, sink = n + m, n + m + 1
-    fl = _Flow(n + m + 2)
+    adj: List[List[int]] = [[] for _ in range(n + m + 2)]
+    head: List[int] = []
+    cap: List[int] = []
     for i in range(n):
-        fl.add_edge(s, i, t)
-        for j in inst.interests[i]:
-            fl.add_edge(i, n + j, 1)
+        e = len(head)
+        items = [n + j for j in inst.interests[i]]
+        k = len(items)
+        # edge e: source -> i; edge e + 2 + 2r: i -> items[r]
+        pairs = [i] * (2 * k + 2)
+        pairs[1] = s
+        pairs[2::2] = items
+        head += pairs
+        caps_i = [0] * (2 * k + 2)
+        caps_i[0] = supply
+        caps_i[2::2] = [caps[v - n] for v in items]
+        cap += caps_i
+        adj[s].append(e)
+        adj[i] = [e + 1] + list(range(e + 2, e + 2 * k + 2, 2))
+        for r, v in enumerate(items):
+            adj[v].append(e + 3 + 2 * r)
+    # edge e + 2j: item j -> sink
+    e = len(head)
+    pairs = [sink] * (2 * m)
+    pairs[1::2] = range(n, n + m)
+    head += pairs
+    caps_j = [0] * (2 * m)
+    caps_j[0::2] = caps
+    cap += caps_j
     for j in range(m):
-        fl.add_edge(n + j, sink, 1)
+        adj[n + j].append(e + 2 * j)
+    adj[sink] = list(range(e + 1, e + 2 * m, 2))
+    fl = _Flow(0)
+    fl.adj, fl.head, fl.cap = adj, head, cap
     return fl, fl.max_flow(s, sink)
 
 
 def count_feasible(inst: Instance, t: int) -> bool:
     """True iff every agent can receive >= t distinct interesting items."""
-    return t <= 0 or _count_flow(inst, t)[1] == inst.n * t
+    return t <= 0 or allocation_flow(inst, t, [1] * inst.m)[1] == inst.n * t
+
+
+def weight_feasible(inst: Instance, T: LatticeValue) -> bool:
+    """True iff the allocation network at T saturates, in key units: every
+    agent draws key(T) from the items it wants, item j giving at most
+    c_j = min(w_j, key(T)) in all, where w_j is its weight (q for a heavy
+    item and p for a light one, eps = p/q).
+
+    A necessary condition for CLP(T), checked exactly.  Take a CLP(T)
+    point at coverage lambda.  Every configuration S of agent i is worth
+    at least T, so T splits over its items with item j giving at most
+    c_j; summing x_{iS} times these splits gives a flow of value
+    lambda*n*key(T) through the network, within every capacity since
+    each item is packed at most once.  So a feasible CLP(T) saturates the
+    network, and where the network does not saturate, its integer max
+    flow is at most n*key(T) - 1 and lambda* <= 1 - 1/(n*key(T)).  The
+    same scaling shows that saturation at T implies saturation below T.
+    """
+    key = T.key(inst.epsilon)
+    if key <= 0:
+        return True
+    p, q = inst.epsilon.numerator, inst.epsilon.denominator
+    heavy, light = min(q, key), min(p, key)
+    caps = [heavy if it.kind == HEAVY else light for it in inst.items]
+    return allocation_flow(inst, key, caps)[1] == inst.n * key
 
 
 def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
@@ -225,7 +288,7 @@ def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
     n = inst.n
 
     def probe(t: int) -> Optional[_Flow]:
-        fl, value = _count_flow(inst, t)
+        fl, value = allocation_flow(inst, t, [1] * inst.m)
         return fl if value == n * t else None
 
     _, fl = last_feasible(range(1, inst.m // max(n, 1) + 1), probe)

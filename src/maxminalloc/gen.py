@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
+import numpy as np
+
 from .model import (
     Epsilon,
     HEAVY,
@@ -189,13 +191,13 @@ def _gap_candidates(eps: Epsilon, rng: random.Random, budget: int):
 
 
 @functools.cache
-def _same_kind_relabelings(h: int, l: int) -> Tuple[Tuple[int, ...], ...]:
-    """One table per permutation of h heavy and l light item ranks.
+def _same_kind_relabelings(h: int, l: int) -> np.ndarray:
+    """One row per permutation of h heavy and l light item ranks.
 
     Bits 0..h-1 of a mask are heavy ranks and bits h..h+l-1 light ranks;
-    entry `mask` of a table is the mask with its bits permuted, heavy
-    among heavy and light among light.  That is h!*l! tables of 2^(h+l)
-    entries each: 48 of 64 for the gap search's 2 heavy and 4 light items.
+    entry `mask` of a row is the mask with its bits permuted, heavy among
+    heavy and light among light.  That is h!*l! rows of 2^(h+l) entries
+    each: 48 of 64 for the gap search's 2 heavy and 4 light items.
     """
     m = h + l
     tables = []
@@ -206,8 +208,10 @@ def _same_kind_relabelings(h: int, l: int) -> Tuple[Tuple[int, ...], ...]:
             for mask in range(1, 1 << m):
                 low = mask & -mask
                 table[mask] = table[mask ^ low] | (1 << to[low.bit_length() - 1])
-            tables.append(tuple(table))
-    return tuple(tables)
+            tables.append(table)
+    tables = np.array(tables, dtype=np.int64)
+    tables.setflags(write=False)
+    return tables
 
 
 def _isomorphism_key(inst: Instance) -> tuple:
@@ -216,14 +220,18 @@ def _isomorphism_key(inst: Instance) -> tuple:
 
     Each agent's interests become a bitmask over item ranks (heavy ids
     ranked among the sorted heavy ids, light among the light); the key is
-    the least sorted mask list over all same-kind relabelings.  Exponential
-    in the item count: meant for the gap search's tiny candidates.
+    the lexicographically least sorted mask list over all same-kind
+    relabelings, found in one gather, one row sort and one `np.lexsort`.
+    Exponential in the item count: meant for the gap search's tiny
+    candidates.
     """
     heavy, light = sorted(inst.heavy_ids), sorted(inst.light_ids)
     bit = {j: 1 << r for r, j in enumerate(heavy + light)}
     masks = [sum(bit[j] for j in s) for s in inst.interests]
-    tables = _same_kind_relabelings(len(heavy), len(light))
-    return len(heavy), len(light), tuple(min(sorted(t[x] for x in masks) for t in tables))
+    rows = np.sort(_same_kind_relabelings(len(heavy), len(light))[:, masks], axis=1)
+    # np.lexsort sorts by its last key first: the columns go in reversed
+    least = rows[np.lexsort(rows.T[::-1])[0]]
+    return len(heavy), len(light), tuple(least.tolist())
 
 
 def search_gap_witness(

@@ -294,6 +294,14 @@ def packing_cap(inst: Instance) -> int:
     cap n*key(T) >= key(W) + 1, so lambda* <= 1 - 1/(key(W) + 1), which
     fails the test whenever key(W) < 10**9 - 1.  Searching only up to the
     cap therefore answers as searching the whole lattice does.
+
+    Both terms are cuts of the allocation network of
+    `flowkit.weight_feasible`, with every item capped at its full weight:
+    the edges into the sink from the wanted items, of capacity key(W),
+    against the agents' supply n*key(T), and for each agent i its item
+    edges, of capacity v(I_i), against its supply key(T).  That network
+    caps item j at min(w_j, key(T)) and saturates only where its minimum
+    cut allows, so its flow cap is at most this cap.
     """
     p, q = inst.epsilon.numerator, inst.epsilon.denominator
     wanted = frozenset().union(*inst.interests)

@@ -117,6 +117,34 @@ def brute_count_feasible(inst: Instance, t: int) -> bool:
     return go(0, set())
 
 
+def allocation_digraph(inst: Instance, supply: int, caps: Sequence[int]):
+    """The allocation network as a networkx digraph: "s" -> ("a", i) with
+    capacity `supply`, ("a", i) -> ("b", j) for every item i wants and
+    ("b", j) -> "t" with capacity caps[j]."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(["s", "t"])
+    for i in range(inst.n):
+        g.add_edge("s", ("a", i), capacity=supply)
+        for j in inst.interests[i]:
+            g.add_edge(("a", i), ("b", j), capacity=caps[j])
+    for j in range(inst.m):
+        g.add_edge(("b", j), "t", capacity=caps[j])
+    return g
+
+
+def networkx_weight_feasible(inst: Instance, key: int) -> bool:
+    """Whether the allocation network at T = key / eps.denominator saturates,
+    by networkx max-flow: supply key, item j capped at min(its weight, key),
+    all in units of 1 / eps.denominator."""
+    import networkx as nx
+
+    p, q = inst.epsilon.numerator, inst.epsilon.denominator
+    caps = [min(q if it.kind == HEAVY else p, key) for it in inst.items]
+    return nx.maximum_flow_value(allocation_digraph(inst, key, caps), "s", "t") == inst.n * key
+
+
 def residual_arcs(inst: Instance, matching: Dict[int, int]) -> List[Tuple[tuple, tuple]]:
     """Arcs of the residual digraph of a heavy matching, on labelled nodes
     ("agent", i) and ("item", j): item -> agent along a matched pair, agent

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from maxminalloc import clp, exact, gen, simplex
+from maxminalloc import clp, exact, flowkit, gen, simplex
 from maxminalloc.model import (
     Epsilon,
     HEAVY,
@@ -21,7 +21,7 @@ from maxminalloc.model import (
     packing_cap,
 )
 
-from oracles import brute_min_knapsack, naive_opt
+from oracles import brute_min_knapsack, naive_opt, networkx_weight_feasible
 
 
 class TestSeparate:
@@ -316,6 +316,32 @@ class TestPackingCap:
         assert clp.estimate_Tstar(inst) == want
 
 
+class TestFlowCap:
+    @PROPERTY
+    @given(small_random_instances())
+    @example(gen.gen_random(3, 1, 2, 1.0, Epsilon(1, 6), 591010720))  # flow cap 1/6, cap 1/3
+    @example(gen.gen_random(2, 1, 6, 0.6, Epsilon(1, 6), 148214350))  # T* 1/2, flow cap 2/3
+    def test_lp_feasible_implies_saturated(self, inst):
+        eps = inst.epsilon
+        values = capped_values(inst)
+        saturated = [flowkit.weight_feasible(inst, T) for T in values]
+        assert saturated == [networkx_weight_feasible(inst, T.key(eps)) for T in values]
+        assert saturated == sorted(saturated, reverse=True)  # the saturated values are a prefix
+        for T, sat in zip(values, saturated):
+            assert sat or not clp.feasible_at(inst, T)
+        flow_cap = values[saturated.count(True) - 1]
+        assert clp.estimate_Tstar(inst).key(eps) <= flow_cap.key(eps) <= packing_cap(inst)
+
+    def test_no_lp_probe_between_the_flow_cap_and_the_top(self, monkeypatch):
+        # keys in sixths: the top value 5 fails its LP probe, the networks
+        # saturate up to 4, and T* is 3
+        probes = TestEstimateTstar.probed(monkeypatch)
+        inst = gen.gen_random(2, 1, 6, 0.6, Epsilon(1, 6), 148214350)
+        assert clp.estimate_Tstar(inst) == LatticeValue(0, 3)
+        assert [T.key(inst.epsilon) for T in probes[:2]] == [5, 4]
+        assert all(T.key(inst.epsilon) < 4 for T in probes[2:])
+
+
 class TestStartingColumns:
     @PROPERTY
     @given(small_random_instances(), st.data())
@@ -376,8 +402,11 @@ class TestEstimateAbove:
             assert got == (tstar if tstar.key(eps) > above else None)
             assert all(key > above for key in probes)
             if got is None:
-                # one probe, at the lowest value above; none when the cap is not above
-                assert probes == [key for key in keys if key > above][:1]
+                # the lowest value above is checked by its network, then by
+                # one LP probe: none when the cap is not above or the network
+                # does not saturate
+                lowest = [key for key in keys if key > above][:1]
+                assert probes == [key for key in lowest if networkx_weight_feasible(inst, key)]
 
 
 class TestMinimalize:

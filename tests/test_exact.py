@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxminalloc import exact, gen
+from maxminalloc import clp, exact, gen
 from maxminalloc.model import (
     Epsilon, Instance, Item, LIGHT, lattice_values, min_value, packing_cap,
 )
@@ -64,6 +64,11 @@ class TestOptProperties:
         w, alloc = exact.opt(inst, upper=upper)
         assert w == v
         assert min_value(inst, alloc).key(inst.epsilon) >= v.key(inst.epsilon)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tiny_instances())
+    def test_tstar_as_upper_keeps_value_and_witness(self, inst):
+        assert exact.opt(inst) == exact.opt(inst, upper=clp.estimate_Tstar(inst))
 
     def test_never_probes_above_the_cap(self, monkeypatch):
         probed, real = [], exact.feasible_at

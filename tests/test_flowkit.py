@@ -7,7 +7,8 @@ from maxminalloc import exact, flowkit, gen, lazysearch
 from maxminalloc.model import Epsilon, Instance, Item, HEAVY, LIGHT, min_value
 
 from oracles import (
-    brute_count_feasible, brute_disjoint_paths, brute_heavy_matching, residual_arcs,
+    allocation_digraph, brute_count_feasible, brute_disjoint_paths, brute_heavy_matching,
+    residual_arcs,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -109,17 +110,42 @@ class TestMaxFlow:
         assert all(net[v] == 0 for v in range(size) if v not in (s, t))
 
 
+class TestAllocationFlow:
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 8), st.floats(0.0, 1.0),
+           st.integers(0, 2**30), st.data())
+    def test_value_against_networkx(self, n, mh, ml, density, seed, data):
+        nx = pytest.importorskip("networkx")
+        inst = gen.gen_random(n, mh, ml, density, Epsilon(1, 3), seed)
+        supply = data.draw(st.integers(0, 8))
+        caps = data.draw(st.lists(st.integers(0, 5), min_size=inst.m, max_size=inst.m))
+        _, value = flowkit.allocation_flow(inst, supply, caps)
+        assert value == nx.maximum_flow_value(allocation_digraph(inst, supply, caps), "s", "t")
+
+    def test_edges_in_insertion_order(self):
+        # the one-pass build lays the edges out as add_edge calls would:
+        # each agent's source edge, then its item edges, then the sink edges
+        rng = random.Random(14)
+        for _ in range(60):
+            inst = random_tiny(rng)
+            n, m = inst.n, inst.m
+            supply, caps = rng.randint(0, 4), [rng.randint(0, 3) for _ in range(m)]
+            want = flowkit._Flow(n + m + 2)
+            for i in range(n):
+                want.add_edge(n + m, i, supply)
+                for j in inst.interests[i]:
+                    want.add_edge(i, n + j, caps[j])
+            for j in range(m):
+                want.add_edge(n + j, n + m + 1, caps[j])
+            fl, value = flowkit.allocation_flow(inst, supply, caps)
+            assert (fl.head, fl.adj) == (want.head, want.adj)
+            assert want.max_flow(n + m, n + m + 1) == value and fl.cap == want.cap
+
+
 def networkx_count_feasible(inst, t):
     """count_feasible by networkx max-flow on the same network."""
     nx = pytest.importorskip("networkx")
-    g = nx.DiGraph()
-    g.add_nodes_from(["s", "t"])
-    for i in range(inst.n):
-        g.add_edge("s", ("a", i), capacity=t)
-        for j in inst.interests[i]:
-            g.add_edge(("a", i), ("b", j), capacity=1)
-    for j in range(inst.m):
-        g.add_edge(("b", j), "t", capacity=1)
+    g = allocation_digraph(inst, t, [1] * inst.m)
     return nx.maximum_flow_value(g, "s", "t") == inst.n * t
 
 
@@ -192,11 +218,11 @@ class TestBaseline:
 
     def test_one_count_flow_per_probe(self, monkeypatch):
         builds, probes = [], []
-        real_flow, real_search = flowkit._count_flow, flowkit.last_feasible
+        real_flow, real_search = flowkit.allocation_flow, flowkit.last_feasible
 
-        def counted_flow(inst, t):
-            builds.append(t)
-            return real_flow(inst, t)
+        def counted_flow(inst, supply, caps):
+            builds.append(supply)
+            return real_flow(inst, supply, caps)
 
         def counted_search(values, probe):
             def counted_probe(t):
@@ -204,7 +230,7 @@ class TestBaseline:
                 return probe(t)
             return real_search(values, counted_probe)
 
-        monkeypatch.setattr(flowkit, "_count_flow", counted_flow)
+        monkeypatch.setattr(flowkit, "allocation_flow", counted_flow)
         monkeypatch.setattr(flowkit, "last_feasible", counted_search)
         rng = random.Random(13)
         for _ in range(40):

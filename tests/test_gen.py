@@ -11,6 +11,8 @@ from maxminalloc.model import (
     Epsilon, HEAVY, Instance, Item, LIGHT, capped_values, parse_instance, serialize_instance,
 )
 
+from oracles import networkx_weight_feasible
+
 
 def brute_has_perfect_matching(h):
     """Independent exhaustive check over index permutations."""
@@ -157,8 +159,10 @@ class TestPrunedGapSearch:
 
     def test_one_probe_per_candidate_ruled_out(self, monkeypatch):
         # every LP probe is made inside estimate_Tstar, and one that rules a
-        # candidate out makes one probe, or none when no value up to the
-        # packing cap beats the best ratio
+        # candidate out makes one probe, at the lowest value that beats the
+        # best ratio, or none: when no value up to the packing cap beats it
+        # ("none"), or when the allocation network at that value does not
+        # saturate ("flow")
         ruled_out, probes = [], [0]
         real_solve, real_estimate = clp.solve_clp, clp.estimate_Tstar
 
@@ -171,8 +175,10 @@ class TestPrunedGapSearch:
             tstar = real_estimate(inst, above)
             if tstar is None:
                 eps = inst.epsilon
-                beats = any(T.key(eps) > above for T in capped_values(inst))
-                ruled_out.append((beats, probes[0]))
+                beats = [T.key(eps) for T in capped_values(inst) if T.key(eps) > above][:1]
+                how = ("none" if not beats
+                       else "lp" if networkx_weight_feasible(inst, beats[0]) else "flow")
+                ruled_out.append((how, probes[0]))
             probes[0] = 0
             return tstar
 
@@ -180,8 +186,8 @@ class TestPrunedGapSearch:
         monkeypatch.setattr(clp, "estimate_Tstar", estimate_Tstar)
         for eps, seed in [(Epsilon(1, 3), 2), (Epsilon(1, 5), 3)]:
             gen.search_gap_witness(4, 6, eps, budget=300, seed=seed)
-        assert all(count == int(beats) for beats, count in ruled_out)
-        assert {beats for beats, _ in ruled_out} == {False, True}
+        assert all(count == (how == "lp") for how, count in ruled_out)
+        assert {how for how, _ in ruled_out} == {"none", "flow", "lp"}
 
 
 @st.composite
