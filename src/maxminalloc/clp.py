@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class ClpResult:
     feasible: bool
     converged: bool
     columns: List[Tuple[Column, float]]  # positive-mass primal columns
+    pivots: int = 0  # simplex pivots over the call's restricted masters
 
 
 @dataclass
@@ -81,37 +82,67 @@ class SupportHypergraph:
                    {i: [inst.beps(i)] for i in range(inst.n)})
 
 
+Shape = Tuple[Tuple[int, ...], Tuple[int, ...], List[Tuple[int, int]]]
+Price = TypeVar("Price")  # float, or an exact type such as Fraction
+
+
+def _shape(inst: Instance, agent: int, T: LatticeValue) -> Shape:
+    """Agent's heavy and light interests, ascending, and the minimal count
+    pairs (`minimal_count_pairs`) between them; raises NoConfiguration
+    when C(agent, T) is empty."""
+    heavies, lights = inst.b1(agent), inst.beps(agent)
+    pairs = minimal_count_pairs(T, inst.epsilon, len(heavies), len(lights))
+    if not pairs:
+        raise NoConfiguration(f"agent {agent} cannot reach T")
+    return heavies, lights, pairs
+
+
+def _shapes(inst: Instance, T: LatticeValue) -> List[Shape]:
+    """`_shape` of every agent, built once for all of a master's pricing."""
+    return [_shape(inst, i, T) for i in range(inst.n)]
+
+
+def _cheapest(shape: Shape, z: Sequence[Price]) -> Tuple[Price, FrozenSet[int]]:
+    """Cheapest configuration of the agent with this `_shape` under item
+    prices z, in the prices' own arithmetic.
+
+    For each minimal count pair, the optimum takes that many of the
+    cheapest heavy and light prices (prices are non-negative, so extra
+    items never help).  On a tie the pair with fewer heavies wins, and
+    equal prices go by item id.  Float sums within 1e-15 of each other
+    count as tied, since they may differ by rounding only; exact prices
+    (`Fraction`) compare exactly.
+    """
+    heavies, lights, pairs = shape
+    # b1 and beps ascend and sorted is stable, so equal prices stay by index
+    heavies = sorted(heavies, key=z.__getitem__)
+    lights = sorted(lights, key=z.__getitem__)
+    zero = z[0] * 0 if len(z) else 0.0
+    slack = 1e-15 if isinstance(zero, float) else 0
+    hcost = list(accumulate(map(z.__getitem__, heavies), initial=zero))
+    lcost = list(accumulate(map(z.__getitem__, lights), initial=zero))
+    best = None
+    for h, l in pairs:
+        cost = hcost[h] + lcost[l]
+        if best is None or cost < best[0] - slack:
+            best = (cost, h, l)
+    cost, h, l = best
+    return cost, frozenset(heavies[:h] + lights[:l])
+
+
 def separate(
     inst: Instance,
     agent: int,
     T: LatticeValue,
-    z: Sequence[float],
-) -> Tuple[float, FrozenSet[int]]:
-    """Cheapest configuration of agent under item prices z, exactly.
-
-    For each minimal (heavy, light) count pair (`minimal_count_pairs`),
-    the optimum takes that many of the cheapest heavy and light prices
-    (prices are non-negative, so extra items never help).  Raises
-    NoConfiguration when C(agent, T) is empty.
-    """
-    # b1 and beps ascend and sorted is stable, so equal prices stay by index
-    heavies = sorted(inst.b1(agent), key=z.__getitem__)
-    lights = sorted(inst.beps(agent), key=z.__getitem__)
-    pairs = minimal_count_pairs(T, inst.epsilon, len(heavies), len(lights))
-    if not pairs:
-        raise NoConfiguration(f"agent {agent} cannot reach T")
-    hcost = list(accumulate(map(z.__getitem__, heavies), initial=0.0))
-    lcost = list(accumulate(map(z.__getitem__, lights), initial=0.0))
-    best = None
-    for h, l in pairs:
-        cost = hcost[h] + lcost[l]
-        if best is None or cost < best[0] - 1e-15:
-            best = (cost, h, l)
-    cost, h, l = best
-    return float(cost), frozenset(heavies[:h] + lights[:l])
+    z: Sequence[Price],
+) -> Tuple[Price, FrozenSet[int]]:
+    """Cheapest configuration of agent under item prices z, exactly, and
+    its cost in the prices' own type (see `_cheapest`).  Raises
+    NoConfiguration when C(agent, T) is empty."""
+    return _cheapest(_shape(inst, agent, T), z)
 
 
-def _starting_columns(inst: Instance, T: LatticeValue) -> List[Column]:
+def _starting_columns(inst: Instance, shapes: List[Shape]) -> List[Column]:
     """Congestion-priced seed columns: the multiplicative-weights step of
     Garg-Koenemann for fractional packing, used only to pick columns.
 
@@ -132,7 +163,9 @@ def _starting_columns(inst: Instance, T: LatticeValue) -> List[Column]:
     Every seed column is a configuration in C(i, T), so the full master
     and its optimum lambda* are the same for any seed; a seed that spreads
     the agents out only lets the restricted master reach that optimum in
-    fewer rounds.  Raises NoConfiguration when some C(i, T) is empty.
+    fewer rounds.  The first pass gives one column per agent, in agent
+    order, and these n columns open the list; `_crash_basis` starts the
+    master from them.  `shapes` is `_shapes(inst, T)`.
     """
     n, m = inst.n, inst.m
     price = [1.0] * m
@@ -141,7 +174,7 @@ def _starting_columns(inst: Instance, T: LatticeValue) -> List[Column]:
     while len(cols) < n + m:
         before = len(cols)
         for i in range(n):
-            _, s = separate(inst, i, T, price)
+            _, s = _cheapest(shapes[i], price)
             col = Column(i, s)
             if col not in seen:
                 seen.add(col)
@@ -155,6 +188,55 @@ def _starting_columns(inst: Instance, T: LatticeValue) -> List[Column]:
     return cols
 
 
+def _crash_basis(hold: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The master's start basis from the seed's first pass, one column per
+    agent, and its matrix [B^-1 | x_B ; y | z] for `simplex.Master.start`.
+
+    `hold` is the item rows of those n columns, m x n: hold[j, i] is 1
+    when agent i's column holds item j.  The basic variables are lambda
+    (label 0), column i + 1 of agent i in agent row i, and the slack of
+    every item row but that of the most-loaded item r (the most
+    first-pass columns hold it, lowest id on a tie), where lambda sits.
+    With L = load(r) and l the vector that is 1/L on item row r and on
+    the agent rows whose column holds r, the inverse has a closed form:
+    the lambda row is l, the row of agent i's column is l - e_i, and the
+    row of item j's slack is e_(n+j) + sum_{i: j in S_i} e_i - load(j) l.
+    Then every column takes lambda = 1/L, item j's slack is
+    1 - load(j)/L >= 0, so the basis is primal feasible, and y = l,
+    z = 1/L.  Every column holds an item, as T > 0, so L >= 1.
+    """
+    m, n = hold.shape
+    load = hold.sum(axis=1)
+    r = int(load.argmax())
+    ell = np.zeros(n + m)
+    ell[:n] = hold[r] / load[r]
+    ell[n + r] = 1.0 / load[r]
+    inv = np.empty((n + m + 1, n + m + 1))
+    inv[:n, : n + m] = ell
+    np.multiply.outer(-load, ell, out=inv[n : n + m, : n + m])
+    inv[n : n + m, :n] += hold
+    diag = np.arange(n + m)
+    inv[diag, diag] += np.where(diag < n, -1.0, 1.0)  # - e_i, + e_(n+j)
+    inv[:n, n + m] = ell[n + r]
+    inv[n : n + m, n + m] = 1.0 - load * ell[n + r]
+    inv[n + r, : n + m] = ell
+    inv[n + r, n + m] = ell[n + r]
+    inv[n + m, : n + m] = ell
+    inv[n + m, n + m] = ell[n + r]
+    basis = np.concatenate([np.arange(1, n + 1), -1 - np.arange(n, n + m)])
+    basis[n + r] = 0
+    return basis, inv
+
+
+def _block(n: int, m: int, cols: Sequence[Column]) -> np.ndarray:
+    """Master columns of `cols`: -1 in the agent's row, 1 in each item's."""
+    block = np.zeros((n + m, len(cols)))
+    block[[col.agent for col in cols], range(len(cols))] = -1.0
+    block[[n + j for col in cols for j in col.items],
+          [idx for idx, col in enumerate(cols) for _ in col.items]] = 1.0
+    return block
+
+
 def solve_clp(
     inst: Instance,
     T: LatticeValue,
@@ -163,21 +245,24 @@ def solve_clp(
     """Column generation on the max-lambda master; feasible iff lambda* >= 1-DEFAULT_TOL.
 
     The first master holds the congestion-priced seed of
-    `_starting_columns` and the valid columns of `pool`.  Each is a
-    configuration in some C(i, T), and pricing adds every column the
-    duals ask for, so which columns the master starts from changes only
-    the number of rounds, never the optimum lambda* it converges to.
-    Pricing stops at the first restricted master that reaches 1-DEFAULT_TOL,
-    which already shows CLP(T) feasible: the result is reported converged
-    and feasible, and `lambda_star` is then a lower bound on the optimum.
+    `_starting_columns` and the valid columns of `pool`, and starts from
+    the crash basis of `_crash_basis`, not from the slack basis.  Each
+    column is a configuration in some C(i, T), and pricing adds every
+    column the duals ask for, so which columns and basis the master starts
+    from changes only the number of rounds and pivots, never the optimum
+    lambda* it converges to.  Pricing stops at the first restricted master
+    that reaches 1-DEFAULT_TOL, which already shows CLP(T) feasible: the
+    result is reported converged and feasible, and `lambda_star` is then a
+    lower bound on the optimum.
     """
     eps = inst.epsilon
     if T.key(eps) <= 0:
         return ClpResult(1.0, True, True, [])
     try:
-        columns: List[Column] = _starting_columns(inst, T)
+        shapes = _shapes(inst, T)
     except NoConfiguration:
         return ClpResult(0.0, False, True, [])
+    columns = _starting_columns(inst, shapes)
     seen: Set[Column] = set(columns)
     tkey = T.key(eps)
     if pool:
@@ -195,16 +280,13 @@ def solve_clp(
     lam_col = np.zeros((n + m, 1))
     lam_col[:n] = 1.0
     master.add(lam_col, np.ones(1))
+    block = _block(n, m, columns)
+    master.add(block, np.zeros(len(columns)))
+    master.start(*_crash_basis(block[n:, :n]))
     lam = 0.0
     x = np.zeros(0)
     converged = False
-    new = columns
     for _ in range(MAX_ROUNDS):
-        block = np.zeros((n + m, len(new)))
-        for idx, col in enumerate(new):
-            block[col.agent, idx] = -1.0
-            block[[n + j for j in col.items], idx] = 1.0
-        master.add(block, np.zeros(len(new)))
         sol, _, duals = simplex.solve(master)
         lam, x = sol[0], sol[1:]
         if lam >= 1.0 - DEFAULT_TOL:
@@ -214,7 +296,7 @@ def solve_clp(
         z = duals[n:].tolist()
         new = []
         for i in range(n):
-            cost, s = separate(inst, i, T, z)
+            cost, s = _cheapest(shapes[i], z)
             if y[i] - cost > PRICE_TOL:
                 col = Column(i, s)
                 if col not in seen:
@@ -224,6 +306,7 @@ def solve_clp(
             converged = True
             break
         columns.extend(new)
+        master.add(_block(n, m, new), np.zeros(len(new)))
     if pool is not None:
         pool.update(seen)
 
@@ -232,7 +315,8 @@ def solve_clp(
         for idx in range(len(columns))
         if idx < len(x) and x[idx] > 1e-12
     ]
-    return ClpResult(float(lam), lam >= 1.0 - DEFAULT_TOL, converged, positive)
+    return ClpResult(float(lam), lam >= 1.0 - DEFAULT_TOL, converged, positive,
+                     master.pivots)
 
 
 def feasible_at(

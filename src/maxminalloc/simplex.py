@@ -3,20 +3,24 @@
 Solves  max c.x  s.t.  A x <= b, x >= 0  with b >= 0, so the slack basis
 is primal feasible and no phase-one is needed.  A `Master` keeps the
 structural columns, which only ever get appended, and one (m+1)x(m+1)
-matrix [B^-1 | x_B ; y | z] for its current basis.  Appending columns
-changes neither B nor b, so the basis stays primal feasible and the next
-`solve` pivots on from it with nothing re-factored.  Each pivot prices
-y.A - c and the slacks at y, computes the entering column as B^-1 a, and
-updates only the small matrix.
+matrix [B^-1 | x_B ; y | z] for its current basis.  It starts from the
+slack basis, or from any primal feasible basis a caller hands `start`
+together with that matrix (the configuration LP starts from a crash
+basis built from its seed columns).  Appending columns changes neither
+B nor b, so the basis stays primal feasible and the next `solve` pivots
+on from it with nothing re-factored.  Each pivot prices y.A - c and the
+slacks at y, computes the entering column as B^-1 a, and updates only
+the small matrix.
 
 Every pivot enters by Dantzig's rule (most negative reduced cost, the
 structural columns first, then the slacks).  Ratio ties go to the lowest
 basis label (structural before slack) for the first LEX_AFTER pivots of
 a solve, and after that to the lexicographically smallest row of B^-1
 over the pivot column.  The lexicographic rule cannot cycle from a
-lexicographically positive basis; the slack basis is one, but the first
-LEX_AFTER pivots need not keep it one, so MAX_ITERS stays as the
-backstop that bounds a solve.
+lexicographically positive basis.  The slack basis is one; a basis given
+to `start` need not be (a row whose x_B is 0 can start with a negative
+entry), and the first LEX_AFTER pivots need not keep either one, so
+MAX_ITERS stays as the backstop that bounds a solve.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class Master:
     """max c.x s.t. Ax <= b, x >= 0 over columns appended by `add`.
 
     Basis labels number the structural columns 0, 1, ... and the slack of
-    row r as -1 - r.
+    row r as -1 - r.  `pivots` counts the pivots of every `solve` so far.
     """
 
     def __init__(self, b: np.ndarray):
@@ -54,6 +58,15 @@ class Master:
         self.inv = np.zeros((m + 1, m + 1))  # [B^-1 | x_B ; y | z]
         self.inv[:m, :m] = np.eye(m)
         self.inv[:m, m] = np.maximum(b, 0.0)
+        self.pivots = 0
+
+    def start(self, basis: np.ndarray, inv: np.ndarray) -> None:
+        """Take `basis` (labels as above) and its matrix [B^-1 | x_B ; y | z]
+        in place of the current basis; x_B must be primal feasible.  The
+        master owns both arrays from here on and updates them in place."""
+        if np.any(inv[: self.m, self.m] < -TOL):
+            raise SimplexError("negative basic value; start basis infeasible")
+        self.basis, self.inv = basis, inv
 
     def add(self, A_new: np.ndarray, c_new: np.ndarray) -> None:
         """Append the columns of A_new with costs c_new; the basis is kept."""
@@ -116,6 +129,7 @@ def solve(master: Master) -> Tuple[np.ndarray, float, np.ndarray]:
         basis[leave] = label
     else:
         raise SimplexError("simplex iteration cap exceeded")
+    master.pivots += it
 
     x = np.zeros(master.ncols)
     structural = basis >= 0

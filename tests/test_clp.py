@@ -66,6 +66,30 @@ class TestSeparate:
         assert inst.bundle_value(items).key(eps) >= T.key(eps)
         assert sum(z[j] for j in items) == pytest.approx(cost, abs=1e-9)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([Epsilon(1, 2), Epsilon(1, 3), Epsilon(2, 5), Epsilon(1, 6)]),
+           st.integers(0, 4), st.integers(0, 8), st.data())
+    def test_fraction_prices_match_their_float_images(self, eps, mh, ml, data):
+        items = [Item(j, HEAVY) for j in range(mh)] + [Item(mh + j, LIGHT) for j in range(ml)]
+        wanted = data.draw(st.sets(st.integers(0, mh + ml - 1)) if items else st.just(set()))
+        inst = Instance(eps, items, [wanted])
+        # few distinct prices, so that ties between items and pairs come up
+        z = data.draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)])
+                               | st.fractions(0, 1, max_denominator=12),
+                               min_size=inst.m, max_size=inst.m))
+        T = LatticeValue(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 6)))
+        try:
+            cost, got = clp.separate(inst, 0, T, z)
+        except clp.NoConfiguration:
+            with pytest.raises(clp.NoConfiguration):
+                clp.separate(inst, 0, T, [float(p) for p in z])
+            return
+        fcost, want = clp.separate(inst, 0, T, [float(p) for p in z])
+        assert got == want
+        assert cost == sum((z[j] for j in got), Fraction(0))
+        assert isinstance(cost, Fraction) or not z  # no price, no type to keep
+        assert float(cost) == pytest.approx(fcost, abs=1e-12)
+
     def test_zero_duals_cost_zero(self):
         inst = gen.gen_random(1, 1, 3, 1.0, Epsilon(1, 2), 0)
         cost, _ = clp.separate(inst, 0, LatticeValue(1, 0), [0.0] * inst.m)
@@ -237,25 +261,35 @@ class TestEstimateTstar:
 
     def test_fault_f2_n40_matches_highs(self):
         # F2's larger input, 176 rows.  T = 5/3 is the packing cap and the
-        # only probe: from the congestion-priced seed its one master takes
-        # 65 pivots (25 masters and 4,222 pivots from one column per
-        # agent).  Bland's rule ran into the simplex iteration cap here.
+        # only probe: from the crash basis of the congestion-priced seed
+        # its one master takes 24 pivots (65 from the slack basis; 25
+        # masters and 4,222 pivots from one column per agent).  Bland's
+        # rule ran into the simplex iteration cap here.
         inst = gen.gen_random(40, 40, 96, 0.3, Epsilon(1, 3), seed=0)
         assert clp.estimate_Tstar(inst) == LatticeValue(0, 5)  # 5/3, as HiGHS
 
     def test_lexicographic_ties_on_a_real_master(self, monkeypatch):
         # the fault F1 input, 520 rows: the seed stops at 538 columns, and
-        # the one master of the top probe, T = 9/10, takes 753 pivots, so
-        # ratio ties past simplex.LEX_AFTER go to the lexicographic rule
+        # the one master of the top probe, T = 9/10, takes 645 pivots from
+        # the crash basis (753 from the slack basis), so ratio ties past
+        # simplex.LEX_AFTER go to the lexicographic rule
         calls, real = [], np.lexsort
 
         def counted(keys):
             calls.append(len(keys))
             return real(keys)
 
+        results, solve = [], clp.solve_clp
+
+        def recorded(inst, T, pool=None):
+            results.append(solve(inst, T, pool))
+            return results[-1]
+
         monkeypatch.setattr(np, "lexsort", counted)
+        monkeypatch.setattr(clp, "solve_clp", recorded)
         inst = gen.gen_random(80, 40, 400, 0.05, Epsilon(1, 10), seed=0)
         assert clp.estimate_Tstar(inst) == LatticeValue(0, 9)
+        assert len(results) == 1 and results[0].pivots > simplex.LEX_AFTER
         assert calls
 
     def test_search_below_a_failed_top_probe(self, monkeypatch):
@@ -348,19 +382,19 @@ class TestStartingColumns:
     def test_seed_columns_are_configurations(self, inst, data):
         eps = inst.epsilon
         T = data.draw(st.sampled_from(lattice_values(inst)[1:]))
-        prices, real = [], clp.separate
+        prices, real = [], clp._cheapest
 
-        def recorded(inst, agent, T, z):
+        def recorded(shape, z):
             prices.extend(z)
-            return real(inst, agent, T, z)
+            return real(shape, z)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clp, "separate", recorded)
+            mp.setattr(clp, "_cheapest", recorded)
             if any(inst.bundle_value(s).key(eps) < T.key(eps) for s in inst.interests):
                 with pytest.raises(clp.NoConfiguration):
-                    clp._starting_columns(inst, T)
+                    clp._starting_columns(inst, clp._shapes(inst, T))
                 return
-            cols = clp._starting_columns(inst, T)
+            cols = clp._starting_columns(inst, clp._shapes(inst, T))
         assert len(set(cols)) == len(cols) < inst.n + inst.m + inst.n
         for col in cols:
             assert col.items <= inst.interests[col.agent]
@@ -374,10 +408,103 @@ class TestStartingColumns:
         inst = gen.gen_random(n, mh, ml + 1, 0.6, Epsilon(1, 4), seed)
         for T in lattice_values(inst)[1:3]:
             try:
-                cols = clp._starting_columns(inst, T)
+                cols = clp._starting_columns(inst, clp._shapes(inst, T))
             except clp.NoConfiguration:
                 continue
             assert len(set(cols)) == len(cols) < inst.n + inst.m + inst.n
+
+
+def crash_master_matrix(inst, first):
+    """The master's constraint matrix restricted to the crash basis, column
+    by basis row, for the first-pass columns `first`."""
+    n, m = inst.n, inst.m
+    block = clp._block(n, m, first)
+    basis, inv = clp._crash_basis(block[n:])
+    lam_col = np.zeros((n + m, 1))
+    lam_col[:n] = 1.0
+    # lambda, the first-pass columns, then the slacks of every row
+    full = np.hstack([lam_col, block, np.eye(n + m)])
+    B = full[:, [label if label >= 0 else n + 1 + (-1 - label) for label in basis]]
+    return basis, inv, B
+
+
+class TestCrashBasis:
+    @PROPERTY
+    @given(small_random_instances())
+    # two agents, one heavy item each: both items have load 1, so r = 0
+    @example(Instance(Epsilon(1, 2), [Item(0, HEAVY), Item(1, HEAVY)], [[0], [1]]))
+    # three agents on two lights: at T = 1 every column holds both, so r = 0
+    @example(Instance(Epsilon(1, 2), [Item(0, LIGHT), Item(1, LIGHT)], [[0, 1]] * 3))
+    def test_closed_form_matches_numpy_inverse(self, inst):
+        n, m = inst.n, inst.m
+        b = np.concatenate([np.zeros(n), np.ones(m)])
+        for T in lattice_values(inst)[1:]:
+            try:
+                shapes = clp._shapes(inst, T)
+            except clp.NoConfiguration:
+                continue
+            first = clp._starting_columns(inst, shapes)[:n]
+            assert [col.agent for col in first] == list(range(n))
+            basis, inv, B = crash_master_matrix(inst, first)
+            Binv = np.linalg.inv(B)
+            cB = (basis == 0).astype(float)  # only lambda has a cost
+            np.testing.assert_allclose(inv[:-1, :-1], Binv, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(inv[:-1, -1], Binv @ b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(inv[-1, :-1], cB @ Binv, rtol=0, atol=1e-12)
+            assert inv[-1, -1] == pytest.approx(cB @ Binv @ b, abs=1e-12)
+            assert inv[:-1, -1].min() >= 0
+            # the most-loaded item, lowest id on a tie, leaves its slack for lambda
+            load = [sum(j in col.items for col in first) for j in range(m)]
+            assert basis.tolist().index(0) == n + load.index(max(load))
+
+    @PROPERTY
+    @given(small_random_instances())
+    def test_lambda_matches_the_slack_start(self, inst):
+        # solve_clp, which starts from the crash basis, is checked against
+        # enumerated_lambda in TestSolveClpAgainstEnumeration; here the
+        # seed's restricted master reaches one optimum from either start
+        n, m = inst.n, inst.m
+        for T in lattice_values(inst)[1:]:
+            try:
+                shapes = clp._shapes(inst, T)
+            except clp.NoConfiguration:
+                continue
+            cols = clp._starting_columns(inst, shapes)
+            lams = []
+            for crash in (True, False):
+                master = simplex.Master(np.concatenate([np.zeros(n), np.ones(m)]))
+                lam_col = np.zeros((n + m, 1))
+                lam_col[:n] = 1.0
+                master.add(lam_col, np.ones(1))
+                block = clp._block(n, m, cols)
+                master.add(block, np.zeros(len(cols)))
+                if crash:
+                    master.start(*clp._crash_basis(block[n:, :n]))
+                lams.append(simplex.solve(master)[1])
+            assert lams[0] == pytest.approx(lams[1], abs=1e-9)
+            assert lams[0] <= enumerated_lambda(inst, T) + 1e-7
+
+
+class TestPivotCounts:
+    def test_lp_mid_seed_one_within_budget(self, monkeypatch):
+        # the 30 instances of the benchmark's lp-mid workload at seed 1
+        # (bench/workloads.py: n = 12, 12 heavy and 24 light items, density
+        # 0.35, eps 1/3 and 1/4), each estimated and then solved at T*:
+        # 1,997 pivots from the crash basis, 2,790 from the slack basis
+        results, solve = [], clp.solve_clp
+
+        def recorded(inst, T, pool=None):
+            results.append(solve(inst, T, pool))
+            return results[-1]
+
+        monkeypatch.setattr(clp, "solve_clp", recorded)
+        rng = random.Random(1)
+        for _ in range(15):
+            for eps in (Epsilon(1, 3), Epsilon(1, 4)):
+                inst = gen.gen_random(12, 12, 24, 0.35, eps, rng.randrange(2**31))
+                clp.solve_clp(inst, clp.estimate_Tstar(inst))
+        assert len(results) == 61
+        assert sum(res.pivots for res in results) <= 1997
 
 
 class TestEstimateAbove:

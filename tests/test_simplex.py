@@ -110,9 +110,43 @@ class TestAgainstScipy:
         # solving on from it must reach the HiGHS optimum after every batch
         check_appending()
 
+    def test_pivots_are_counted(self):
+        # max x+y s.t. x <= 1, y <= 2: each variable enters once
+        master = simplex.Master(np.array([1.0, 2.0]))
+        master.add(np.eye(2), np.array([1.0, 1.0]))
+        simplex.solve(master)
+        assert master.pivots == 2
+        simplex.solve(master)  # already optimal: no pivot
+        assert master.pivots == 2
+
     def test_negative_rhs_rejected(self):
         with pytest.raises(simplex.SimplexError):
             simplex.Master(np.array([1.0, -1.0]))
+
+
+class TestStart:
+    def test_from_an_optimal_basis_no_pivot(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            c, A, b = random_lp(rng, 4, 5, low=0.0)
+            first = simplex.Master(b)
+            first.add(A, c)
+            _, obj, duals = simplex.solve(first)
+            again = simplex.Master(b)
+            again.add(A, c)
+            again.start(first.basis.copy(), first.inv.copy())
+            x, obj2, duals2 = simplex.solve(again)
+            assert again.pivots == 0
+            assert obj2 == obj and np.array_equal(duals2, duals)
+            check_against_highs(c, A, b, x, obj2, duals2)
+
+    def test_infeasible_basis_rejected(self):
+        master = simplex.Master(np.array([1.0, 1.0]))
+        inv = np.zeros((3, 3))
+        inv[:2, :2] = np.eye(2)
+        inv[:2, 2] = [1.0, -1.0]
+        with pytest.raises(simplex.SimplexError, match="infeasible"):
+            master.start(-1 - np.arange(2), inv)
 
 
 class TestLexicographicRule:
