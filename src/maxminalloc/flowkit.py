@@ -13,6 +13,7 @@ local search augments one breadth-first shortest path at a time
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -312,6 +313,15 @@ class ResidualDigraph:
     to-i heavy item j.  Node k is `nodes[k]`: the agents first, ascending,
     then the heavy items, ascending.  `arcs` holds the (tail, head) node
     pairs agent by agent, each agent's heavy items in ascending order.
+
+    It also holds the node-split unit network that `PathFlow` copies, in
+    `_Flow`'s layout: node k is the pair in = 2k + 2 -> out = 2k + 3,
+    joined by edge 2k, and arc r (u, v) is edge 2N + 2r from out-node
+    2u + 3 to in-node 2v + 2, N being the node count; every capacity is
+    1 forward and 0 back.  Each adjacency list is sorted by edge id, the
+    order in which a build appends them.  `flip` reverses one arc in
+    place, keeping its position in `arcs` and its edge ids, so the graph
+    follows the matching through a path reversal without a rebuild.
     """
 
     def __init__(self, inst: Instance, matching: HeavyMatching,
@@ -320,13 +330,17 @@ class ResidualDigraph:
         self.agents = sorted(agents) if agents is not None else list(range(inst.n))
         items = sorted(items if items is not None else inst.heavy_ids)
         self.nodes = self.agents + items
-        node_of = {j: k for k, j in enumerate(items, len(self.agents))}
+        self.agent_node = {i: k for k, i in enumerate(self.agents)}
+        self._item_node = {j: k for k, j in enumerate(items, len(self.agents))}
+        self._arc_of: Dict[Tuple[int, int], int] = {}  # (agent node, item node) -> arc
         self.arcs: List[Tuple[int, int]] = []
         matched: Set[int] = set()
+        node_of = self._item_node
         for a, i in enumerate(self.agents):
             for j in inst.b1(i):
                 if j not in node_of:
                     continue
+                self._arc_of[a, node_of[j]] = len(self.arcs)
                 if matching.get(i) != j:
                     self.arcs.append((a, node_of[j]))
                 elif j in matched:
@@ -334,20 +348,47 @@ class ResidualDigraph:
                 else:
                     matched.add(j)
                     self.arcs.append((node_of[j], a))
+        # node edges first: edge 2k runs from in-node 2k + 2 to out-node 2k + 3
+        size = 2 * len(self.nodes) + 2
+        self.head = head = [e ^ 1 for e in range(2, size)]
+        self.adj = adj = [[], []] + [[e] for e in range(size - 2)]
+        for u, v in self.arcs:
+            e = len(head)
+            head += (2 * v + 2, 2 * u + 3)
+            adj[2 * u + 3].append(e)
+            adj[2 * v + 2].append(e + 1)
+        self.cap = [1, 0] * (len(head) // 2)
+
+    def flip(self, agent: int, item: int):
+        """Reverse the arc between `agent` and heavy `item`: the item
+        becomes matched to the agent, or stops being so."""
+        r = self._arc_of[self.agent_node[agent], self._item_node[item]]
+        u, v = self.arcs[r]
+        self.arcs[r] = (v, u)
+        e = 2 * len(self.nodes) + 2 * r
+        head, adj = self.head, self.adj
+        # e ran out(u) -> in(v) and now runs out(v) -> in(u); e + 1 the reverse
+        head[e], head[e + 1] = 2 * u + 2, 2 * v + 3
+        adj[2 * u + 3].remove(e)
+        bisect.insort(adj[2 * v + 3], e)
+        adj[2 * v + 2].remove(e + 1)
+        bisect.insort(adj[2 * u + 2], e + 1)
 
 
 class PathFlow:
     """Maximum set of node-disjoint directed paths between agent sets.
 
-    A unit-capacity view over one `_Flow`.  Digraph node k is the pair
-    in = 2k + 2 -> out = 2k + 3 joined by one unit edge, which makes the
-    paths node-disjoint; arcs run out -> in.  The source S = 0 has a unit
-    edge to the in-node of every source agent, in the order they were
-    added, and the out-node of every sink agent has a unit edge to the sink
-    T = 1, after its arcs.  Sources and sinks are agents of the digraph and
-    may be added incrementally.  A node that is both source and sink yields
-    a zero-length path.  Sources added to a maximum flow need no filter:
-    a source that flow left unsaturated has no residual path to T, so no
+    A unit-capacity view over one `_Flow`, which starts as a copy of the
+    digraph's node-split network (see `ResidualDigraph`): each digraph node
+    is an in/out pair joined by one unit edge, which makes the paths
+    node-disjoint, and arcs run out -> in.  The copy leaves the digraph's
+    own network as it is.  The source S = 0 has a unit edge to the in-node
+    of every source agent, in the order they were added, and the out-node
+    of every sink agent has a unit edge to the sink T = 1, after its arcs.
+    Sources and sinks are agents of the digraph and may be added
+    incrementally.  A node that is both source and sink yields a
+    zero-length path.  Sources added to a maximum flow need no filter: a
+    source that flow left unsaturated has no residual path to T, so no
     augmenting path touches a node it reaches, and it never starts a later
     path; the new sources find the paths they would find alone.
     """
@@ -359,19 +400,11 @@ class PathFlow:
         # reachable_out_agents() of the current state; cleared on every change
         self._reach: Optional[Set[int]] = None
         self._ids = g.nodes
-        self._agent_node = {i: k for k, i in enumerate(g.agents)}
-        size = 2 * len(g.nodes) + 2
-        # node edges first: edge 2k runs from in-node 2k + 2 to out-node 2k + 3
+        self._agent_node = g.agent_node
         fl = self._flow = _Flow(0)
-        fl.head = [e ^ 1 for e in range(2, size)]
-        fl.adj = [[], []] + [[e] for e in range(size - 2)]
-        head, adj = fl.head, fl.adj
-        for u, v in g.arcs:
-            e = len(head)
-            head += (2 * v + 2, 2 * u + 3)
-            adj[2 * u + 3].append(e)
-            adj[2 * v + 2].append(e + 1)
-        fl.cap = [1, 0] * (len(head) // 2)
+        fl.head = g.head[:]
+        fl.cap = g.cap[:]
+        fl.adj = [a[:] for a in g.adj]
 
     def add_source(self, agent: int):
         self._reach = None

@@ -63,10 +63,18 @@ class LazyStats:
 
 
 class LazyState:
-    """Layers, the unblocked set I and the matching, for one root agent."""
+    """Layers, the unblocked set I and the matching, for one root agent.
+
+    `digraph` is the residual digraph of M's heavy matching over `agents`
+    and `heavy_items`.  It is updated in place: _reverse_path, the only
+    writer of heavy bundles, flips the arcs of the path it reverses, so
+    one digraph serves every root of a probe (see _probe), and
+    check_invariants compares it with a fresh build.
+    """
 
     def __init__(self, inst: Instance, M: Dict[int, Bundle], i0: int,
-                 params: Params, agents: Set[int], heavy_items: Set[int]):
+                 params: Params, agents: Set[int], heavy_items: Set[int],
+                 digraph: Optional[ResidualDigraph] = None):
         self.inst = inst
         self.M = M
         self.i0 = i0
@@ -77,9 +85,9 @@ class LazyState:
         self.X: List[List[LightEdge]] = [[]]
         self.Y: List[Set[int]] = [{i0}]
         self.I: List[LightEdge] = []
-        # residual digraph of the current heavy matching; _reverse_path,
-        # the only writer of heavy bundles, drops it
-        self._digraph: Optional[ResidualDigraph] = None
+        if digraph is None:
+            digraph = ResidualDigraph(inst, self.heavy_matching(), agents, heavy_items)
+        self.digraph = digraph
 
     # -- derived views ------------------------------------------------------
 
@@ -110,14 +118,6 @@ class LazyState:
                 if a in self.M:  # the layer-0 dummy carries no items
                     items |= self.M[a][1]
         return items
-
-    def digraph(self) -> ResidualDigraph:
-        """The residual digraph of the heavy matching, built once per matching."""
-        if self._digraph is None:
-            self._digraph = ResidualDigraph(
-                self.inst, self.heavy_matching(), self.agents, self.heavy_items
-            )
-        return self._digraph
 
     def free_items_of(self, e: LightEdge, owner: Dict[int, int]) -> List[int]:
         return sorted(j for j in e.items if j not in owner)
@@ -150,8 +150,9 @@ class LazyState:
                 raise LazyInvariantError("blocked edge in I")
         # Fact 1, from scratch: f(Y_<=t-1, X_<=t u I) >= |X_<=t|
         g = ResidualDigraph(self.inst, self.heavy_matching(), self.agents, self.heavy_items)
-        if self._digraph is not None and self._digraph.arcs != g.arcs:
-            raise LazyInvariantError("cached residual digraph is stale")
+        d = self.digraph
+        if (d.arcs, d.head, d.cap, d.adj) != (g.arcs, g.head, g.cap, g.adj):
+            raise LazyInvariantError("residual digraph is stale")
         for t in range(1, len(self.Y)):
             sources = set()
             for i in range(t):
@@ -221,8 +222,10 @@ def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     new_x: List[LightEdge] = []
     added_i = 0
     for i in sorted(state.agents):
+        if not pf.would_increase(i):
+            continue
         fresh = lowest_free(state.inst.beps(i), tree, p)
-        if fresh is None or not pf.would_increase(i):
+        if fresh is None:
             continue
         e = LightEdge(i, frozenset(fresh))
         if len(state.free_items_of(e, owner)) >= r:
@@ -250,7 +253,7 @@ def compute_W(
     unblocked edges I_i they reach, and the flow, which build_layer
     continues.  Each layer's sources join the maximum flow of the layers
     below it, so a path found for layer i starts in Y_i."""
-    pf = PathFlow(state.digraph())
+    pf = PathFlow(state.digraph)
     for e in state.I:
         pf.add_sink(e.agent)
     prefix = []
@@ -275,14 +278,17 @@ def compute_W(
 
 def _reverse_path(state: LazyState, path: List[int]):
     """Reverse every heavy arc on the path [a0, j1, a1, ..., ak]: agent
-    a_{t-1} takes heavy item j_t from agent a_t."""
-    state._digraph = None
+    a_{t-1} takes heavy item j_t from agent a_t.  The digraph's arcs flip
+    with M."""
+    g = state.digraph
     for j, i in zip(path[1::2], path[2::2]):  # matched arcs j_t -> a_t
         if state.M.get(i) != (HEAVY_KIND, frozenset([j])):
             raise LazyInvariantError("path does not follow the matching")
         del state.M[i]
+        g.flip(i, j)
     for i, j in zip(path[::2], path[1::2]):  # free arcs a_{t-1} -> j_t
         state.M[i] = (HEAVY_KIND, frozenset([j]))
+        g.flip(i, j)
 
 
 def collapse(state: LazyState, t: int, W: List[List[List[int]]],
@@ -335,7 +341,7 @@ def collapse(state: LazyState, t: int, W: List[List[List[int]]],
     state.Y[t] &= {owner[j] for e in state.X[t] for j in e.items if j in owner}
     # the swaps reversed heavy arcs, so the flow is built on the new matching
     sinks = [e.agent for layer in state.X for e in layer] + [e.agent for e in state.I]
-    pf = disjoint_paths(state.digraph(), [a for yi in state.Y for a in yi], sinks)
+    pf = disjoint_paths(state.digraph, [a for yi in state.Y for a in yi], sinks)
     for e in sorted(released, key=lambda e: e.agent):
         if pf.would_increase(e.agent):
             state.I.append(e)
@@ -354,11 +360,14 @@ def extend_matching_poly(
     agents: Optional[Set[int]] = None,
     heavy_items: Optional[Set[int]] = None,
     stats: Optional[LazyStats] = None,
+    digraph: Optional[ResidualDigraph] = None,
 ) -> str:
     """Grow M so that i0 gets a heavy item or r light items.
 
     Alternates collapse and layer building; returns MATCHED, STALLED or
-    BUDGET_EXCEEDED.  The collapse rule is the analysis's with mu -> 0:
+    BUDGET_EXCEEDED.  `digraph` is the residual digraph of M's heavy
+    matching, which the search updates in place; one is built when it is
+    None.  The collapse rule is the analysis's with mu -> 0:
     collapse the lowest layer that reaches any unblocked edge.  The
     analysis collapses layer i once ceil(mu |Y_i|) of its blockers do,
     which is 1 for every |Y_i| < 1/mu.
@@ -369,7 +378,7 @@ def extend_matching_poly(
         agents = set(range(inst.n))
     if heavy_items is None:
         heavy_items = set(inst.heavy_ids)
-    state = LazyState(inst, M, i0, params, agents, heavy_items)
+    state = LazyState(inst, M, i0, params, agents, heavy_items, digraph)
     stats = stats if stats is not None else LazyStats()
     matched_before = set(M)
     last_sig = None
@@ -430,11 +439,14 @@ def _probe(inst: Instance, params: Params, budget: int):
         i: (HEAVY_KIND, frozenset([j])) for i, j in matching.items()
     }
     stats = LazyStats()
+    digraph = None  # one for every root, built for the first
     for i0 in sorted(agents):
         if i0 in M:
             continue
+        if digraph is None:
+            digraph = ResidualDigraph(inst, matching, agents, heavy)
         outcome = extend_matching_poly(
-            inst, M, i0, params, budget, agents, heavy, stats
+            inst, M, i0, params, budget, agents, heavy, stats, digraph
         )
         if outcome != MATCHED:
             return outcome, None, stats

@@ -13,6 +13,7 @@ full interest sets, or a CLP support hypergraph.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,8 +82,9 @@ class TreeState:
     """The alternating tree of one extend_matching call.
 
     Keeps each tree agent's candidates (its lowest free heavy item and its
-    best r lowest free lights) between steps, built when candidates()
-    first reads the agent.  The cache is exact:
+    best r lowest free lights) between steps, and a heap of them keyed
+    (dist, agent, items), the order find_addable picks by.  The cache is
+    exact:
     - between contractions tree_items only grows, and lowest_free keeps
       its answer while the items added miss it (None stays None);
     - every other light pool's pick can only rise lexicographically as
@@ -91,7 +93,13 @@ class TreeState:
     - an agent's dist is fixed while it stays in the tree.
     take() grows tree_items and drops the candidates that use an item it
     adds, found through an item -> agents index; rebuild_items, the only
-    other writer of tree_items, clears the whole cache.
+    other writer of tree_items, clears the whole cache and the heap.  An
+    agent whose candidates were dropped, and a new tree agent, is marked
+    stale; the next pick finds its candidates and pushes them.  A heap
+    entry whose candidate is no longer cached is popped when it surfaces.
+
+    It also keeps the signature's coordinates (see signature), which
+    add_edge and contract update; check_structure recounts them.
     """
 
     def __init__(self, M: Dict[int, Bundle], owner: Dict[int, int],
@@ -107,6 +115,14 @@ class TreeState:
         self.last_signature = None
         self._cands: Dict[int, List[Candidate]] = {}  # agent -> its candidates
         self._users: Dict[int, List[int]] = {}  # item -> agents whose candidates use it
+        self._stale: Set[int] = {i0}  # tree agents whose candidates are not cached
+        # (dist, agent, items, candidate): a (dist, agent) pair fixes the
+        # kind, so entries that tie on the key hold equal candidates and
+        # the heap never has to order two Candidates
+        self._heap: List[Tuple[int, int, Tuple[int, ...], Candidate]] = []
+        # coords[2d] is minus the addable edges at distance d, coords[2d + 1]
+        # the blockers in layer d; trailing zero pairs are allowed
+        self._coords: List[int] = [0, 0]
 
     # -- structure helpers -----------------------------------------------
 
@@ -124,7 +140,8 @@ class TreeState:
         self.tree_items |= items
         for j in items:
             for a in self._users.pop(j, ()):
-                self._cands.pop(a, None)
+                if self._cands.pop(a, None) is not None:
+                    self._stale.add(a)
 
     def rebuild_items(self):
         items: Set[int] = set()
@@ -135,23 +152,16 @@ class TreeState:
         self.tree_items = items
         self._cands.clear()
         self._users.clear()
+        self._heap.clear()
+        self._stale = {self.i0} | set(self.blockers)
 
     # -- signatures --------------------------------------------------------
 
     def signature(self):
-        # one pass over the edges and one over the blockers: coords[2d] is
-        # minus the addable edges at distance d, coords[2d + 1] the blockers
-        # in layer d
-        coords = [0, 0]
-        for e in self.edges:
-            while len(coords) <= 2 * e.dist:
-                coords += [0, 0]
-            coords[2 * e.dist] -= 1
-        for b in self.blockers.values():
-            while len(coords) <= 2 * b.layer:
-                coords += [0, 0]
-            coords[2 * b.layer + 1] += 1
-        return tuple(coords) + (math.inf,)
+        """(-A_0, B_0, -A_1, B_1, ..., inf), with A_d the addable edges at
+        dist d and B_d the blockers in layer d, up to the last d either
+        reaches (see contract), read from the kept counts."""
+        return _trimmed(self._coords)
 
     def check_signature_decreased(self):
         sig = self.signature()
@@ -162,30 +172,49 @@ class TreeState:
         self.last_signature = sig
 
     def check_structure(self):
-        """Distance parity, blocker-kind and membership invariants."""
+        """Distance parity, blocker-kind and membership invariants, and the
+        signature counts against a recount made on the same walk."""
         M, blockers = self.M, self.blockers
-        for b in blockers.values():
-            if b.dist % 2 == 1:
-                raise TreeInvariantError("blocking edge at odd distance")
-            if b.agent not in M:
-                raise TreeInvariantError("blocker is not a matching edge")
-        for e in self.edges:
-            if e.kind == HEAVY_KIND:
-                if e.dist % 2 == 1:
-                    raise TreeInvariantError("heavy addable edge at odd distance")
-                if len(e.blockers) > 1:
-                    raise TreeInvariantError("heavy edge with more than one blocker")
-            elif e.dist % 2 == 0:
-                raise TreeInvariantError("light addable edge at even distance")
-            if e.agent != self.i0 and e.agent not in blockers:
-                raise TreeInvariantError("addable edge of an agent outside the tree")
-            for a in e.blockers:
-                if a not in blockers:
-                    raise TreeInvariantError("addable edge lists a blocker outside the tree")
-                if M[a][0] != e.kind:
-                    raise TreeInvariantError("blocker kind mismatch")
+        coords = [0] * len(self._coords)  # an element past the counts is a mismatch
+        try:
+            for b in blockers.values():
+                if b.dist % 2 == 1:
+                    raise TreeInvariantError("blocking edge at odd distance")
+                if b.agent not in M:
+                    raise TreeInvariantError("blocker is not a matching edge")
+                coords[2 * b.layer + 1] += 1
+            for e in self.edges:
+                if e.kind == HEAVY_KIND:
+                    if e.dist % 2 == 1:
+                        raise TreeInvariantError("heavy addable edge at odd distance")
+                    if len(e.blockers) > 1:
+                        raise TreeInvariantError("heavy edge with more than one blocker")
+                elif e.dist % 2 == 0:
+                    raise TreeInvariantError("light addable edge at even distance")
+                if e.agent != self.i0 and e.agent not in blockers:
+                    raise TreeInvariantError("addable edge of an agent outside the tree")
+                for a in e.blockers:
+                    if a not in blockers:
+                        raise TreeInvariantError("addable edge lists a blocker outside the tree")
+                    if M[a][0] != e.kind:
+                        raise TreeInvariantError("blocker kind mismatch")
+                coords[2 * e.dist] -= 1
+        except IndexError:
+            coords = None
+        if coords != self._coords:
+            raise TreeInvariantError(
+                f"signature counts {self._coords} differ from the tree's recount {coords}"
+            )
 
     # -- candidate enumeration ----------------------------------------------
+
+    def _refresh(self):
+        """Find and push the candidates of every stale tree agent."""
+        for i in self._stale:
+            cands = self._cands[i] = self._find_candidates(i)
+            for c in cands:
+                heapq.heappush(self._heap, (c.dist, c.agent, c.items, c))
+        self._stale.clear()
 
     def candidates(self) -> List[Candidate]:
         """Every tree agent's candidates, agents ascending, heavy first.
@@ -193,13 +222,20 @@ class TreeState:
         An agent's candidates come from the cache while no item in them
         has entered the tree since they were found (see TreeState).
         """
-        out: List[Candidate] = []
-        for i in self.agents_in_tree():
-            cands = self._cands.get(i)
-            if cands is None:
-                cands = self._cands[i] = self._find_candidates(i)
-            out += cands
-        return out
+        self._refresh()
+        return [c for i in self.agents_in_tree() for c in self._cands[i]]
+
+    def pick(self) -> Optional[Candidate]:
+        """The least cached candidate under (dist, agent, items), or None."""
+        self._refresh()
+        heap, cands = self._heap, self._cands
+        while heap:
+            c = heap[0][3]
+            live = cands.get(c.agent)  # at most two candidates
+            if live and (live[0] is c or live[-1] is c):
+                return c
+            heapq.heappop(heap)
+        return None
 
     def _find_candidates(self, i: int) -> List[Candidate]:
         # the lowest free item ids suffice: find_addable breaks ties by them
@@ -221,13 +257,18 @@ class TreeState:
         return out
 
 
+def _trimmed(coords: List[int]) -> tuple:
+    """Signature coordinates without trailing zero pairs, ending in inf."""
+    n = len(coords)
+    while n > 2 and not coords[n - 1] and not coords[n - 2]:
+        n -= 2
+    return tuple(coords[:n]) + (math.inf,)
+
+
 def find_addable(state: TreeState) -> Optional[Candidate]:
     """The candidate closest to the root; ties go to the lowest agent, then
     to the lowest items."""
-    cands = state.candidates()
-    if not cands:
-        return None
-    return min(cands, key=lambda c: (c.dist, c.agent, c.items))
+    return state.pick()
 
 
 def _set_bundle(state: TreeState, agent: int, kind: str, items: FrozenSet[int]):
@@ -246,11 +287,18 @@ def add_edge(state: TreeState, cand: Candidate) -> AddEdge:
     blocking = state.blocking_of(cand.items)
     e = AddEdge(cand.agent, frozenset(cand.items), cand.kind, cand.dist, set(blocking))
     state.edges.append(e)
+    # the edge counts at 2 * dist, its new blockers (layer dist) at 2 * dist + 1
+    coords = state._coords
+    while len(coords) <= 2 * e.dist:
+        coords += [0, 0]
+    coords[2 * e.dist] -= 1
     state.take(e.items)
     bdist = cand.dist + (1 if cand.kind == LIGHT_KIND else 0)
     for a in sorted(blocking):
         if a not in state.blockers:
             state.blockers[a] = BlockEdge(a, state.M[a][0], bdist, cand.dist)
+            coords[2 * e.dist + 1] += 1
+            state._stale.add(a)
             state.take(state.M[a][1])
     return e
 
@@ -298,9 +346,20 @@ def contract(state: TreeState, cand: Candidate) -> bool:
             return True
         f = state.blockers.pop(cand.agent)
         _set_bundle(state, cand.agent, cand.kind, frozenset(cand.items))
+        # the cut leaves nothing beyond layer L = f.layer; below it, the
+        # counts lose f and the edges whose agent left the tree
+        coords = state._coords
+        del coords[2 * f.layer + 2:]
+        coords[2 * f.layer + 1] -= 1
         state.blockers = {a: b for a, b in state.blockers.items() if b.layer <= f.layer}
-        state.edges = [e for e in state.edges if e.dist <= f.layer
-                       and (e.agent == state.i0 or e.agent in state.blockers)]
+        kept: List[AddEdge] = []
+        for e in state.edges:
+            if e.dist <= f.layer:
+                if e.agent == state.i0 or e.agent in state.blockers:
+                    kept.append(e)
+                else:
+                    coords[2 * e.dist] += 1
+        state.edges = kept
         emptied: List[AddEdge] = []
         for e in state.edges:
             if f.agent in e.blockers:
@@ -311,6 +370,7 @@ def contract(state: TreeState, cand: Candidate) -> bool:
             raise TreeInvariantError("multiple edges emptied by one eviction")
         if emptied:
             state.edges.remove(emptied[0])
+            coords[2 * emptied[0].dist] += 1
         state.rebuild_items()
         if not emptied:
             return False

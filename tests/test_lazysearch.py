@@ -1,14 +1,19 @@
+import importlib
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from maxminalloc import exact, flowkit, gen, lazysearch, treesearch
 from maxminalloc.model import Epsilon, HEAVY, Instance, Item, LIGHT, min_value
 
 H = treesearch.HEAVY_KIND
 L = treesearch.LIGHT_KIND
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestPreprocess:
@@ -58,10 +63,38 @@ class TestExtendMatchingPoly:
         assert M[0] == (H, frozenset({0}))
         assert M[1][0] == L and len(M[1][1]) == 2
 
-    def test_one_digraph_per_matching(self, monkeypatch):
-        # the root direct case: compute_W, a layer scan continuing its flow,
-        # compute_W again on the same matching (reusing its digraph), then
-        # the layer-0 collapse, which needs no flow of its own
+    def test_one_digraph_per_probe(self, monkeypatch):
+        # several roots, whose collapses reverse heavy paths: the probe builds
+        # one digraph and updates it, and each invariant check builds its own
+        builds, checks, reversed_arcs = [], [], []
+        init = flowkit.ResidualDigraph.__init__
+        check = lazysearch.LazyState.check_invariants
+        reverse = lazysearch._reverse_path
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_check(self):
+            checks.append(1)
+            check(self)
+
+        def counting_reverse(state, path):
+            reversed_arcs.append(len(path) - 1)
+            reverse(state, path)
+
+        monkeypatch.setattr(flowkit.ResidualDigraph, "__init__", counting_init)
+        monkeypatch.setattr(lazysearch.LazyState, "check_invariants", counting_check)
+        monkeypatch.setattr(lazysearch, "_reverse_path", counting_reverse)
+        inst = gen.gen_random(5, 3, 8, 0.6, Epsilon(1, 4), 3)
+        outcome, _, stats = lazysearch._probe(inst, lazysearch.Params(1, 2), 1000)
+        assert outcome == lazysearch.MATCHED
+        assert stats.collapses >= 2 and sum(reversed_arcs) >= 6
+        assert len(builds) == 1 + len(checks)
+
+    def test_root_direct_builds_one_digraph(self, monkeypatch):
+        # compute_W, a layer scan continuing its flow, compute_W again on
+        # the same digraph, then the layer-0 collapse
         builds = []
         init = flowkit.ResidualDigraph.__init__
 
@@ -83,27 +116,42 @@ class TestExtendMatchingPoly:
         assert (stats.collapses, stats.layers_peak) == (1, 0)
         assert len(builds) == 1
 
+    def test_unflipped_digraph_is_stale(self, monkeypatch):
+        # the layer-1 collapse below moves heavy item 0 from agent 2 to
+        # agent 1; without the in-place flips the check after it sees the
+        # digraph of the old matching
+        monkeypatch.setattr(flowkit.ResidualDigraph, "flip", lambda self, agent, item: None)
+        inst = Instance(
+            Epsilon(1, 4),
+            [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 7)],
+            [[1, 2, 3], [0, 1, 2], [0, 4, 5, 6]],
+        )
+        M = {1: (L, frozenset({1, 2})), 2: (H, frozenset({0}))}
+        with pytest.raises(lazysearch.LazyInvariantError, match="residual digraph is stale"):
+            lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(r=2, p=3))
+
     def test_one_layer_scan(self, monkeypatch):
-        # the root direct case: the scan adds agent 1's edge to I and
-        # reads each agent's lowest free lights once
+        # the root direct case and agent 2, whose lights no path reaches:
+        # the scan adds agent 1's edge to I and reads the lowest free
+        # lights of agents 0 and 1 once each, and never those of agent 2
         calls = []
         lowest_free = lazysearch.lowest_free
 
-        def counting_lowest_free(*args):
-            calls.append(1)
-            return lowest_free(*args)
+        def counting_lowest_free(items, taken, count):
+            calls.append(tuple(items))
+            return lowest_free(items, taken, count)
 
         monkeypatch.setattr(lazysearch, "lowest_free", counting_lowest_free)
         inst = Instance(
             Epsilon(1, 4),
-            [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 5)],
-            [[0], [0, 1, 2, 3, 4]],
+            [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 8)],
+            [[0], [0, 1, 2, 3, 4], [5, 6, 7]],
         )
         state = lazysearch.LazyState(inst, {1: (H, frozenset({0}))}, 0,
-                                     lazysearch.Params(r=2, p=3), {0, 1}, {0})
+                                     lazysearch.Params(r=2, p=3), {0, 1, 2}, {0})
         _, _, pf = lazysearch.compute_W(state)
         assert lazysearch.build_layer(state, pf) == (1, 0)
-        assert len(calls) == 2
+        assert calls == [(), (1, 2, 3, 4)]
 
     def test_layer_collapse_along_heavy_path(self):
         # agent 1's lights block the root's edge (layer 1); agent 1 reaches
@@ -195,6 +243,69 @@ class TestExtendMatchingPoly:
                     assert before | {i0} <= set(M)
                 else:
                     assert before <= set(M)
+
+
+@contextmanager
+def checked_digraphs():
+    """After every collapse, compare the digraph the search updated in
+    place with a fresh build of the matching: its arcs and its node-split
+    network.  Yields a list that gets, per probe, the set of digraphs its
+    collapses used."""
+    collapse, probe = lazysearch.collapse, lazysearch._probe
+    used = []
+
+    def checked_probe(*args):
+        used.append(set())
+        return probe(*args)
+
+    def checked_collapse(state, *args):
+        out = collapse(state, *args)
+        g = state.digraph
+        fresh = flowkit.ResidualDigraph(state.inst, state.heavy_matching(), state.agents,
+                                        state.heavy_items)
+        assert g.arcs == fresh.arcs
+        assert (g.head, g.cap, g.adj) == (fresh.head, fresh.cap, fresh.adj)
+        used[-1].add(id(g))
+        return out
+
+    lazysearch.collapse, lazysearch._probe = checked_collapse, checked_probe
+    try:
+        yield used
+    finally:
+        lazysearch.collapse, lazysearch._probe = collapse, probe
+
+
+@pytest.fixture(scope="module")
+def planted():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        yield importlib.import_module("planted")
+
+
+epsilons = st.builds(lambda q, p: Epsilon(p, q) if p < q else Epsilon(1, q),
+                     st.integers(2, 8), st.integers(1, 3))
+
+
+class TestDigraphInPlace:
+    # Each @example reverses heavy paths of several arcs in its collapses.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.6, 1.0]), epsilons, st.integers(0, 2**30))
+    @example(5, 3, 8, 0.6, Epsilon(1, 4), 3)
+    @example(8, 5, 16, 0.6, Epsilon(1, 4), 61)
+    def test_random_matches_fresh_build(self, n, mh, ml, density, eps, seed):
+        with checked_digraphs() as used:
+            lazysearch.poly_solve(gen.gen_random(n, mh, ml, density, eps, seed))
+        assert all(len(digraphs) <= 1 for digraphs in used)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 16), st.integers(3, 12), st.integers(1, 12), st.integers(0, 2**30))
+    @example(16, 10, 10, 7)
+    def test_noisy_planted_matches_fresh_build(self, planted, n, q, k, seed):
+        inst, _, _ = planted.planted_instance(n, Epsilon(1, q), min(k, q), seed, True)
+        with checked_digraphs() as used:
+            lazysearch.poly_solve(inst)
+        assert all(len(digraphs) <= 1 for digraphs in used)
 
 
 class TestPolySolve:

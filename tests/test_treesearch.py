@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -134,6 +135,20 @@ class TestCheckStructure:
         with pytest.raises(treesearch.TreeInvariantError, match="blocker outside the tree"):
             state.check_structure()
 
+    def test_signature_counts_off_by_one(self):
+        state = self.grown_tree()
+        assert state.signature() == (-1, 1, math.inf)
+        state._coords[0] -= 1  # one edge at distance 0 more than the tree holds
+        with pytest.raises(treesearch.TreeInvariantError, match="signature counts"):
+            state.check_structure()
+
+    def test_edge_past_the_signature_counts(self):
+        # a light edge of the blocker at distance 1, which no count saw
+        state = self.grown_tree()
+        state.edges.append(treesearch.AddEdge(1, frozenset({1, 2}), treesearch.LIGHT_KIND, 1))
+        with pytest.raises(treesearch.TreeInvariantError, match="signature counts"):
+            state.check_structure()
+
 
 class TestQuasiSolve:
     def test_ratio_on_random(self, corpus):
@@ -267,22 +282,33 @@ class TestGap3Certify:
 @contextmanager
 def checked_steps():
     """Make every find_addable call first compare the tree's cached
-    candidates with brute_candidates, every step's signature with
-    brute_signature, and every cut of a contraction, cascade steps
-    included, pass check_structure; yields a list that gets each checked
-    step's candidate count."""
+    candidates with brute_candidates and its pick with their least under
+    (dist, agent, items), every step's signature with brute_signature,
+    and every cut of a contraction, cascade steps included, pass
+    check_structure; yields a list that gets each checked step's
+    candidate count.  Between two picks in one tree, signature() runs
+    exactly once."""
     original = treesearch.find_addable
     signature = treesearch.TreeState.signature
     rebuild = treesearch.TreeState.rebuild_items
     steps = []
+    last = {"state": None, "signatures": 0}
 
     def checked(state):
         cands = state.candidates()
-        assert [(c.agent, c.items, c.kind, c.dist) for c in cands] == brute_candidates(state)
+        brute = brute_candidates(state)
+        assert [(c.agent, c.items, c.kind, c.dist) for c in cands] == brute
+        if last["state"] is state:
+            assert last["signatures"] == 1
+        last.update(state=state, signatures=0)
         steps.append(len(cands))
-        return original(state)
+        pick = original(state)
+        least = min(((dist, agent, items) for agent, items, _, dist in brute), default=None)
+        assert (pick and (pick.dist, pick.agent, pick.items)) == least
+        return pick
 
     def checked_signature(state):
+        last["signatures"] += 1
         sig = signature(state)
         assert sig == brute_signature(state)
         return sig
