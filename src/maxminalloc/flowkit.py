@@ -8,7 +8,8 @@ baseline (max-flow + binary search) and the weight flow that bounds the
 LP threshold T* (`weight_feasible`).  The incremental node-disjoint path
 flow (`PathFlow`) over the heavy-item residual digraph used by the lazy
 local search augments one breadth-first shortest path at a time
-(`_Flow.augment`) so that it can stop or add terminals between paths.
+(`_Flow.reachable`, then `_Flow.push`) so that it can stop or add
+terminals between paths.
 """
 
 from __future__ import annotations
@@ -117,11 +118,9 @@ class _Flow:
                         return pred
         return pred
 
-    def augment(self, s: int, t: int) -> int:
-        """Push flow along one BFS-shortest residual s-t path; the amount."""
-        pred = self.reachable(s, t, stop_at_t=True)
-        if pred[t] == -1:
-            return 0
+    def push(self, s: int, t: int, pred: List[int]) -> int:
+        """Push flow along the s-t path that pred, from reachable, records;
+        the amount."""
         head, cap = self.head, self.cap
         path = []
         v = t
@@ -143,7 +142,7 @@ class _Flow:
         level-increasing edges: a depth-first search that keeps a
         current-arc pointer per node and drops a node from the level graph
         once it is a dead end.  Phases repeat until t is unreachable.
-        The count flows run on it; `PathFlow` instead calls `augment`, one
+        The count flows run on it; `PathFlow` instead pushes one
         BFS-shortest path at a time.
         """
         adj, head, cap = self.adj, self.head, self.cap
@@ -397,7 +396,9 @@ class PathFlow:
         self.sources: Set[int] = set()
         self.sinks: Set[int] = set()
         self.value = 0
-        # reachable_out_agents() of the current state; cleared on every change
+        # a full residual search from S of the current state, and the
+        # agents whose out-node it reaches; cleared on every change
+        self._pred: Optional[List[int]] = None
         self._reach: Optional[Set[int]] = None
         self._ids = g.nodes
         self._agent_node = g.agent_node
@@ -406,23 +407,35 @@ class PathFlow:
         fl.cap = g.cap[:]
         fl.adj = [a[:] for a in g.adj]
 
+    def _changed(self):
+        self._pred = self._reach = None
+
     def add_source(self, agent: int):
-        self._reach = None
         if agent not in self.sources:
             self.sources.add(agent)
             self._flow.add_edge(0, 2 * self._agent_node[agent] + 2, 1)
+            self._changed()
 
     def add_sink(self, agent: int):
-        self._reach = None
         if agent not in self.sinks:
             self.sinks.add(agent)
             self._flow.add_edge(2 * self._agent_node[agent] + 3, 1, 1)
+            self._changed()
 
     def augment(self) -> bool:
-        if not self._flow.augment(0, 1):
+        """Push one more path; False, with the flow unchanged, if none is left.
+
+        A search that misses T never stops early, so a failed one is the
+        full residual search of the state it leaves, and is kept for
+        reachable_out_agents.
+        """
+        pred = self._flow.reachable(0, 1, stop_at_t=True)
+        if pred[1] == -1:
+            self._pred = pred
             return False
+        self._flow.push(0, 1, pred)
         self.value += 1
-        self._reach = None
+        self._changed()
         return True
 
     def augment_to_max(self) -> int:
@@ -435,8 +448,11 @@ class PathFlow:
         """Agents whose out-node is residual-reachable from an unsaturated source.
 
         Adding such an agent as a fresh sink increases the path count by one.
+        The residual search runs at most once per flow state.
         """
-        pred = self._flow.reachable(0, 1)
+        if self._pred is None:
+            self._pred = self._flow.reachable(0, 1)
+        pred = self._pred
         return {i for i, k in self._agent_node.items() if pred[2 * k + 3] != -1}
 
     def would_increase(self, agent: int) -> bool:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import Instance, LatticeValue, k_of, lowest_free
+from .model import Allocation, Instance, LatticeValue, k_of, lowest_free
 from .flowkit import (
     HeavyMatching, PathFlow, ResidualDigraph, disjoint_paths, max_heavy_matching,
 )
@@ -433,7 +433,8 @@ def _p_candidates(r: int, k: int) -> List[int]:
     return out
 
 
-def _probe(inst: Instance, params: Params, budget: int):
+def _probe(inst: Instance, params: Params,
+           budget: int) -> Tuple[str, Optional[Allocation], LazyStats]:
     agents, heavy, forced, matching = preprocess(inst)
     M: Dict[int, Bundle] = {
         i: (HEAVY_KIND, frozenset([j])) for i, j in matching.items()
@@ -462,8 +463,14 @@ def poly_solve(
     baseline: Optional[Baseline] = None,
 ) -> SolveReport:
     """Binary search on T with the layered matcher; falls back to the
-    1/eps count baseline, which covers the k <= 9 regime."""
+    1/eps count baseline, which covers the k <= 9 regime.
+
+    A probe depends on T only through its sizes (r, p), so each pair is
+    probed once per call: a T that shares r with an earlier one (every
+    k <= 9 gives r = 1) reuses the answers for the sizes p both try.
+    """
     eps = inst.epsilon
+    probed: Dict[Params, Tuple[str, Optional[Allocation], LazyStats]] = {}
 
     def probe(T: LatticeValue) -> Optional[ProbeResult]:
         k = k_of(T, eps)
@@ -471,7 +478,9 @@ def poly_solve(
         for p in _p_candidates(r, k):
             params = Params(r, p)
             params.validate(k)
-            outcome, alloc, stats = _probe(inst, params, budget)
+            if params not in probed:
+                probed[params] = _probe(inst, params, budget)
+            outcome, alloc, stats = probed[params]
             if outcome == MATCHED:
                 meta = {
                     "p": p,

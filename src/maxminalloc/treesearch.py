@@ -281,10 +281,11 @@ def _set_bundle(state: TreeState, agent: int, kind: str, items: FrozenSet[int]):
         state.owner[j] = agent
 
 
-def add_edge(state: TreeState, cand: Candidate) -> AddEdge:
+def add_edge(state: TreeState, cand: Candidate, blocking: Set[int]) -> AddEdge:
+    """Grow the tree by cand, blocked by `blocking`, the owners of its items
+    (state.blocking_of(cand.items), which the caller has at hand)."""
     if not state.tree_items.isdisjoint(cand.items):
         raise TreeInvariantError("edge items collide with the tree")
-    blocking = state.blocking_of(cand.items)
     e = AddEdge(cand.agent, frozenset(cand.items), cand.kind, cand.dist, set(blocking))
     state.edges.append(e)
     # the edge counts at 2 * dist, its new blockers (layer dist) at 2 * dist + 1
@@ -412,14 +413,15 @@ def extend_matching(
         cand = find_addable(state)
         if cand is None:
             return STALLED
-        if not state.blocking_of(cand.items):
+        blocking = state.blocking_of(cand.items)
+        if not blocking:
             stats.contractions += 1
             if contract(state, cand):
                 if not matched_before <= set(M):
                     raise TreeInvariantError("a matched agent lost its bundle")
                 return MATCHED
         else:
-            add_edge(state, cand)
+            add_edge(state, cand, blocking)
         state.check_signature_decreased()
         state.check_structure()
     return BUDGET_EXCEEDED
@@ -488,6 +490,10 @@ def search_solve(
     count baseline; otherwise reports the baseline as "<algo>(baseline)",
     still carrying the T and r the search certified.  `baseline` is a
     precomputed (value, allocation) from flowkit.baseline_solve.
+
+    Neighbouring T values often share a probe's key (its bundle sizes),
+    and a probe depends on T only through that key, so each solver's
+    `probe` runs once per key and answers a repeat from the first run.
     """
     eps = inst.epsilon
     base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
@@ -506,13 +512,20 @@ def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
                 baseline: Optional[Baseline] = None) -> SolveReport:
     """Binary search on T with the tree search; a stalled probe is
     treated as evidence that T exceeds the optimum.  Falls back to the
-    1/eps count baseline, which dominates for eps >= 1/4."""
+    1/eps count baseline, which dominates for eps >= 1/4.
+
+    A probe depends on T only through r = ceil(k/(3+4 eps)), so each r
+    is probed once per call and a T that shares it reuses the answer.
+    """
     eps = inst.epsilon
     interests = SupportHypergraph.of_interests(inst)
+    probed: Dict[int, Tuple[str, Dict[int, Bundle], ExtendStats]] = {}
 
     def probe(T: LatticeValue) -> Optional[ProbeResult]:
         r = _quasi_r(k_of(T, eps), eps)
-        outcome, M, stats = _probe(inst, r, interests, budget)
+        if r not in probed:
+            probed[r] = _probe(inst, r, interests, budget)
+        outcome, M, stats = probed[r]
         if outcome != MATCHED:
             return None
         return r, matching_allocation(M), stats.iterations, {}

@@ -1,7 +1,8 @@
 import random
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxminalloc import exact, flowkit, gen, lazysearch
 from maxminalloc.model import Epsilon, Instance, Item, HEAVY, LIGHT, min_value
@@ -309,6 +310,33 @@ class TestDisjointPaths:
         assert pf.paths() == [[2, 1, 0], [3, 0, 1]]
 
 
+def fresh_out_agents(pf):
+    """reachable_out_agents by a fresh residual search on a copy of pf's
+    flow, which no cache of pf's can answer."""
+    fl, copy = pf._flow, flowkit._Flow(0)
+    copy.head, copy.cap, copy.adj = fl.head[:], fl.cap[:], [a[:] for a in fl.adj]
+    pred = copy.reachable(0, 1)
+    return {i for i, k in pf._agent_node.items() if pred[2 * k + 3] != -1}
+
+
+@contextmanager
+def counted_searches():
+    """Count the residual searches of every _Flow; yields the list they
+    append to."""
+    reachable = flowkit._Flow.reachable
+    searches = []
+
+    def counting(self, *args, **kwargs):
+        searches.append(1)
+        return reachable(self, *args, **kwargs)
+
+    flowkit._Flow.reachable = counting
+    try:
+        yield searches
+    finally:
+        flowkit._Flow.reachable = reachable
+
+
 class TestWouldIncrease:
     def test_agrees_with_from_scratch(self):
         rng = random.Random(8)
@@ -364,7 +392,8 @@ class TestWouldIncrease:
                     pf.augment()
                 sources, sinks = sorted(pf.sources), sorted(pf.sinks)
                 at_max = pf.value == brute_disjoint_paths(inst, matching, sources, sinks)
-                fresh = pf.reachable_out_agents()
+                fresh = fresh_out_agents(pf)
+                assert pf.reachable_out_agents() == fresh, op
                 for extra in agents:
                     answer = pf.would_increase(extra)
                     assert answer == (extra not in pf.sinks and extra in fresh)
@@ -374,6 +403,76 @@ class TestWouldIncrease:
                             > pf.value
                         )
                         assert answer == expected, (op, sources, sinks, extra)
+
+    def test_present_terminal_keeps_the_search(self):
+        """Adding a source or sink that is already one changes nothing, so
+        the next query runs no search; a new sink does."""
+        rng = random.Random(21)
+        for _ in range(20):
+            inst, matching = random_digraph_state(rng)
+            pf = flowkit.disjoint_paths(flowkit.ResidualDigraph(inst, matching), [0], [1])
+            pf.would_increase(2)
+            with counted_searches() as searches:
+                pf.add_source(0)
+                pf.add_sink(1)
+                pf.would_increase(3)
+                assert searches == []
+                pf.add_sink(2)
+                pf.would_increase(3)
+                assert searches == [1]
+
+
+class TestFailedAugmentSearch:
+    """A failed augment's search is kept as the reachable set of the
+    state it leaves."""
+
+    @staticmethod
+    @contextmanager
+    def checked_failed_augments():
+        """After every failed PathFlow.augment, reachable_out_agents must
+        equal a fresh search on a copy of the flow and run no search of its
+        own."""
+        augment = flowkit.PathFlow.augment
+
+        def checked(pf):
+            value = pf.value
+            if augment(pf):
+                return True
+            assert pf.value == value
+            fresh = fresh_out_agents(pf)
+            with counted_searches() as searches:
+                assert pf.reachable_out_agents() == fresh
+            assert searches == []
+            return False
+
+        flowkit.PathFlow.augment = checked
+        try:
+            yield
+        finally:
+            flowkit.PathFlow.augment = augment
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.6, 1.0]), st.integers(2, 6), st.integers(0, 2**30))
+    @example(8, 5, 16, 0.6, 4, 61)
+    def test_poly_solve(self, n, mh, ml, density, q, seed):
+        inst = gen.gen_random(n, mh, ml, density, Epsilon(1, q), seed)
+        with self.checked_failed_augments():
+            lazysearch.poly_solve(inst)
+
+    def test_poly_solve_reuses_some_search(self, monkeypatch):
+        # without the reuse every augment and every query runs a search
+        queries = []
+        augments = []
+        query, augment = flowkit.PathFlow.reachable_out_agents, flowkit.PathFlow.augment
+        monkeypatch.setattr(flowkit.PathFlow, "reachable_out_agents",
+                            lambda pf: queries.append(1) or query(pf))
+        monkeypatch.setattr(flowkit.PathFlow, "augment",
+                            lambda pf: augments.append(1) or augment(pf))
+        inst = gen.gen_random(8, 5, 16, 0.6, Epsilon(1, 4), 61)
+        with counted_searches() as searches:
+            lazysearch.poly_solve(inst)
+        assert queries and len(searches) < len(augments) + len(queries)
 
 
 @st.composite

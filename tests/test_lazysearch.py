@@ -6,10 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from maxminalloc import exact, flowkit, gen, lazysearch, treesearch
-from maxminalloc.model import Epsilon, HEAVY, Instance, Item, LIGHT, min_value
+from maxminalloc import clp, exact, flowkit, gen, lazysearch, treesearch
+from maxminalloc.model import (
+    Epsilon, HEAVY, Instance, Item, LIGHT, k_of, last_feasible, min_value,
+)
 
 H = treesearch.HEAVY_KIND
 L = treesearch.LIGHT_KIND
@@ -346,6 +348,128 @@ def test_budget_one_falls_back_to_baseline(solve):
     rep = solve(inst, budget=1)
     assert rep.algo == f"{full.algo}(baseline)"
     assert (rep.value, rep.allocation) == (base_val, base_alloc)
+
+
+SOLVES = {"quasi": treesearch.quasi_solve, "poly": lazysearch.poly_solve}
+
+
+def unmemoized_report(inst, algo, budget):
+    """The report of `algo`'s search, rebuilt as last_feasible over the T
+    candidates with a probe that runs the solver's _probe on every T it
+    is asked about, and the better of its answer and the baseline."""
+    eps = inst.epsilon
+    interests = clp.SupportHypergraph.of_interests(inst)
+
+    def raw_probe(T):
+        k = k_of(T, eps)
+        if algo == "quasi":
+            r = treesearch._quasi_r(k, eps)
+            outcome, M, stats = treesearch._probe(inst, r, interests, budget)
+            if outcome == lazysearch.MATCHED:
+                return r, treesearch.matching_allocation(M), stats.iterations, {}
+            return None
+        r = lazysearch._poly_r(k)
+        for p in lazysearch._p_candidates(r, k):
+            outcome, alloc, stats = lazysearch._probe(inst, lazysearch.Params(r, p), budget)
+            if outcome == lazysearch.MATCHED:
+                meta = {"p": p, "layers_peak": stats.layers_peak, "collapses": stats.collapses}
+                return r, alloc, stats.iterations, meta
+        return None
+
+    base_val, base_alloc = flowkit.baseline_solve(inst)
+    cands = treesearch.t_probe_candidates(inst)
+    idx, found = last_feasible(cands, raw_probe)
+    if found is None:
+        return treesearch.SolveReport(base_val, base_alloc, f"{algo}(baseline)")
+    r, alloc, iterations, meta = found
+    value = min_value(inst, alloc)
+    if value.key(eps) <= base_val.key(eps):
+        value, alloc, algo = base_val, base_alloc, f"{algo}(baseline)"
+    return treesearch.SolveReport(value, alloc, algo, cands[idx], r, iterations, meta)
+
+
+@contextmanager
+def probe_keys():
+    """Record the key of every _probe call: r for the tree search, Params
+    for the layered one."""
+    tree, lazy = treesearch._probe, lazysearch._probe
+    keys = []
+
+    def tree_probe(inst, r, *args):
+        keys.append(r)
+        return tree(inst, r, *args)
+
+    def lazy_probe(inst, params, *args):
+        keys.append(params)
+        return lazy(inst, params, *args)
+
+    treesearch._probe, lazysearch._probe = tree_probe, lazy_probe
+    try:
+        yield keys
+    finally:
+        treesearch._probe, lazysearch._probe = tree, lazy
+
+
+def check_memo(inst, budget):
+    """Each solve probes a key at most once and reports what the unmemoized
+    search reports; returns how many keys the unmemoized searches repeat."""
+    repeats = 0
+    for algo, solve in SOLVES.items():
+        with probe_keys() as keys:
+            rep = solve(inst, budget)
+        assert len(keys) == len(set(keys)), (algo, keys)
+        with probe_keys() as raw_keys:
+            assert rep == unmemoized_report(inst, algo, budget), algo
+        assert set(raw_keys) == set(keys)
+        repeats += len(raw_keys) - len(keys)
+    return repeats
+
+
+budgets = st.sampled_from([1, 6, treesearch.DEFAULT_BUDGET])
+
+
+class TestProbeMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.6, 1.0]), epsilons, st.integers(0, 2**30), budgets)
+    def test_random_same_report(self, n, mh, ml, density, eps, seed, budget):
+        check_memo(gen.gen_random(n, mh, ml, density, eps, seed), budget)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 16), st.integers(3, 12), st.integers(1, 12), st.integers(0, 2**30),
+           budgets)
+    def test_noisy_planted_same_report(self, planted, n, q, k, seed, budget):
+        inst, _, _ = planted.planted_instance(n, Epsilon(1, q), min(k, q), seed, True)
+        check_memo(inst, budget)
+
+    def test_repeated_keys_run_once(self, planted):
+        # at eps = 1/6 every candidate T has k <= 9, so every poly probe
+        # has r = 1 and the unmemoized search repeats its keys
+        inst, _, _ = planted.planted_instance(12, Epsilon(1, 6), 6, 5, True)
+        assert check_memo(inst, treesearch.DEFAULT_BUDGET) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.6, 1.0]), epsilons, st.integers(0, 2**30),
+           st.floats(0, 1, exclude_max=True), budgets)
+    def test_probe_is_deterministic(self, n, mh, ml, density, eps, seed, at, budget):
+        # the memo's premise: a second _probe with the same arguments
+        # returns what the first did
+        inst = gen.gen_random(n, mh, ml, density, eps, seed)
+        cands = treesearch.t_probe_candidates(inst)
+        assume(cands)
+        k = k_of(cands[int(at * len(cands))], eps)
+        interests = clp.SupportHypergraph.of_interests(inst)
+        r = treesearch._quasi_r(k, eps)
+        runs = [treesearch._probe(inst, r, interests, budget) for _ in range(2)]
+        first, second = [(outcome, treesearch.matching_allocation(M), stats.iterations)
+                         for outcome, M, stats in runs]
+        assert first == second
+        r = lazysearch._poly_r(k)
+        for p in lazysearch._p_candidates(r, k):
+            runs = [lazysearch._probe(inst, lazysearch.Params(r, p), budget) for _ in range(2)]
+            first, second = [(outcome, alloc, stats.iterations) for outcome, alloc, stats in runs]
+            assert first == second
 
 
 def test_integer_sizes_match_float_formulas():

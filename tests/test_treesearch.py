@@ -119,7 +119,8 @@ class TestCheckStructure:
              2: (treesearch.LIGHT_KIND, frozenset({1}))}
         table = clp.SupportHypergraph.of_interests(inst)
         state = treesearch.TreeState(M, {0: 1, 1: 2}, 0, 2, table)
-        treesearch.add_edge(state, treesearch.find_addable(state))
+        cand = treesearch.find_addable(state)
+        treesearch.add_edge(state, cand, state.blocking_of(cand.items))
         state.check_structure()
         return state
 
