@@ -283,7 +283,11 @@ def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
     Binary search over counts t >= 1, each probe solving one count flow;
     the allocation is read from the last feasible probe's flow (an edge
     agent -> item carries flow when its reverse has capacity).  The
-    reported value is the exact min_value of that allocation.
+    reported value is the exact min_value of that allocation.  The counts
+    searched stop at min(min_i |I_i|, |wanted items| // n), where the
+    wanted items are those some agent is interested in: no agent gets
+    more items than it wants, and n agents with t each take n*t distinct
+    wanted items, so no larger t is feasible.
     """
     n = inst.n
 
@@ -291,7 +295,8 @@ def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
         fl, value = allocation_flow(inst, t, [1] * inst.m)
         return fl if value == n * t else None
 
-    _, fl = last_feasible(range(1, inst.m // max(n, 1) + 1), probe)
+    top = min(min(map(len, inst.interests)), len(frozenset().union(*inst.interests)) // n)
+    _, fl = last_feasible(range(1, top + 1), probe)
     if fl is None:
         return ZERO, {i: frozenset() for i in range(n)}
     alloc: Allocation = {

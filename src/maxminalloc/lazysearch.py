@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .model import Allocation, Instance, LatticeValue, k_of, lowest_free
 from .flowkit import (
@@ -73,7 +74,7 @@ class LazyState:
     """
 
     def __init__(self, inst: Instance, M: Dict[int, Bundle], i0: int,
-                 params: Params, agents: Set[int], heavy_items: Set[int],
+                 params: Params, agents: AbstractSet[int], heavy_items: AbstractSet[int],
                  digraph: Optional[ResidualDigraph] = None):
         self.inst = inst
         self.M = M
@@ -167,10 +168,17 @@ class LazyState:
                 )
 
 
-def preprocess(inst: Instance) -> Tuple[Set[int], Set[int], Dict[int, int], HeavyMatching]:
+# (remaining agents, remaining heavy items, forced agent -> heavy item,
+# max heavy matching on the residue), all read-only
+Preprocessed = Tuple[FrozenSet[int], FrozenSet[int], Mapping[int, int], Mapping[int, int]]
+
+
+def preprocess(inst: Instance) -> Preprocessed:
     """Assign degree-1 heavy items to their unique agent, cascading, then
     match the residue.  Returns (remaining agents, remaining heavy items,
-    forced assignments, max heavy matching on the residue)."""
+    forced assignments, max heavy matching on the residue) as frozensets
+    and read-only mappings, so poly_solve hands one result to all its
+    probes and none can change it for the next."""
     agents = set(range(inst.n))
     heavy = set(inst.heavy_ids)
     forced: Dict[int, int] = {}
@@ -192,7 +200,8 @@ def preprocess(inst: Instance) -> Tuple[Set[int], Set[int], Dict[int, int], Heav
         agents.discard(i)
         heavy.discard(j)
     matching = max_heavy_matching(inst, agents, heavy)
-    return agents, heavy, forced, matching
+    return (frozenset(agents), frozenset(heavy), MappingProxyType(forced),
+            MappingProxyType(matching))
 
 
 def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
@@ -357,8 +366,8 @@ def extend_matching_poly(
     i0: int,
     params: Params,
     budget: int = DEFAULT_BUDGET,
-    agents: Optional[Set[int]] = None,
-    heavy_items: Optional[Set[int]] = None,
+    agents: Optional[AbstractSet[int]] = None,
+    heavy_items: Optional[AbstractSet[int]] = None,
     stats: Optional[LazyStats] = None,
     digraph: Optional[ResidualDigraph] = None,
 ) -> str:
@@ -433,9 +442,10 @@ def _p_candidates(r: int, k: int) -> List[int]:
     return out
 
 
-def _probe(inst: Instance, params: Params,
-           budget: int) -> Tuple[str, Optional[Allocation], LazyStats]:
-    agents, heavy, forced, matching = preprocess(inst)
+def _probe(inst: Instance, params: Params, budget: int,
+           pre: Preprocessed) -> Tuple[str, Optional[Allocation], LazyStats]:
+    """Match every agent at (r, p), starting from `pre`, preprocess(inst)."""
+    agents, heavy, forced, matching = pre
     M: Dict[int, Bundle] = {
         i: (HEAVY_KIND, frozenset([j])) for i, j in matching.items()
     }
@@ -468,18 +478,24 @@ def poly_solve(
     A probe depends on T only through its sizes (r, p), so each pair is
     probed once per call: a T that shares r with an earlier one (every
     k <= 9 gives r = 1) reuses the answers for the sizes p both try.
+    preprocess depends on the instance alone: it runs once per call, at
+    the first probe, and every probe starts from its read-only result.
     """
     eps = inst.epsilon
     probed: Dict[Params, Tuple[str, Optional[Allocation], LazyStats]] = {}
+    pre: Optional[Preprocessed] = None  # preprocess(inst), once a probe needs it
 
     def probe(T: LatticeValue) -> Optional[ProbeResult]:
+        nonlocal pre
         k = k_of(T, eps)
         r = _poly_r(k)
         for p in _p_candidates(r, k):
             params = Params(r, p)
             params.validate(k)
             if params not in probed:
-                probed[params] = _probe(inst, params, budget)
+                if pre is None:
+                    pre = preprocess(inst)
+                probed[params] = _probe(inst, params, budget, pre)
             outcome, alloc, stats = probed[params]
             if outcome == MATCHED:
                 meta = {

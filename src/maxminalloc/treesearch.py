@@ -17,7 +17,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .model import (
     Allocation,
@@ -477,6 +479,30 @@ Baseline = Tuple[LatticeValue, Allocation]
 ProbeResult = Tuple[int, Allocation, int, Dict[str, object]]
 
 
+def mid_then_top(values: Sequence, probe: Callable) -> Tuple[int, Optional[object]]:
+    """last_feasible, but a passing first midpoint sends the search to the top.
+
+    Asks the midpoint values[(len - 1) // 2] that last_feasible asks
+    first; if it passes, asks the last value, and returns it if that
+    passes too.  Otherwise it returns last_feasible(values, probe), which
+    asks the midpoint (and perhaps the top) again: the searches' probes
+    answer a repeat from their memo.
+
+    When the passing values form a prefix, the answer is last_feasible's
+    (a passing top means every value passes), and the values asked are
+    last_feasible's plus at most the top.  When they do not, the answer
+    still passes, at an index at least last_feasible's.
+    """
+    if values:
+        mid = (len(values) - 1) // 2
+        first = probe(values[mid])
+        if first is not None:
+            top = first if mid == len(values) - 1 else probe(values[-1])
+            if top is not None:
+                return len(values) - 1, top
+    return last_feasible(values, probe)
+
+
 def search_solve(
     inst: Instance,
     algo: str,
@@ -485,20 +511,29 @@ def search_solve(
 ) -> SolveReport:
     """The outer search both local searches share.
 
-    Binary-searches `probe` over t_probe_candidates for the largest T it
-    passes, and reports that allocation if it strictly beats the 1/eps
-    count baseline; otherwise reports the baseline as "<algo>(baseline)",
-    still carrying the T and r the search certified.  `baseline` is a
-    precomputed (value, allocation) from flowkit.baseline_solve.
+    Searches `probe` over t_probe_candidates for the largest T it passes
+    (see mid_then_top), and reports that allocation if it strictly beats
+    the 1/eps count baseline; otherwise reports the baseline as
+    "<algo>(baseline)", still carrying the T and r the search certified.
+    `baseline` is a precomputed (value, allocation) from
+    flowkit.baseline_solve.
 
-    Neighbouring T values often share a probe's key (its bundle sizes),
-    and a probe depends on T only through that key, so each solver's
-    `probe` runs once per key and answers a repeat from the first run.
+    Where every T up to the 3/2 cap passes (planted instances at small
+    eps), mid_then_top asks two probes where the binary search walks
+    mid -> ... -> top.  When the passing T form a prefix of the
+    candidates it answers as the binary search does, so the report is
+    the same; a probe that breaks the prefix (a budget-capped one, or
+    poly_solve's where some T has no size p) can only get a higher
+    passing T from it.  Neighbouring T values often share a probe's key
+    (its bundle sizes), and a probe depends on T only through that key,
+    so each solver's `probe` runs once per key and answers a repeat from
+    the first run: the first midpoint, for one, which the binary search
+    asks again whenever mid_then_top does not stop at the top.
     """
     eps = inst.epsilon
     base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
     cands = t_probe_candidates(inst)
-    idx, found = last_feasible(cands, probe)
+    idx, found = mid_then_top(cands, probe)
     if found is None:
         return SolveReport(base_val, base_alloc, f"{algo}(baseline)")
     r, alloc, iterations, meta = found

@@ -217,6 +217,19 @@ class TestBaseline:
         assert not networkx_count_feasible(inst, best + 1)
         check_count_allocation(inst, alloc, best)
 
+    def test_same_answer_as_the_full_count_range(self, monkeypatch):
+        # the counts searched stop at min(min_i |I_i|, |wanted| // n);
+        # searching 1..m // n instead gives the same value and allocation
+        real = flowkit.last_feasible
+        rng = random.Random(21)
+        for _ in range(80):
+            inst = random_tiny(rng, n_max=4, m_max=10)
+            narrow = flowkit.baseline_solve(inst)
+            monkeypatch.setattr(flowkit, "last_feasible", lambda values, probe: real(
+                range(1, inst.m // inst.n + 1), probe))
+            assert flowkit.baseline_solve(inst) == narrow
+            monkeypatch.setattr(flowkit, "last_feasible", real)
+
     def test_one_count_flow_per_probe(self, monkeypatch):
         builds, probes = [], []
         real_flow, real_search = flowkit.allocation_flow, flowkit.last_feasible

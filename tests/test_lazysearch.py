@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from maxminalloc import clp, exact, flowkit, gen, lazysearch, treesearch
 from maxminalloc.model import (
-    Epsilon, HEAVY, Instance, Item, LIGHT, k_of, last_feasible, min_value,
+    Epsilon, HEAVY, Instance, Item, LIGHT, k_of, min_value,
 )
 
 H = treesearch.HEAVY_KIND
@@ -89,7 +89,8 @@ class TestExtendMatchingPoly:
         monkeypatch.setattr(lazysearch.LazyState, "check_invariants", counting_check)
         monkeypatch.setattr(lazysearch, "_reverse_path", counting_reverse)
         inst = gen.gen_random(5, 3, 8, 0.6, Epsilon(1, 4), 3)
-        outcome, _, stats = lazysearch._probe(inst, lazysearch.Params(1, 2), 1000)
+        outcome, _, stats = lazysearch._probe(inst, lazysearch.Params(1, 2), 1000,
+                                              lazysearch.preprocess(inst))
         assert outcome == lazysearch.MATCHED
         assert stats.collapses >= 2 and sum(reversed_arcs) >= 6
         assert len(builds) == 1 + len(checks)
@@ -354,9 +355,10 @@ SOLVES = {"quasi": treesearch.quasi_solve, "poly": lazysearch.poly_solve}
 
 
 def unmemoized_report(inst, algo, budget):
-    """The report of `algo`'s search, rebuilt as last_feasible over the T
-    candidates with a probe that runs the solver's _probe on every T it
-    is asked about, and the better of its answer and the baseline."""
+    """The report of `algo`'s search, rebuilt as search_solve's search
+    (mid_then_top) over the T candidates with a probe that runs the
+    solver's _probe on every T it is asked about, and the better of its
+    answer and the baseline."""
     eps = inst.epsilon
     interests = clp.SupportHypergraph.of_interests(inst)
 
@@ -370,7 +372,8 @@ def unmemoized_report(inst, algo, budget):
             return None
         r = lazysearch._poly_r(k)
         for p in lazysearch._p_candidates(r, k):
-            outcome, alloc, stats = lazysearch._probe(inst, lazysearch.Params(r, p), budget)
+            outcome, alloc, stats = lazysearch._probe(inst, lazysearch.Params(r, p), budget,
+                                                      lazysearch.preprocess(inst))
             if outcome == lazysearch.MATCHED:
                 meta = {"p": p, "layers_peak": stats.layers_peak, "collapses": stats.collapses}
                 return r, alloc, stats.iterations, meta
@@ -378,7 +381,7 @@ def unmemoized_report(inst, algo, budget):
 
     base_val, base_alloc = flowkit.baseline_solve(inst)
     cands = treesearch.t_probe_candidates(inst)
-    idx, found = last_feasible(cands, raw_probe)
+    idx, found = treesearch.mid_then_top(cands, raw_probe)
     if found is None:
         return treesearch.SolveReport(base_val, base_alloc, f"{algo}(baseline)")
     r, alloc, iterations, meta = found
@@ -467,9 +470,74 @@ class TestProbeMemo:
         assert first == second
         r = lazysearch._poly_r(k)
         for p in lazysearch._p_candidates(r, k):
-            runs = [lazysearch._probe(inst, lazysearch.Params(r, p), budget) for _ in range(2)]
+            runs = [lazysearch._probe(inst, lazysearch.Params(r, p), budget,
+                                      lazysearch.preprocess(inst)) for _ in range(2)]
             first, second = [(outcome, alloc, stats.iterations) for outcome, alloc, stats in runs]
             assert first == second
+
+
+def check_shared_preprocess(inst, budget):
+    """Every (r, p) probe over the T candidates, run in turn from one
+    preprocess result, answers as a probe from a fresh result, and leaves
+    the shared one as preprocess gives it."""
+    eps = inst.epsilon
+    keys = []
+    for T in treesearch.t_probe_candidates(inst):
+        k = k_of(T, eps)
+        r = lazysearch._poly_r(k)
+        keys += [lazysearch.Params(r, p) for p in lazysearch._p_candidates(r, k)]
+    pre = lazysearch.preprocess(inst)
+    for params in dict.fromkeys(keys):
+        shared = lazysearch._probe(inst, params, budget, pre)
+        assert shared == lazysearch._probe(inst, params, budget,
+                                           lazysearch.preprocess(inst)), params
+    assert pre == lazysearch.preprocess(inst)
+
+
+class TestSharedPreprocess:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.6, 1.0]), epsilons, st.integers(0, 2**30), budgets)
+    def test_random_same_probe(self, n, mh, ml, density, eps, seed, budget):
+        check_shared_preprocess(gen.gen_random(n, mh, ml, density, eps, seed), budget)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 16), st.integers(3, 12), st.integers(1, 12), st.integers(0, 2**30),
+           budgets)
+    def test_noisy_planted_same_probe(self, planted, n, q, k, seed, budget):
+        inst, _, _ = planted.planted_instance(n, Epsilon(1, q), min(k, q), seed, True)
+        check_shared_preprocess(inst, budget)
+
+    def test_result_is_read_only(self):
+        inst = gen.gen_random(4, 4, 6, 0.6, Epsilon(1, 3), 2)
+        agents, heavy, forced, matching = lazysearch.preprocess(inst)
+        assert isinstance(agents, frozenset) and isinstance(heavy, frozenset)
+        for mapping in (forced, matching):
+            with pytest.raises(TypeError):
+                mapping[0] = 0
+
+    def test_once_per_solve(self, planted, monkeypatch):
+        calls = []
+        real = lazysearch.preprocess
+
+        def counted(inst):
+            calls.append(inst)
+            return real(inst)
+
+        monkeypatch.setattr(lazysearch, "preprocess", counted)
+        # at eps = 1/10 the search probes (r, p) = (1, 2) and (2, 5)
+        inst, _, _ = planted.planted_instance(12, Epsilon(1, 10), 10, 1, True)
+        with probe_keys() as keys:
+            lazysearch.poly_solve(inst)
+        assert len(set(keys)) > 1 and calls == [inst]
+        # at eps = 1/2 the candidates are T = 1/2, 1, 3/2 (k = 1, 2, 3); the
+        # first midpoint, k = 2, and then k = 1 have no size p in (r, k),
+        # so the search fails without a probe, and preprocess never runs
+        del calls[:]
+        inst = gen.gen_random(4, 2, 6, 0.6, Epsilon(1, 2), 0)
+        with probe_keys() as keys:
+            lazysearch.poly_solve(inst)
+        assert keys == calls == []
 
 
 def test_integer_sizes_match_float_formulas():

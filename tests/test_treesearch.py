@@ -17,6 +17,7 @@ from maxminalloc.model import (
     LIGHT,
     LatticeValue,
     k_of,
+    last_feasible,
     min_value,
 )
 
@@ -184,6 +185,53 @@ class TestQuasiSolve:
                                                                          1: frozenset()}))
         assert won.algo == "quasi" and won.certified_T == rep.certified_T
         assert rep.iterations == won.iterations > 0
+
+
+class TestMidThenTop:
+    @staticmethod
+    def run(search, passes):
+        """Search range(len(passes)) with a probe passing where passes[v];
+        payload v * 10.  Returns the answer and the values asked, in order."""
+        seen = []
+
+        def probe(v):
+            seen.append(v)
+            return v * 10 if passes[v] else None
+
+        return search(range(len(passes)), probe), seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.data())
+    def test_prefix_probes_answer_as_last_feasible(self, n, data):
+        passing = data.draw(st.integers(0, n))
+        passes = [v < passing for v in range(n)]
+        got, seen = self.run(treesearch.mid_then_top, passes)
+        want, plain = self.run(last_feasible, passes)
+        assert got == want
+        assert len(set(seen) - set(plain)) <= 1
+        assert set(seen) <= set(plain) | {n - 1}
+
+    @given(st.integers(1, 40))
+    def test_all_pass_asks_mid_and_top(self, n):
+        got, seen = self.run(treesearch.mid_then_top, [True] * n)
+        assert got == (n - 1, (n - 1) * 10)
+        assert seen == sorted({(n - 1) // 2, n - 1})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_any_pass_set_gives_a_passing_index_no_lower(self, passes):
+        (idx, payload), _ = self.run(treesearch.mid_then_top, passes)
+        (plain_idx, _), _ = self.run(last_feasible, passes)
+        assert idx >= plain_idx
+        if idx >= 0:
+            assert passes[idx] and payload == idx * 10
+        else:
+            assert payload is None
+
+    def test_failing_top_walks_on_as_last_feasible(self):
+        # mid 4 passes, top 9 fails; last_feasible then asks 4, 7, 5, 6
+        assert self.run(treesearch.mid_then_top, [v < 7 for v in range(10)]) == (
+            (6, 60), [4, 9, 4, 7, 5, 6])
 
 
 def fault_f1_instance():
