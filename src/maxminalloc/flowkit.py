@@ -1,15 +1,15 @@
 """Matching and flow primitives.
 
-Contains the bipartite heavy matching, one integer-indexed max-flow
-engine (`_Flow`) and its uses.  The allocation network
-(`allocation_flow`), solved by Dinic's blocking flows (`_Flow.max_flow`),
-carries both the count flow behind the unweighted count-allocation
-baseline (max-flow + binary search) and the weight flow that bounds the
-LP threshold T* (`weight_feasible`).  The incremental node-disjoint path
-flow (`PathFlow`) over the heavy-item residual digraph used by the lazy
-local search augments one breadth-first shortest path at a time
-(`_Flow.reachable`, then `_Flow.push`) so that it can stop or add
-terminals between paths.
+One integer-indexed max-flow engine (`_Flow`) and its uses.  Dinic's
+blocking flows (`_Flow.max_flow`) solve the unit network of the maximum
+heavy matching (`max_heavy_matching`) and the allocation network
+(`allocation_flow`), which carries both the count flow behind the
+unweighted count-allocation baseline (max-flow + binary search) and the
+weight flow that bounds the LP threshold T* (`weight_feasible`).  The
+incremental node-disjoint path flow (`PathFlow`) over the heavy-item
+residual digraph used by the lazy local search augments one
+breadth-first shortest path at a time (`_Flow.reachable`, then
+`_Flow.push`) so that it can stop or add terminals between paths.
 """
 
 from __future__ import annotations
@@ -25,55 +25,8 @@ from .model import (
 HeavyMatching = Dict[int, int]  # agent -> heavy item
 
 
-def max_heavy_matching(inst: Instance, agents: Optional[Iterable[int]] = None,
-                       items: Optional[Set[int]] = None) -> HeavyMatching:
-    """Maximum-cardinality matching between agents and their heavy items.
-
-    Kuhn's augmenting-path algorithm; deterministic given the agent order.
-    `agents`/`items` restrict the bipartition (used after preprocessing).
-    The depth-first search keeps an explicit stack, so an alternating
-    chain may be longer than Python's recursion limit.
-    """
-    agent_list = sorted(agents) if agents is not None else list(range(inst.n))
-    item_of: Dict[int, int] = {}  # heavy item -> agent
-    agent_of: Dict[int, int] = {}
-
-    pool: Dict[int, List[int]] = {}  # agent -> its heavy items, ascending
-
-    def candidates(i: int):
-        if i not in pool:
-            pool[i] = [j for j in inst.b1(i) if items is None or j in items]
-        return iter(pool[i])
-
-    for root in agent_list:
-        visited: Set[int] = set()
-        # stack[d] = (agent, its untried items); tried[d] = the item agent d
-        # is trying, held by agent d + 1 if any
-        stack = [(root, candidates(root))]
-        tried: List[int] = []
-        while stack:
-            for j in stack[-1][1]:
-                if j not in visited:
-                    break
-            else:  # dead end: the parent goes on to its next item
-                stack.pop()
-                if tried:
-                    tried.pop()
-                continue
-            visited.add(j)
-            tried.append(j)
-            if j in item_of:
-                stack.append((item_of[j], candidates(item_of[j])))
-                continue
-            for (i, _), j in zip(stack, tried):  # flip the alternating chain
-                item_of[j] = i
-                agent_of[i] = j
-            break
-    return agent_of
-
-
 # ---------------------------------------------------------------------------
-# integer max-flow (the count flow and the node-disjoint path flow)
+# integer max-flow (the heavy matching, the count flow and the weight flow)
 # ---------------------------------------------------------------------------
 
 class _Flow:
@@ -142,8 +95,8 @@ class _Flow:
         level-increasing edges: a depth-first search that keeps a
         current-arc pointer per node and drops a node from the level graph
         once it is a dead end.  Phases repeat until t is unreachable.
-        The count flows run on it; `PathFlow` instead pushes one
-        BFS-shortest path at a time.
+        The heavy matching and the count and weight flows run on it;
+        `PathFlow` instead pushes one BFS-shortest path at a time.
         """
         adj, head, cap = self.adj, self.head, self.cap
         total = 0
@@ -193,6 +146,31 @@ class _Flow:
                     level[u] = -1
                     u = head[path.pop() ^ 1]
                     arc[u] += 1
+
+
+def max_heavy_matching(inst: Instance, agents: Optional[Iterable[int]] = None,
+                       items: Optional[Set[int]] = None) -> HeavyMatching:
+    """Maximum-cardinality matching between agents and their heavy items.
+
+    A unit max flow: source -> each agent, ascending, agent i -> each
+    heavy item j of b1(i) (node n + j), heavy item -> sink.  The matching
+    is read from the saturated agent -> item edges; it is deterministic
+    given the agent order.  `agents`/`items` restrict the bipartition
+    (used after preprocessing).
+    """
+    n, s, t = inst.n, inst.n + inst.m, inst.n + inst.m + 1
+    fl = _Flow(t + 1)
+    agent_list = sorted(agents) if agents is not None else range(n)
+    for i in agent_list:
+        fl.add_edge(s, i, 1)
+        for j in inst.b1(i):
+            if items is None or j in items:
+                fl.add_edge(i, n + j, 1)
+    for j in sorted(inst.heavy_ids):
+        fl.add_edge(n + j, t, 1)
+    fl.max_flow(s, t)
+    return {i: fl.head[e] - n for i in agent_list for e in fl.adj[i]
+            if not e & 1 and fl.cap[e ^ 1] > 0}
 
 
 def allocation_flow(inst: Instance, supply: int, caps: Sequence[int]) -> Tuple[_Flow, int]:

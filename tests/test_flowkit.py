@@ -25,6 +25,38 @@ def random_tiny(rng, n_max=4, m_max=8):
     )
 
 
+def networkx_matching_size(inst, agents, items):
+    """Maximum matching size, by networkx, of the bipartite graph between
+    `agents` and the heavy items of `items` they want."""
+    nx = pytest.importorskip("networkx")
+    top = [("a", i) for i in agents]
+    g = nx.Graph()
+    g.add_nodes_from(top)
+    g.add_edges_from((("a", i), ("b", j)) for i in agents for j in inst.b1(i) if j in items)
+    # the returned dict holds each matched edge in both directions
+    return len(nx.bipartite.maximum_matching(g, top_nodes=top)) // 2
+
+
+@st.composite
+def heavy_matching_instances(draw, max_agents=12, max_heavy=12):
+    """A random instance with a few light items; sparse ones give
+    preprocess degree-1 cascades."""
+    rng = draw(st.randoms(use_true_random=True))
+    n, mh, ml = rng.randint(1, max_agents), rng.randint(0, max_heavy), rng.randint(0, 3)
+    return gen.gen_random(n, mh, ml, rng.uniform(0.05, 1.0), Epsilon(1, rng.randint(2, 5)),
+                          rng.randrange(2**30))
+
+
+@st.composite
+def restricted_matchings(draw):
+    """An instance with random subsets of its agents and heavy items."""
+    inst = draw(heavy_matching_instances())
+    rng = draw(st.randoms(use_true_random=True))
+    agents = {i for i in range(inst.n) if rng.random() < 0.7}
+    items = {j for j in inst.heavy_ids if rng.random() < 0.7}
+    return inst, agents, items
+
+
 class TestHeavyMatching:
     def test_matches_brute_force_size(self):
         rng = random.Random(3)
@@ -39,26 +71,47 @@ class TestHeavyMatching:
     @PROPERTY
     @given(st.integers(1, 12), st.integers(0, 12), st.floats(0.05, 1.0), st.integers(0, 2**30))
     def test_size_against_networkx(self, n, mh, density, seed):
-        nx = pytest.importorskip("networkx")
         inst = gen.gen_random(n, mh, 2, density, Epsilon(1, 2), seed)
         m = flowkit.max_heavy_matching(inst)
         assert len(set(m.values())) == len(m)
         assert all(j in inst.b1(i) for i, j in m.items())
-        g = nx.Graph()
-        agents = [("a", i) for i in range(inst.n)]
-        g.add_nodes_from(agents)
-        g.add_edges_from((("a", i), ("b", j)) for i in range(inst.n) for j in inst.b1(i))
-        # the returned dict holds each matched edge in both directions
-        assert 2 * len(m) == len(nx.bipartite.maximum_matching(g, top_nodes=agents))
+        assert len(m) == networkx_matching_size(inst, range(inst.n), inst.heavy_ids)
 
     def test_restriction(self):
         inst = gen.gen_random(3, 3, 0, 1.0, Epsilon(1, 2), 5)
         m = flowkit.max_heavy_matching(inst, agents={0}, items={1})
         assert m == {0: 1}
 
+    @PROPERTY
+    @given(restricted_matchings())
+    def test_restricted_against_networkx(self, drawn):
+        # preprocess always restricts the matching to what it left over
+        inst, agents, items = drawn
+        m = flowkit.max_heavy_matching(inst, agents, items)
+        assert set(m) <= agents and set(m.values()) <= items
+        assert len(set(m.values())) == len(m)
+        assert all(j in inst.b1(i) for i, j in m.items())
+        assert len(m) == networkx_matching_size(inst, agents, items)
+
+    @PROPERTY
+    @given(heavy_matching_instances())
+    def test_preprocess_against_networkx(self, inst):
+        """Forcing a degree-1 item onto its only agent never shrinks a
+        maximum matching, so the forced pairs and the residue's matching
+        form a maximum heavy matching of the whole instance."""
+        agents, heavy, forced, m = lazysearch.preprocess(inst)
+        assert set(forced).isdisjoint(agents) and set(forced.values()).isdisjoint(heavy)
+        assert set(m) <= agents and set(m.values()) <= heavy
+        both = {**forced, **m}
+        assert len(set(both.values())) == len(both) == len(forced) + len(m)
+        assert all(j in inst.b1(i) for i, j in both.items())
+        assert len(both) == networkx_matching_size(inst, range(inst.n), inst.heavy_ids)
+
     def test_chain_longer_than_recursion_limit(self):
-        """Agent i wants items i-1 and i, so agent i's search walks the
-        alternating chain down to agent 0: 1,200 levels deep."""
+        """Agent i wants items i-1 and i: 1,201 agents on 1,200 heavy items,
+        no item of degree 1, so preprocess forces nothing and matches the
+        whole chain.  An augmenting path may run along all of it, longer
+        than Python's recursion limit; the flow's search uses no recursion."""
         n = 1201
         interests = [[0]] + [[i - 1, i] for i in range(1, n - 1)] + [[n - 2]]
         inst = Instance(Epsilon(1, 30), [Item(j, HEAVY) for j in range(n - 1)], interests)
