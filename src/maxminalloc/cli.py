@@ -64,6 +64,30 @@ def _count_arg(text: str) -> int:
     return value
 
 
+def _density_arg(text: str) -> float:
+    """`--density`: a probability, in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad density {text!r}") from None
+    if not 0 <= value <= 1:  # nan fails too
+        raise argparse.ArgumentTypeError(f"density {text} is not in [0, 1]")
+    return value
+
+
+ALGOS = ("exact", "baseline", "quasi", "poly")
+
+
+def _algos_arg(text: str) -> list:
+    """`--algos`: comma-separated names from ALGOS."""
+    algos = text.split(",")
+    for algo in algos:
+        if algo not in ALGOS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algo {algo!r} (choose from {', '.join(ALGOS)})")
+    return algos
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -217,10 +241,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    paths = sorted(Path(args.corpus).glob("*.json"))
-    algos = args.algos.split(",")
+    corpus = Path(args.corpus)
+    if not corpus.is_dir():
+        print(f"error: corpus {args.corpus!r} is not a directory", file=sys.stderr)
+        return EXIT_PARSE
     rows = []
-    for path in paths:
+    for path in sorted(corpus.glob("*.json")):
         inst = _load_instance(str(path))
         eps = inst.epsilon
         opt_f: Optional[Fraction] = None
@@ -231,7 +257,7 @@ def cmd_bench(args) -> int:
             exact_row = (opt_v, round(1000 * (time.perf_counter() - start), 3))
             opt_f = opt_v.as_fraction(eps)
         baseline = None
-        for algo in algos:
+        for algo in args.algos:
             if algo == "exact" and exact_row is not None:
                 (value, wall_ms), extras = exact_row, {}
             else:
@@ -286,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a max-min allocation")
     p.add_argument("instance")
-    p.add_argument("--algo", default="auto",
-                   choices=["exact", "baseline", "quasi", "poly", "auto"])
+    p.add_argument("--algo", default="auto", choices=[*ALGOS, "auto"])
     p.add_argument("--out", help="allocation output path")
     _add_search_knobs(p)
     p.set_defaults(func=cmd_solve)
@@ -306,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_count_arg, default=6, help="item cap for gap-search")
     p.add_argument("--m-heavy", type=_count_arg, default=2)
     p.add_argument("--m-light", type=_count_arg, default=6)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--density", type=_density_arg, default=0.5)
     p.add_argument("--size", type=_count_arg, default=2, help="3DM ground-set size")
     p.add_argument("--extra-edges", type=_count_arg, default=2)
     p.add_argument("--budget", type=_count_arg, default=2000,
@@ -323,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run algorithms over a corpus directory")
     p.add_argument("corpus")
-    p.add_argument("--algos", default="baseline,quasi,poly")
+    p.add_argument("--algos", type=_algos_arg, default="baseline,quasi,poly")
     p.add_argument("--out", required=True)
     _add_search_knobs(p)
     p.set_defaults(func=cmd_bench)

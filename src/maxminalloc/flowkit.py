@@ -1,21 +1,23 @@
 """Matching and flow primitives.
 
-One integer-indexed max-flow engine (`_Flow`) and its uses.  Dinic's
-blocking flows (`_Flow.max_flow`) solve the unit network of the maximum
-heavy matching (`max_heavy_matching`) and the allocation network
-(`allocation_flow`), which carries both the count flow behind the
-unweighted count-allocation baseline (max-flow + binary search) and the
-weight flow that bounds the LP threshold T* (`weight_feasible`).  The
-incremental node-disjoint path flow (`PathFlow`) over the heavy-item
-residual digraph used by the lazy local search augments one
-breadth-first shortest path at a time (`_Flow.reachable`, then
-`_Flow.push`) so that it can stop or add terminals between paths.
+One integer-indexed max-flow engine (`_Flow`), the only code that knows
+its edge layout: it builds every network from (tail, head, capacity)
+triples, copies them and reads their flow.  Dinic's blocking flows
+(`_Flow.max_flow`) solve the unit network of the maximum heavy matching
+(`max_heavy_matching`) and the allocation network (`allocation_flow`),
+which carries both the count flow behind the unweighted count-allocation
+baseline (max-flow + binary search) and the weight flow that bounds the
+LP threshold T* (`weight_feasible`).  The incremental node-disjoint path
+flow (`PathFlow`), a copy of the heavy-item residual digraph's `_Flow`,
+augments one breadth-first shortest path at a time (`_Flow.reachable`,
+then `_Flow.push`) so that it can stop or add terminals between paths.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import deque
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .model import (
@@ -33,21 +35,45 @@ class _Flow:
     """Max-flow network on nodes 0..size-1.
 
     Edge e runs from head[e ^ 1] to head[e]; e ^ 1 is its reverse, so
-    inserting an edge appends the pair (e, e + 1).  adj[u] lists the edges
-    leaving u, forward and reverse, in insertion order.
+    inserting an edge appends the pair (e, e + 1), the forward edge even.
+    adj[u] lists the edges leaving u, forward and reverse, in insertion
+    order.  `edges` are (u, v, capacity) triples, inserted in order.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, edges: Iterable[Tuple[int, int, int]] = ()):
         self.adj: List[List[int]] = [[] for _ in range(size)]
         self.head: List[int] = []
         self.cap: List[int] = []
+        self._insert(edges)
+
+    def _insert(self, edges: Iterable[Tuple[int, int, int]]):
+        adj, head, cap = self.adj, self.head, self.cap
+        e = len(head)
+        for u, v, c in edges:
+            head.append(v)
+            head.append(u)
+            cap.append(c)
+            cap.append(0)
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            e += 2
 
     def add_edge(self, u: int, v: int, c: int):
-        e = len(self.head)
-        self.head += (v, u)
-        self.cap += (c, 0)
-        self.adj[u].append(e)
-        self.adj[v].append(e + 1)
+        self._insert(((u, v, c),))
+
+    def copy(self) -> _Flow:
+        """An independent copy of the network and its flow."""
+        fl = _Flow(0)
+        fl.adj = [a[:] for a in self.adj]
+        fl.head = self.head[:]
+        fl.cap = self.cap[:]
+        return fl
+
+    def carrying(self, u: int) -> List[int]:
+        """Heads of the forward edges out of u that carry flow (their
+        reverse holds capacity), in adjacency order."""
+        head, cap = self.head, self.cap
+        return [head[e] for e in self.adj[u] if not e & 1 and cap[e ^ 1] > 0]
 
     def reachable(self, s: int, t: int, stop_at_t: bool = False) -> List[int]:
         """Breadth-first search over residual edges from s, never leaving t.
@@ -159,18 +185,15 @@ def max_heavy_matching(inst: Instance, agents: Optional[Iterable[int]] = None,
     (used after preprocessing).
     """
     n, s, t = inst.n, inst.n + inst.m, inst.n + inst.m + 1
-    fl = _Flow(t + 1)
     agent_list = sorted(agents) if agents is not None else range(n)
+    edges = []
     for i in agent_list:
-        fl.add_edge(s, i, 1)
-        for j in inst.b1(i):
-            if items is None or j in items:
-                fl.add_edge(i, n + j, 1)
-    for j in sorted(inst.heavy_ids):
-        fl.add_edge(n + j, t, 1)
+        edges.append((s, i, 1))
+        edges += ((i, n + j, 1) for j in inst.b1(i) if items is None or j in items)
+    edges += ((n + j, t, 1) for j in sorted(inst.heavy_ids))
+    fl = _Flow(t + 1, edges)
     fl.max_flow(s, t)
-    return {i: fl.head[e] - n for i in agent_list for e in fl.adj[i]
-            if not e & 1 and fl.cap[e ^ 1] > 0}
+    return {i: v - n for i in agent_list for v in fl.carrying(i)}
 
 
 def allocation_flow(inst: Instance, supply: int, caps: Sequence[int]) -> Tuple[_Flow, int]:
@@ -181,47 +204,18 @@ def allocation_flow(inst: Instance, supply: int, caps: Sequence[int]) -> Tuple[_
     of capacity caps[j] to the sink.  Agents are nodes 0..n-1, items
     n..n+m-1, the source n+m and the sink n+m+1.  The edges go in agent by
     agent (its source edge, then its item edges in interest order), then
-    the sink edges by item; the edge lists are built in one pass, without
-    an `add_edge` call per edge.
+    the sink edges by item.
 
     Two networks use it: the count flow (`supply` t, every cap 1) and the
     weight flow of `weight_feasible` (in key units).
     """
     n, m = inst.n, inst.m
     s, sink = n + m, n + m + 1
-    adj: List[List[int]] = [[] for _ in range(n + m + 2)]
-    head: List[int] = []
-    cap: List[int] = []
-    for i in range(n):
-        e = len(head)
-        items = [n + j for j in inst.interests[i]]
-        k = len(items)
-        # edge e: source -> i; edge e + 2 + 2r: i -> items[r]
-        pairs = [i] * (2 * k + 2)
-        pairs[1] = s
-        pairs[2::2] = items
-        head += pairs
-        caps_i = [0] * (2 * k + 2)
-        caps_i[0] = supply
-        caps_i[2::2] = [caps[v - n] for v in items]
-        cap += caps_i
-        adj[s].append(e)
-        adj[i] = [e + 1] + list(range(e + 2, e + 2 * k + 2, 2))
-        for r, v in enumerate(items):
-            adj[v].append(e + 3 + 2 * r)
-    # edge e + 2j: item j -> sink
-    e = len(head)
-    pairs = [sink] * (2 * m)
-    pairs[1::2] = range(n, n + m)
-    head += pairs
-    caps_j = [0] * (2 * m)
-    caps_j[0::2] = caps
-    cap += caps_j
-    for j in range(m):
-        adj[n + j].append(e + 2 * j)
-    adj[sink] = list(range(e + 1, e + 2 * m, 2))
-    fl = _Flow(0)
-    fl.adj, fl.head, fl.cap = adj, head, cap
+    # one agent's edges at a time: a list of them all would raise peak memory
+    agents = ([(s, i, supply)] + [(i, n + j, caps[j]) for j in inst.interests[i]]
+              for i in range(n))
+    sinks = ((n + j, sink, caps[j]) for j in range(m))
+    fl = _Flow(n + m + 2, chain(chain.from_iterable(agents), sinks))
     return fl, fl.max_flow(s, sink)
 
 
@@ -259,8 +253,8 @@ def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
     """Trivial 1/eps-approximation: maximize the per-agent item count.
 
     Binary search over counts t >= 1, each probe solving one count flow;
-    the allocation is read from the last feasible probe's flow (an edge
-    agent -> item carries flow when its reverse has capacity).  The
+    the allocation is read from the last feasible probe's flow (the
+    agent -> item edges that carry flow).  The
     reported value is the exact min_value of that allocation.  The counts
     searched stop at min(min_i |I_i|, |wanted items| // n), where the
     wanted items are those some agent is interested in: no agent gets
@@ -277,10 +271,7 @@ def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
     _, fl = last_feasible(range(1, top + 1), probe)
     if fl is None:
         return ZERO, {i: frozenset() for i in range(n)}
-    alloc: Allocation = {
-        i: frozenset(fl.head[e] - n for e in fl.adj[i] if not e & 1 and fl.cap[e ^ 1] > 0)
-        for i in range(n)
-    }
+    alloc: Allocation = {i: frozenset(v - n for v in fl.carrying(i)) for i in range(n)}
     return min_value(inst, alloc), alloc
 
 
@@ -296,14 +287,15 @@ class ResidualDigraph:
     then the heavy items, ascending.  `arcs` holds the (tail, head) node
     pairs agent by agent, each agent's heavy items in ascending order.
 
-    It also holds the node-split unit network that `PathFlow` copies, in
-    `_Flow`'s layout: node k is the pair in = 2k + 2 -> out = 2k + 3,
-    joined by edge 2k, and arc r (u, v) is edge 2N + 2r from out-node
-    2u + 3 to in-node 2v + 2, N being the node count; every capacity is
-    1 forward and 0 back.  Each adjacency list is sorted by edge id, the
-    order in which a build appends them.  `flip` reverses one arc in
-    place, keeping its position in `arcs` and its edge ids, so the graph
-    follows the matching through a path reversal without a rebuild.
+    `flow` is the node-split unit network that `PathFlow` copies, one
+    `_Flow`: node k is the pair in = 2k + 2 -> out = 2k + 3, joined by
+    edge 2k, and arc r (u, v) is edge 2N + 2r from out-node 2u + 3 to
+    in-node 2v + 2, N being the node count; every capacity is 1.  The
+    node edges go in first, then the arcs, so each adjacency list is
+    sorted by edge id.  `flip` reverses one arc in place, keeping its
+    position in `arcs`, its edge ids and the sorted adjacency lists, so
+    the graph follows the matching through a path reversal without a
+    rebuild.
     """
 
     def __init__(self, inst: Instance, matching: HeavyMatching,
@@ -330,16 +322,9 @@ class ResidualDigraph:
                 else:
                     matched.add(j)
                     self.arcs.append((node_of[j], a))
-        # node edges first: edge 2k runs from in-node 2k + 2 to out-node 2k + 3
-        size = 2 * len(self.nodes) + 2
-        self.head = head = [e ^ 1 for e in range(2, size)]
-        self.adj = adj = [[], []] + [[e] for e in range(size - 2)]
-        for u, v in self.arcs:
-            e = len(head)
-            head += (2 * v + 2, 2 * u + 3)
-            adj[2 * u + 3].append(e)
-            adj[2 * v + 2].append(e + 1)
-        self.cap = [1, 0] * (len(head) // 2)
+        edges = [(2 * k + 2, 2 * k + 3, 1) for k in range(len(self.nodes))]
+        edges += ((2 * u + 3, 2 * v + 2, 1) for u, v in self.arcs)
+        self.flow = _Flow(2 * len(self.nodes) + 2, edges)
 
     def flip(self, agent: int, item: int):
         """Reverse the arc between `agent` and heavy `item`: the item
@@ -348,7 +333,7 @@ class ResidualDigraph:
         u, v = self.arcs[r]
         self.arcs[r] = (v, u)
         e = 2 * len(self.nodes) + 2 * r
-        head, adj = self.head, self.adj
+        head, adj = self.flow.head, self.flow.adj
         # e ran out(u) -> in(v) and now runs out(v) -> in(u); e + 1 the reverse
         head[e], head[e + 1] = 2 * u + 2, 2 * v + 3
         adj[2 * u + 3].remove(e)
@@ -361,9 +346,9 @@ class PathFlow:
     """Maximum set of node-disjoint directed paths between agent sets.
 
     A unit-capacity view over one `_Flow`, which starts as a copy of the
-    digraph's node-split network (see `ResidualDigraph`): each digraph node
-    is an in/out pair joined by one unit edge, which makes the paths
-    node-disjoint, and arcs run out -> in.  The copy leaves the digraph's
+    digraph's node-split network `g.flow` (see `ResidualDigraph`): each
+    digraph node is an in/out pair joined by one unit edge, which makes
+    the paths node-disjoint, and arcs run out -> in.  The copy leaves the digraph's
     own network as it is.  The source S = 0 has a unit edge to the in-node
     of every source agent, in the order they were added, and the out-node
     of every sink agent has a unit edge to the sink T = 1, after its arcs.
@@ -385,10 +370,7 @@ class PathFlow:
         self._reach: Optional[Set[int]] = None
         self._ids = g.nodes
         self._agent_node = g.agent_node
-        fl = self._flow = _Flow(0)
-        fl.head = g.head[:]
-        fl.cap = g.cap[:]
-        fl.adj = [a[:] for a in g.adj]
+        self._flow = g.flow.copy()
 
     def _changed(self):
         self._pred = self._reach = None
@@ -457,20 +439,17 @@ class PathFlow:
 
         Every arc runs between an agent and a heavy item, so a path from
         agent to agent alternates: even positions are agents, odd ones
-        heavy items.  A saturated forward edge (even id, no capacity left)
-        carries flow; each node passes its unit on along exactly one of them.
+        heavy items.  Each node on a path passes its unit on along exactly
+        one edge that carries flow.
         """
-        head, cap, adj = self._flow.head, self._flow.cap, self._flow.adj
+        fl = self._flow
         result = []
-        for e in adj[0]:
-            if cap[e]:
-                continue
+        for u in fl.carrying(0):
             nodes = []
-            u = head[e]
             while u != 1:
                 if not u & 1:
                     nodes.append(self._ids[u // 2 - 1])
-                u = next(head[f] for f in adj[u] if not f & 1 and not cap[f])
+                u = fl.carrying(u)[0]
             result.append(nodes)
         return result
 

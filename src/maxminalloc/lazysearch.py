@@ -152,7 +152,8 @@ class LazyState:
         # Fact 1, from scratch: f(Y_<=t-1, X_<=t u I) >= |X_<=t|
         g = ResidualDigraph(self.inst, self.heavy_matching(), self.agents, self.heavy_items)
         d = self.digraph
-        if (d.arcs, d.head, d.cap, d.adj) != (g.arcs, g.head, g.cap, g.adj):
+        if ((d.arcs, d.flow.head, d.flow.cap, d.flow.adj)
+                != (g.arcs, g.flow.head, g.flow.cap, g.flow.adj)):
             raise LazyInvariantError("residual digraph is stale")
         for t in range(1, len(self.Y)):
             sources = set()

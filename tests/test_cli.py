@@ -251,14 +251,21 @@ class TestBadArguments:
         ["solve", "{inst}", "--budget", "-1", "--out", "{out}"],
         ["solve", "{inst}", "--exact-cap", "-1", "--out", "{out}"],
         ["bench", "{corpus}", "--budget", "-1", "--out", "{out}"],
+        # an unknown or empty algo name, a missing corpus, a density outside [0, 1]
+        ["bench", "{corpus}", "--algos", "baseline,foo", "--out", "{out}"],
+        ["bench", "{corpus}", "--algos", "", "--out", "{out}"],
+        ["bench", "{missing}", "--out", "{out}"],
+        ["generate", "random", "--density", "2", "--out", "{out}"],
+        ["generate", "random", "--density", "-0.1", "--out", "{out}"],
+        ["generate", "random", "--density", "nan", "--out", "{out}"],
     ], ids=" ".join)
     def test_exit_2_with_one_error_line(self, yes_instance, tmp_path, capsys, argv):
         alloc, out = tmp_path / "a.json", tmp_path / "out.json"
         alloc.write_text('{"assignment": {}}')
         corpus = tmp_path / "corpus"  # empty, so only a bad argument fails bench
         corpus.mkdir()
-        argv = [arg.format(inst=yes_instance, alloc=alloc, out=out, corpus=corpus)
-                for arg in argv]
+        argv = [arg.format(inst=yes_instance, alloc=alloc, out=out, corpus=corpus,
+                           missing=tmp_path / "missing") for arg in argv]
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a bad option value this way

@@ -144,12 +144,15 @@ class TestMaxFlow:
         nx = pytest.importorskip("networkx")
         size, s, t, edges = drawn
         fl = flowkit._Flow(size)
+        built = flowkit._Flow(size, edges)
         g = nx.DiGraph()
         g.add_nodes_from(range(size))
         for u, v, c in edges:
             fl.add_edge(u, v, c)
             # networkx holds one edge per ordered pair: parallel capacities add
             g.add_edge(u, v, capacity=g.get_edge_data(u, v, {"capacity": 0})["capacity"] + c)
+        # the constructor lays the edges out as add_edge calls in order would
+        assert (built.head, built.cap, built.adj) == (fl.head, fl.cap, fl.adj)
         value = fl.max_flow(s, t)
         assert value == nx.maximum_flow_value(g, s, t)
         assert fl.reachable(s, t)[t] == -1
@@ -162,6 +165,17 @@ class TestMaxFlow:
             net[v] += flow
         assert net[s] == -value and net[t] == value
         assert all(net[v] == 0 for v in range(size) if v not in (s, t))
+        # carrying(u): the heads of u's edges whose reverse holds flow
+        for u in range(size):
+            assert fl.carrying(u) == [v for k, (w, v, _) in enumerate(edges)
+                                      if w == u and fl.cap[2 * k + 1] > 0]
+        # a copy changed after copying leaves the original as it was
+        before = (fl.head[:], fl.cap[:], [a[:] for a in fl.adj])
+        copy = fl.copy()
+        copy.add_edge(t, s, 1)
+        copy.max_flow(t, s)  # cancels flow in place
+        copy.cap[0] += 1
+        assert (fl.head, fl.cap, fl.adj) == before
 
 
 class TestAllocationFlow:
@@ -379,9 +393,7 @@ class TestDisjointPaths:
 def fresh_out_agents(pf):
     """reachable_out_agents by a fresh residual search on a copy of pf's
     flow, which no cache of pf's can answer."""
-    fl, copy = pf._flow, flowkit._Flow(0)
-    copy.head, copy.cap, copy.adj = fl.head[:], fl.cap[:], [a[:] for a in fl.adj]
-    pred = copy.reachable(0, 1)
+    pred = pf._flow.copy().reachable(0, 1)
     return {i for i, k in pf._agent_node.items() if pred[2 * k + 3] != -1}
 
 

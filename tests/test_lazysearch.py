@@ -267,7 +267,8 @@ def checked_digraphs():
         fresh = flowkit.ResidualDigraph(state.inst, state.heavy_matching(), state.agents,
                                         state.heavy_items)
         assert g.arcs == fresh.arcs
-        assert (g.head, g.cap, g.adj) == (fresh.head, fresh.cap, fresh.adj)
+        fl, want = g.flow, fresh.flow
+        assert (fl.head, fl.cap, fl.adj) == (want.head, want.cap, want.adj)
         used[-1].add(id(g))
         return out
 
