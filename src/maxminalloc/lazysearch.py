@@ -12,12 +12,13 @@ agent.  All arithmetic is on integers.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from .model import Allocation, Instance, LatticeValue, k_of, lowest_free
+from .model import Allocation, Instance, lowest_free
 from .flowkit import (
     HeavyMatching, PathFlow, ResidualDigraph, disjoint_paths, max_heavy_matching,
 )
@@ -175,31 +176,31 @@ Preprocessed = Tuple[FrozenSet[int], FrozenSet[int], Mapping[int, int], Mapping[
 
 
 def preprocess(inst: Instance) -> Preprocessed:
-    """Assign degree-1 heavy items to their unique agent, cascading, then
-    match the residue.  Returns (remaining agents, remaining heavy items,
-    forced assignments, max heavy matching on the residue) as frozensets
-    and read-only mappings, so poly_solve hands one result to all its
-    probes and none can change it for the next."""
-    agents = set(range(inst.n))
-    heavy = set(inst.heavy_ids)
+    """Assign degree-1 heavy items to their unique agent, the smallest
+    item first, cascading, then match the residue.  Returns (remaining
+    agents, remaining heavy items, forced assignments, max heavy matching
+    on the residue) as frozensets and read-only mappings, so poly_solve
+    hands one result to all its probes and none can change it for the
+    next.  A forced pick costs the degree of its agent."""
     forced: Dict[int, int] = {}
-    while True:
-        degree: Dict[int, List[int]] = {j: [] for j in heavy}
-        for i in sorted(agents):
-            for j in inst.b1(i):
-                if j in heavy:
-                    degree[j].append(i)
-        pick = None
-        for j in sorted(heavy):
-            if len(degree[j]) == 1:
-                pick = (degree[j][0], j)
-                break
-        if pick is None:
-            break
-        i, j = pick
-        forced[i] = j
-        agents.discard(i)
-        heavy.discard(j)
+    wanted_by: Dict[int, Set[int]] = {j: set() for j in inst.heavy_ids}
+    for i in range(inst.n):
+        for j in inst.b1(i):
+            wanted_by[j].add(i)
+    # a heap of every item that has had degree 1; a degree only falls,
+    # and a forced item's falls to 0
+    ones = sorted(j for j, wanting in wanted_by.items() if len(wanting) == 1)
+    while ones:
+        j = heapq.heappop(ones)
+        if len(wanted_by[j]) == 1:
+            (i,) = wanted_by[j]
+            forced[i] = j
+            for j2 in inst.b1(i):
+                wanted_by[j2].discard(i)
+                if len(wanted_by[j2]) == 1:
+                    heapq.heappush(ones, j2)
+    agents = set(range(inst.n)).difference(forced)
+    heavy = inst.heavy_ids.difference(forced.values())
     matching = max_heavy_matching(inst, agents, heavy)
     return (frozenset(agents), frozenset(heavy), MappingProxyType(forced),
             MappingProxyType(matching))
@@ -473,38 +474,33 @@ def poly_solve(
     budget: int = DEFAULT_BUDGET,
     baseline: Optional[Baseline] = None,
 ) -> SolveReport:
-    """Binary search on T with the layered matcher; falls back to the
-    1/eps count baseline, which covers the k <= 9 regime.
+    """Binary search on r = _poly_r(k) with the layered matcher (see
+    search_solve); falls back to the 1/eps count baseline, which covers
+    the k <= 9 regime.
 
-    A probe depends on T only through its sizes (r, p), so each pair is
-    probed once per call: a T that shares r with an earlier one (every
-    k <= 9 gives r = 1) reuses the answers for the sizes p both try.
-    preprocess depends on the instance alone: it runs once per call, at
-    the first probe, and every probe starts from its read-only result.
+    A k with no size p in (r, k) (k <= 2) has no r and is not searched.
+    The probe at r tries the sizes p that are valid at its largest k, in
+    _p_candidates' order.  preprocess depends on the instance alone: it
+    runs once per call, and every probe starts from its read-only result.
     """
-    eps = inst.epsilon
-    probed: Dict[Params, Tuple[str, Optional[Allocation], LazyStats]] = {}
-    pre: Optional[Preprocessed] = None  # preprocess(inst), once a probe needs it
+    pre = preprocess(inst)
 
-    def probe(T: LatticeValue) -> Optional[ProbeResult]:
-        nonlocal pre
-        k = k_of(T, eps)
+    def key(k: int) -> Optional[int]:
         r = _poly_r(k)
+        return r if _p_candidates(r, k) else None
+
+    def probe(r: int, k: int) -> Optional[ProbeResult]:
         for p in _p_candidates(r, k):
             params = Params(r, p)
             params.validate(k)
-            if params not in probed:
-                if pre is None:
-                    pre = preprocess(inst)
-                probed[params] = _probe(inst, params, budget, pre)
-            outcome, alloc, stats = probed[params]
+            outcome, alloc, stats = _probe(inst, params, budget, pre)
             if outcome == MATCHED:
                 meta = {
                     "p": p,
                     "layers_peak": stats.layers_peak,
                     "collapses": stats.collapses,
                 }
-                return r, alloc, stats.iterations, meta
+                return alloc, stats.iterations, meta
         return None
 
-    return search_solve(inst, "poly", probe, baseline)
+    return search_solve(inst, "poly", key, probe, baseline)

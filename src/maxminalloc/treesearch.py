@@ -450,7 +450,14 @@ def _probe(
 
 
 def t_probe_candidates(inst: Instance) -> List[LatticeValue]:
-    """Positive lattice values up to the 3/2 normalization cap."""
+    """Positive lattice values up to the 3/2 normalization cap.
+
+    The cap stays at 3/2 rather than packing_cap: on planted instances,
+    narrowing the range to packing_cap was measured to cut the mean
+    value/planted from 0.625 to 0.346 for quasi_solve, and from 0.246 to
+    0.213 for poly_solve.  No T above 3/2 is searched, so an instance
+    with OPT > 3/2 can miss the ratio (fault F3, ROADMAP item 1).
+    """
     return lattice_values(inst, Fraction(3, 2))[1:]  # [0] is the value 0
 
 
@@ -474,9 +481,9 @@ class SolveReport:
 
 Baseline = Tuple[LatticeValue, Allocation]
 
-# what a local search's probe returns at a passing T: (r, allocation,
+# what a local search's probe returns at a passing r: (allocation,
 # iterations, meta)
-ProbeResult = Tuple[int, Allocation, int, Dict[str, object]]
+ProbeResult = Tuple[Allocation, int, Dict[str, object]]
 
 
 def mid_then_top(values: Sequence, probe: Callable) -> Tuple[int, Optional[object]]:
@@ -484,88 +491,81 @@ def mid_then_top(values: Sequence, probe: Callable) -> Tuple[int, Optional[objec
 
     Asks the midpoint values[(len - 1) // 2] that last_feasible asks
     first; if it passes, asks the last value, and returns it if that
-    passes too.  Otherwise it returns last_feasible(values, probe), which
-    asks the midpoint (and perhaps the top) again: the searches' probes
-    answer a repeat from their memo.
+    passes too.  Otherwise the walk goes on as last_feasible's does,
+    with the answers it has, so no value is asked twice.
 
     When the passing values form a prefix, the answer is last_feasible's
     (a passing top means every value passes), and the values asked are
     last_feasible's plus at most the top.  When they do not, the answer
     still passes, at an index at least last_feasible's.
     """
-    if values:
-        mid = (len(values) - 1) // 2
-        first = probe(values[mid])
-        if first is not None:
-            top = first if mid == len(values) - 1 else probe(values[-1])
-            if top is not None:
-                return len(values) - 1, top
-    return last_feasible(values, probe)
+    top = len(values) - 1
+    mid = top // 2
+    first = probe(values[mid]) if values else None
+    if first is None:  # values[:mid] is empty when values is
+        return last_feasible(values[:mid], probe)
+    last = first if mid == top else probe(values[top])
+    if last is not None:
+        return top, last
+    idx, found = last_feasible(range(mid + 1, top + 1),
+                               lambda i: None if i == top else probe(values[i]))
+    return (mid + 1 + idx, found) if found is not None else (mid, first)
 
 
 def search_solve(
     inst: Instance,
     algo: str,
-    probe: Callable[[LatticeValue], Optional[ProbeResult]],
+    key: Callable[[int], Optional[int]],
+    probe: Callable[[int, int], Optional[ProbeResult]],
     baseline: Optional[Baseline] = None,
 ) -> SolveReport:
     """The outer search both local searches share.
 
-    Searches `probe` over t_probe_candidates for the largest T it passes
-    (see mid_then_top), and reports that allocation if it strictly beats
-    the 1/eps count baseline; otherwise reports the baseline as
-    "<algo>(baseline)", still carrying the T and r the search certified.
-    `baseline` is a precomputed (value, allocation) from
-    flowkit.baseline_solve.
-
-    Where every T up to the 3/2 cap passes (planted instances at small
-    eps), mid_then_top asks two probes where the binary search walks
-    mid -> ... -> top.  When the passing T form a prefix of the
-    candidates it answers as the binary search does, so the report is
-    the same; a probe that breaks the prefix (a budget-capped one, or
-    poly_solve's where some T has no size p) can only get a higher
-    passing T from it.  Neighbouring T values often share a probe's key
-    (its bundle sizes), and a probe depends on T only through that key,
-    so each solver's `probe` runs once per key and answers a repeat from
-    the first run: the first midpoint, for one, which the binary search
-    asks again whenever mid_then_top does not stop at the top.
+    A probe depends on T only through its bundle size r = key(k_of(T)),
+    None where T has no probe, and r rises with T.  So the search runs
+    mid_then_top over the distinct r of t_probe_candidates, each asked
+    as probe(r, k) at the k of the largest T that maps to it, and the
+    passing r's largest T is the certified T.  It reports that
+    allocation if it strictly beats the 1/eps count baseline (`baseline`,
+    from flowkit.baseline_solve, when precomputed); otherwise it reports
+    the baseline as "<algo>(baseline)", still carrying the T and r the
+    search certified.  Where every r passes (planted instances at small
+    eps), that is two probes where the binary search walks to the top.
     """
     eps = inst.epsilon
     base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
-    cands = t_probe_candidates(inst)
-    idx, found = mid_then_top(cands, probe)
+    largest: Dict[int, LatticeValue] = {}  # r -> its largest T, r ascending
+    for T in t_probe_candidates(inst):
+        r = key(k_of(T, eps))
+        if r is not None:
+            largest[r] = T
+    keys = list(largest)
+    idx, found = mid_then_top(keys, lambda r: probe(r, k_of(largest[r], eps)))
     if found is None:
         return SolveReport(base_val, base_alloc, f"{algo}(baseline)")
-    r, alloc, iterations, meta = found
+    r = keys[idx]
+    alloc, iterations, meta = found
     value = min_value(inst, alloc)
-    if value.key(eps) > base_val.key(eps):
-        return SolveReport(value, alloc, algo, cands[idx], r, iterations, meta)
-    return SolveReport(base_val, base_alloc, f"{algo}(baseline)", cands[idx], r, iterations, meta)
+    if value.key(eps) <= base_val.key(eps):
+        value, alloc, algo = base_val, base_alloc, f"{algo}(baseline)"
+    return SolveReport(value, alloc, algo, largest[r], r, iterations, meta)
 
 
 def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
                 baseline: Optional[Baseline] = None) -> SolveReport:
-    """Binary search on T with the tree search; a stalled probe is
-    treated as evidence that T exceeds the optimum.  Falls back to the
-    1/eps count baseline, which dominates for eps >= 1/4.
-
-    A probe depends on T only through r = ceil(k/(3+4 eps)), so each r
-    is probed once per call and a T that shares it reuses the answer.
+    """Binary search on r = ceil(k/(3+4 eps)) with the tree search (see
+    search_solve); a stalled probe is treated as evidence that T exceeds
+    the optimum.  Falls back to the 1/eps count baseline, which
+    dominates for eps >= 1/4.
     """
     eps = inst.epsilon
     interests = SupportHypergraph.of_interests(inst)
-    probed: Dict[int, Tuple[str, Dict[int, Bundle], ExtendStats]] = {}
 
-    def probe(T: LatticeValue) -> Optional[ProbeResult]:
-        r = _quasi_r(k_of(T, eps), eps)
-        if r not in probed:
-            probed[r] = _probe(inst, r, interests, budget)
-        outcome, M, stats = probed[r]
-        if outcome != MATCHED:
-            return None
-        return r, matching_allocation(M), stats.iterations, {}
+    def probe(r: int, k: int) -> Optional[ProbeResult]:
+        outcome, M, stats = _probe(inst, r, interests, budget)
+        return (matching_allocation(M), stats.iterations, {}) if outcome == MATCHED else None
 
-    return search_solve(inst, "quasi", probe, baseline)
+    return search_solve(inst, "quasi", lambda k: _quasi_r(k, eps), probe, baseline)
 
 
 def gap3_certify(inst: Instance, clpres: ClpResult, T: LatticeValue,

@@ -228,10 +228,17 @@ class TestMidThenTop:
         else:
             assert payload is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_no_value_asked_twice(self, passes):
+        _, seen = self.run(treesearch.mid_then_top, passes)
+        assert len(seen) == len(set(seen))
+
     def test_failing_top_walks_on_as_last_feasible(self):
-        # mid 4 passes, top 9 fails; last_feasible then asks 4, 7, 5, 6
+        # mid 4 passes, top 9 fails; last_feasible's walk above 4 then asks
+        # 7, 5, 6 (and would ask 9 only when it is the last value left)
         assert self.run(treesearch.mid_then_top, [v < 7 for v in range(10)]) == (
-            (6, 60), [4, 9, 4, 7, 5, 6])
+            (6, 60), [4, 9, 7, 5, 6])
 
 
 def fault_f1_instance():
