@@ -392,8 +392,11 @@ class PathFlow:
 
         A search that misses T never stops early, so a failed one is the
         full residual search of the state it leaves, and is kept for
-        reachable_out_agents.
+        reachable_out_agents.  A kept search of the unchanged state that
+        missed T answers a second augment without a new search.
         """
+        if self._pred is not None and self._pred[1] == -1:
+            return False
         pred = self._flow.reachable(0, 1, stop_at_t=True)
         if pred[1] == -1:
             self._pred = pred

@@ -486,13 +486,13 @@ Baseline = Tuple[LatticeValue, Allocation]
 ProbeResult = Tuple[Allocation, int, Dict[str, object]]
 
 
-def mid_then_top(values: Sequence, probe: Callable) -> Tuple[int, Optional[object]]:
-    """last_feasible, but a passing first midpoint sends the search to the top.
+def top_first(values: Sequence, probe: Callable) -> Tuple[int, Optional[object]]:
+    """last_feasible, but the last value is asked first, and answers if it passes.
 
-    Asks the midpoint values[(len - 1) // 2] that last_feasible asks
-    first; if it passes, asks the last value, and returns it if that
-    passes too.  Otherwise the walk goes on as last_feasible's does,
-    with the answers it has, so no value is asked twice.
+    If the top fails, the walk is last_feasible's over all the values,
+    with the top answered as failed: it asks the midpoint
+    values[(len - 1) // 2] first, and no value is asked twice.  That is
+    the walk a midpoint-first search makes once it knows the top failed.
 
     When the passing values form a prefix, the answer is last_feasible's
     (a passing top means every value passes), and the values asked are
@@ -500,16 +500,10 @@ def mid_then_top(values: Sequence, probe: Callable) -> Tuple[int, Optional[objec
     still passes, at an index at least last_feasible's.
     """
     top = len(values) - 1
-    mid = top // 2
-    first = probe(values[mid]) if values else None
-    if first is None:  # values[:mid] is empty when values is
-        return last_feasible(values[:mid], probe)
-    last = first if mid == top else probe(values[top])
+    last = probe(values[top]) if values else None
     if last is not None:
         return top, last
-    idx, found = last_feasible(range(mid + 1, top + 1),
-                               lambda i: None if i == top else probe(values[i]))
-    return (mid + 1 + idx, found) if found is not None else (mid, first)
+    return last_feasible(range(top + 1), lambda i: None if i == top else probe(values[i]))
 
 
 def search_solve(
@@ -523,14 +517,14 @@ def search_solve(
 
     A probe depends on T only through its bundle size r = key(k_of(T)),
     None where T has no probe, and r rises with T.  So the search runs
-    mid_then_top over the distinct r of t_probe_candidates, each asked
+    top_first over the distinct r of t_probe_candidates, each asked
     as probe(r, k) at the k of the largest T that maps to it, and the
     passing r's largest T is the certified T.  It reports that
     allocation if it strictly beats the 1/eps count baseline (`baseline`,
     from flowkit.baseline_solve, when precomputed); otherwise it reports
     the baseline as "<algo>(baseline)", still carrying the T and r the
-    search certified.  Where every r passes (planted instances at small
-    eps), that is two probes where the binary search walks to the top.
+    search certified.  Where the top r passes (planted instances at small
+    eps), that is one probe where the binary search walks to the top.
     """
     eps = inst.epsilon
     base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
@@ -540,7 +534,7 @@ def search_solve(
         if r is not None:
             largest[r] = T
     keys = list(largest)
-    idx, found = mid_then_top(keys, lambda r: probe(r, k_of(largest[r], eps)))
+    idx, found = top_first(keys, lambda r: probe(r, k_of(largest[r], eps)))
     if found is None:
         return SolveReport(base_val, base_alloc, f"{algo}(baseline)")
     r = keys[idx]

@@ -258,3 +258,38 @@ def brute_signature(state) -> tuple:
             coords.append(sum(1 for b in state.blockers.values()
                               if b.dist == d + 1 and b.kind == LIGHT_KIND))
     return tuple(coords) + (float("inf"),)
+
+
+def midpoint_first(values: Sequence, probe) -> Tuple[int, Optional[object]]:
+    """The last value a probe passes, by a search that asks the midpoint, then the top.
+
+    Asks values[(len - 1) // 2] first and binary-searches below it if it
+    fails.  If it passes, asks the last value and answers with it if that
+    passes too; otherwise binary-searches the values above the midpoint
+    (mid = (lo + hi) // 2, the top included and answered from the first
+    ask).  No value is asked twice.  Returns (index, payload), or
+    (-1, None) when nothing passes.
+    """
+    answers: Dict[int, Optional[object]] = {}
+
+    def ask(i: int) -> Optional[object]:
+        if i not in answers:
+            answers[i] = probe(values[i])
+        return answers[i]
+
+    def search(lo: int, hi: int, found: Tuple[int, Optional[object]]):
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if ask(mid) is not None:
+                found, lo = (mid, answers[mid]), mid + 1
+            else:
+                hi = mid - 1
+        return found
+
+    top = len(values) - 1
+    mid = top // 2
+    if not values or ask(mid) is None:
+        return search(0, mid - 1, (-1, None))
+    if ask(top) is not None:
+        return top, answers[top]
+    return search(mid + 1, top, (mid, answers[mid]))

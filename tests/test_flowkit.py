@@ -538,6 +538,22 @@ class TestFailedAugmentSearch:
         with self.checked_failed_augments():
             lazysearch.poly_solve(inst)
 
+    def test_second_failed_augment_runs_no_search(self):
+        rng = random.Random(27)
+        for _ in range(20):
+            inst, matching = random_digraph_state(rng)
+            agents = list(range(inst.n))
+            pf = flowkit.disjoint_paths(flowkit.ResidualDigraph(inst, matching),
+                                        agents[::2], agents[1::2])
+            value, paths = pf.value, pf.paths()
+            with counted_searches() as searches:
+                assert not pf.augment() and not pf.augment()
+                assert searches == []
+                assert (pf.value, pf.paths()) == (value, paths)
+                pf.add_sink(agents[0])  # a new sink clears the kept search
+                pf.augment()
+                assert searches == [1]
+
     def test_poly_solve_reuses_some_search(self, monkeypatch):
         # without the reuse every augment and every query runs a search
         queries = []

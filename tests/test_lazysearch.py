@@ -13,6 +13,8 @@ from maxminalloc.model import (
     Epsilon, HEAVY, Instance, Item, LIGHT, k_of, min_value,
 )
 
+from oracles import midpoint_first
+
 H = treesearch.HEAVY_KIND
 L = treesearch.LIGHT_KIND
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -369,8 +371,8 @@ SOLVES = {"quasi": treesearch.quasi_solve, "poly": lazysearch.poly_solve}
 def unmemoized_report(inst, algo, budget):
     """The reference search: a walk over T values, not bundle sizes.
 
-    mid_then_top over the T candidates, with a probe that runs the
-    solver's _probe on every T it is asked about (a T whose k has no
+    oracles.midpoint_first over the T candidates, with a probe that runs
+    the solver's _probe on every T it is asked about (a T whose k has no
     poly size p fails without a probe), and the better of its answer and
     the baseline."""
     eps = inst.epsilon
@@ -395,7 +397,7 @@ def unmemoized_report(inst, algo, budget):
 
     base_val, base_alloc = flowkit.baseline_solve(inst)
     cands = treesearch.t_probe_candidates(inst)
-    idx, found = treesearch.mid_then_top(cands, raw_probe)
+    idx, found = midpoint_first(cands, raw_probe)
     if found is None:
         return treesearch.SolveReport(base_val, base_alloc, f"{algo}(baseline)")
     r, alloc, iterations, meta = found
@@ -427,21 +429,38 @@ def probe_keys():
         treesearch._probe, lazysearch._probe = tree, lazy
 
 
+def top_key(inst, algo):
+    """The largest bundle size r of the T candidates that has a probe."""
+    eps = inst.epsilon
+    rs = [0]
+    for T in treesearch.t_probe_candidates(inst):
+        k = k_of(T, eps)
+        if algo == "quasi":
+            rs.append(treesearch._quasi_r(k, eps))
+        elif lazysearch._p_candidates(lazysearch._poly_r(k), k):
+            rs.append(lazysearch._poly_r(k))
+    return max(rs)
+
+
 def check_against_t_walk(inst, budget):
-    """Each solve probes a key at most once; quasi reports what the walk
-    over T values reports, and poly a value at least its value.  Returns
-    how many probes the walks over T values repeat."""
+    """Each solve probes a key at most once, and only the top r when the
+    top passes.  quasi reports what the walk over T values reports, or
+    the top passed and its value is no lower; poly reports a value at
+    least the walk's.  Returns how many probes the walks over T values
+    repeat."""
     repeats = 0
     for algo, solve in SOLVES.items():
         with probe_keys() as keys:
             rep = solve(inst, budget)
         assert len(keys) == len(set(keys)), (algo, keys)
+        top = top_key(inst, algo)
+        if rep.r == top:
+            assert {getattr(key, "r", key) for key in keys} == {top}, (algo, keys)
         with probe_keys() as raw_keys:
             ref = unmemoized_report(inst, algo, budget)
-        if algo == "quasi":
+        if algo == "quasi" and rep.r != top:
             assert rep == ref
-        else:
-            assert rep.value.key(inst.epsilon) >= ref.value.key(inst.epsilon)
+        assert rep.value.key(inst.epsilon) >= ref.value.key(inst.epsilon)
         repeats += len(raw_keys) - len(set(raw_keys))
     return repeats
 
@@ -464,9 +483,14 @@ class TestKeySearch:
         check_against_t_walk(inst, budget)
 
     def test_repeated_keys_run_once(self, planted):
-        # at eps = 1/6 every candidate T has k <= 9, so every poly probe
-        # has r = 1 and the walk over T values repeats its keys
-        inst, _, _ = planted.planted_instance(12, Epsilon(1, 6), 6, 5, True)
+        # at eps = 1/8 every candidate T has r <= 2; the poly top r = 2
+        # fails at both p, so the key search goes on to r = 1, and the walk
+        # over T values repeats its keys
+        inst, _, _ = planted.planted_instance(12, Epsilon(1, 8), 3, 2, True)
+        with probe_keys() as keys:
+            assert lazysearch.poly_solve(inst).r == 1
+        assert keys == [lazysearch.Params(2, 5), lazysearch.Params(2, 6),
+                        lazysearch.Params(1, 2)]
         assert check_against_t_walk(inst, treesearch.DEFAULT_BUDGET) > 0
 
     @settings(max_examples=40, deadline=None)
@@ -543,11 +567,14 @@ class TestSharedPreprocess:
             return real(inst)
 
         monkeypatch.setattr(lazysearch, "preprocess", counted)
-        # at eps = 1/10 the search probes (r, p) = (1, 2) and (2, 5)
-        inst, _, _ = planted.planted_instance(12, Epsilon(1, 10), 10, 1, True)
+        # at eps = 1/10 the top r = 2 fails at p = 5 and 6, and the search
+        # goes on to (r, p) = (1, 2)
+        inst, _, _ = planted.planted_instance(12, Epsilon(1, 10), 3, 2, True)
         with probe_keys() as keys:
             lazysearch.poly_solve(inst)
-        assert len(set(keys)) > 1 and calls == [inst]
+        assert keys == [lazysearch.Params(2, 5), lazysearch.Params(2, 6),
+                        lazysearch.Params(1, 2)]
+        assert calls == [inst]
         # at eps = 1/2 the candidates are T = 1/2, 1, 3/2 (k = 1, 2, 3); only
         # k = 3 has a size p in (r, k), so the search's one key is r = 1,
         # probed at p = 2

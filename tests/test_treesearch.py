@@ -21,7 +21,9 @@ from maxminalloc.model import (
     min_value,
 )
 
-from oracles import brute_candidates, brute_signature, bundle_weight, milp_opt
+from oracles import (
+    brute_candidates, brute_signature, bundle_weight, midpoint_first, milp_opt,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -187,7 +189,7 @@ class TestQuasiSolve:
         assert rep.iterations == won.iterations > 0
 
 
-class TestMidThenTop:
+class TestTopFirst:
     @staticmethod
     def run(search, passes):
         """Search range(len(passes)) with a probe passing where passes[v];
@@ -205,22 +207,22 @@ class TestMidThenTop:
     def test_prefix_probes_answer_as_last_feasible(self, n, data):
         passing = data.draw(st.integers(0, n))
         passes = [v < passing for v in range(n)]
-        got, seen = self.run(treesearch.mid_then_top, passes)
+        got, seen = self.run(treesearch.top_first, passes)
         want, plain = self.run(last_feasible, passes)
         assert got == want
         assert len(set(seen) - set(plain)) <= 1
         assert set(seen) <= set(plain) | {n - 1}
 
     @given(st.integers(1, 40))
-    def test_all_pass_asks_mid_and_top(self, n):
-        got, seen = self.run(treesearch.mid_then_top, [True] * n)
+    def test_all_pass_asks_only_the_top(self, n):
+        got, seen = self.run(treesearch.top_first, [True] * n)
         assert got == (n - 1, (n - 1) * 10)
-        assert seen == sorted({(n - 1) // 2, n - 1})
+        assert seen == [n - 1]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.booleans(), max_size=40))
     def test_any_pass_set_gives_a_passing_index_no_lower(self, passes):
-        (idx, payload), _ = self.run(treesearch.mid_then_top, passes)
+        (idx, payload), _ = self.run(treesearch.top_first, passes)
         (plain_idx, _), _ = self.run(last_feasible, passes)
         assert idx >= plain_idx
         if idx >= 0:
@@ -231,14 +233,25 @@ class TestMidThenTop:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.booleans(), max_size=40))
     def test_no_value_asked_twice(self, passes):
-        _, seen = self.run(treesearch.mid_then_top, passes)
+        _, seen = self.run(treesearch.top_first, passes)
         assert len(seen) == len(set(seen))
 
-    def test_failing_top_walks_on_as_last_feasible(self):
-        # mid 4 passes, top 9 fails; last_feasible's walk above 4 then asks
-        # 7, 5, 6 (and would ask 9 only when it is the last value left)
-        assert self.run(treesearch.mid_then_top, [v < 7 for v in range(10)]) == (
-            (6, 60), [4, 9, 7, 5, 6])
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=40))
+    def test_failing_top_walks_as_midpoint_first(self, passes):
+        passes[-1] = False
+        got, seen = self.run(treesearch.top_first, passes)
+        want, ref_seen = self.run(midpoint_first, passes)
+        top = len(passes) - 1
+        assert got == want
+        assert seen == [top] + [v for v in ref_seen if v != top]
+
+    def test_failing_top_example(self):
+        # top 9 fails, mid 4 passes; the walk above 4 then asks 7, 5, 6
+        # (and would ask 9 only when it is the last value left)
+        passes = [v < 7 for v in range(10)]
+        assert self.run(midpoint_first, passes) == ((6, 60), [4, 9, 7, 5, 6])
+        assert self.run(treesearch.top_first, passes) == ((6, 60), [9, 4, 7, 5, 6])
 
 
 def fault_f1_instance():
