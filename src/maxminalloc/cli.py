@@ -105,7 +105,9 @@ def _ratio_bound(algo: str, inst: Instance) -> float:
     The local searches keep their promise only while OPT <= 3/2 (they
     certify T up to 3/2), which 2*packing_cap <= 3*q shows; above it only
     the 1/eps of the baseline holds, and every search report meets that,
-    since search_solve never returns less than the baseline.
+    since search_solve never returns less than the baseline: it skips
+    computing the baseline only where its own value is strictly above
+    flowkit.baseline_ceiling, a bound on the baseline's value.
     """
     eps = inst.epsilon
     e = eps.numerator / eps.denominator

@@ -6,9 +6,10 @@ triples, copies them and reads their flow.  Dinic's blocking flows
 (`_Flow.max_flow`) solve the unit network of the maximum heavy matching
 (`max_heavy_matching`) and the allocation network (`allocation_flow`),
 which carries both the count flow behind the unweighted count-allocation
-baseline (max-flow + binary search) and the weight flow that bounds the
-LP threshold T* (`weight_feasible`).  The incremental node-disjoint path
-flow (`PathFlow`), a copy of the heavy-item residual digraph's `_Flow`,
+baseline (one network, warm-started from count to count) and the
+weight flow that bounds the LP threshold T* (`weight_feasible`).  The
+incremental node-disjoint path flow (`PathFlow`), a copy of the
+heavy-item residual digraph's `_Flow`,
 augments one breadth-first shortest path at a time (`_Flow.reachable`,
 then `_Flow.push`) so that it can stop or add terminals between paths.
 """
@@ -21,7 +22,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .model import (
-    Allocation, HEAVY, Instance, LatticeValue, ZERO, last_feasible, min_value,
+    Allocation, HEAVY, Instance, LatticeValue, ZERO, min_value,
 )
 
 HeavyMatching = Dict[int, int]  # agent -> heavy item
@@ -68,6 +69,13 @@ class _Flow:
         fl.head = self.head[:]
         fl.cap = self.cap[:]
         return fl
+
+    def widen(self, u: int):
+        """Raise the capacity of every forward edge out of u by one; the
+        flow stays feasible, and max_flow continues from it."""
+        for e in self.adj[u]:
+            if not e & 1:
+                self.cap[e] += 1
 
     def carrying(self, u: int) -> List[int]:
         """Heads of the forward edges out of u that carry flow (their
@@ -249,30 +257,58 @@ def weight_feasible(inst: Instance, T: LatticeValue) -> bool:
     return allocation_flow(inst, key, caps)[1] == inst.n * key
 
 
+def _count_top(inst: Instance) -> int:
+    """min(min_i |I_i|, |wanted items| // n), where the wanted items are
+    those some agent is interested in: no agent gets more items than it
+    wants, and n agents with t each take n*t distinct wanted items, so no
+    count above it is feasible."""
+    return min(min(map(len, inst.interests)), len(frozenset().union(*inst.interests)) // inst.n)
+
+
 def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
     """Trivial 1/eps-approximation: maximize the per-agent item count.
 
-    Binary search over counts t >= 1, each probe solving one count flow;
-    the allocation is read from the last feasible probe's flow (the
-    agent -> item edges that carry flow).  The
-    reported value is the exact min_value of that allocation.  The counts
-    searched stop at min(min_i |I_i|, |wanted items| // n), where the
-    wanted items are those some agent is interested in: no agent gets
-    more items than it wants, and n agents with t each take n*t distinct
-    wanted items, so no larger t is feasible.
+    One count network, solved at t = 1; then every source capacity rises
+    by one in place and Dinic's algorithm continues from the flow it has
+    (t = 2, 3, ... up to _count_top), until a t does not saturate.  The
+    allocation is the one a binary search over the counts reads from its
+    last passing probe: the kept t = 1 flow where the best count t* is 1,
+    else the flow of one fresh network at t*, read from the agent -> item
+    edges that carry flow.  The reported value is the exact min_value of
+    that allocation.
     """
-    n = inst.n
-
-    def probe(t: int) -> Optional[_Flow]:
-        fl, value = allocation_flow(inst, t, [1] * inst.m)
-        return fl if value == n * t else None
-
-    top = min(min(map(len, inst.interests)), len(frozenset().union(*inst.interests)) // n)
-    _, fl = last_feasible(range(1, top + 1), probe)
-    if fl is None:
+    n, m = inst.n, inst.m
+    s, sink = n + m, n + m + 1
+    top = _count_top(inst)
+    fl, value = allocation_flow(inst, 1, [1] * m) if top else (None, 0)
+    if value < n:
         return ZERO, {i: frozenset() for i in range(n)}
+    at_one = fl.cap[:]
+    t = 1
+    while t < top:
+        fl.widen(s)
+        value += fl.max_flow(s, sink)
+        if value < n * (t + 1):
+            break
+        t += 1
+    if t == 1:
+        fl.cap = at_one
+    else:
+        fl, _ = allocation_flow(inst, t, [1] * m)
     alloc: Allocation = {i: frozenset(v - n for v in fl.carrying(i)) for i in range(n)}
     return min_value(inst, alloc), alloc
+
+
+def baseline_ceiling(inst: Instance) -> Optional[LatticeValue]:
+    """An upper bound on baseline_solve's value, or None.
+
+    Where fewer distinct heavy items are wanted than there are agents,
+    every count allocation leaves some agent without a heavy item, so
+    with t items each that agent is worth t*eps, and t <= _count_top.
+    """
+    if len(frozenset().union(*map(inst.b1, range(inst.n)))) >= inst.n:
+        return None
+    return LatticeValue(0, _count_top(inst))
 
 
 # ---------------------------------------------------------------------------

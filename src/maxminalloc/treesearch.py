@@ -525,9 +525,12 @@ def search_solve(
     the baseline as "<algo>(baseline)", still carrying the T and r the
     search certified.  Where the top r passes (planted instances at small
     eps), that is one probe where the binary search walks to the top.
+
+    The baseline is computed after the search, and not at all where the
+    search's value is strictly above flowkit.baseline_ceiling, a bound
+    on the baseline's value: there the baseline cannot win.
     """
     eps = inst.epsilon
-    base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
     largest: Dict[int, LatticeValue] = {}  # r -> its largest T, r ascending
     for T in t_probe_candidates(inst):
         r = key(k_of(T, eps))
@@ -536,12 +539,17 @@ def search_solve(
     keys = list(largest)
     idx, found = top_first(keys, lambda r: probe(r, k_of(largest[r], eps)))
     if found is None:
+        base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
         return SolveReport(base_val, base_alloc, f"{algo}(baseline)")
     r = keys[idx]
     alloc, iterations, meta = found
     value = min_value(inst, alloc)
-    if value.key(eps) <= base_val.key(eps):
-        value, alloc, algo = base_val, base_alloc, f"{algo}(baseline)"
+    if baseline is None:
+        ceiling = flowkit.baseline_ceiling(inst)
+        if ceiling is None or value.key(eps) <= ceiling.key(eps):
+            baseline = flowkit.baseline_solve(inst)
+    if baseline is not None and value.key(eps) <= baseline[0].key(eps):
+        (value, alloc), algo = baseline, f"{algo}(baseline)"
     return SolveReport(value, alloc, algo, largest[r], r, iterations, meta)
 
 

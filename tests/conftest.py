@@ -1,7 +1,13 @@
+import importlib
+import random
+from pathlib import Path
+
 import pytest
 
 from maxminalloc.model import Epsilon
 from maxminalloc import gen
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def small_corpus():
@@ -26,3 +32,29 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return small_corpus()
+
+
+@pytest.fixture(scope="module")
+def planted():
+    """bench/planted.py, the planted-OPT generator of the benchmark."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        yield importlib.import_module("planted")
+
+
+@pytest.fixture(scope="module")
+def search_inputs(corpus, planted):
+    """The corpus, 40 gen_random instances (n <= 8, m <= 24) and 24 clean
+    planted ones (n <= 24, eps 1/4 to 1/30)."""
+    rng = random.Random(28)
+    out = list(corpus)
+    for _ in range(40):
+        n, m = rng.randint(1, 8), rng.randint(1, 24)
+        mh = rng.randint(0, m)
+        out.append(gen.gen_random(n, mh, m - mh, rng.choice([0.3, 0.6, 1.0]),
+                                  Epsilon(1, rng.randint(2, 12)), rng.randrange(2**30)))
+    for _ in range(24):
+        q = rng.randint(4, 30)
+        out.append(planted.planted_instance(rng.randint(2, 24), Epsilon(1, q), rng.randint(1, q),
+                                            rng.randrange(2**30), False)[0])
+    return out

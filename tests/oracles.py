@@ -11,7 +11,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from maxminalloc.model import HEAVY, Instance
+from maxminalloc import flowkit
+from maxminalloc.model import HEAVY, Instance, ZERO, last_feasible, min_value
 from maxminalloc.treesearch import HEAVY_KIND, LIGHT_KIND
 
 
@@ -115,6 +116,32 @@ def brute_count_feasible(inst: Instance, t: int) -> bool:
         return False
 
     return go(0, set())
+
+
+def cold_count_baseline(inst: Instance, counts: Optional[Sequence[int]] = None):
+    """The count baseline by a cold binary search: (value, allocation).
+
+    Unlike the oracles above it runs the package's own count network, as
+    flowkit.baseline_solve once did: last_feasible over `counts` (by
+    default 1..min(min_i |I_i|, |wanted items| // n)), one fresh
+    allocation_flow per probe, and the allocation read from the last
+    passing probe's flow.  Which maximum flow a network yields depends on
+    how it is solved, so only this search pins the allocation itself.
+    """
+    n = inst.n
+    if counts is None:
+        wanted = frozenset().union(*inst.interests)
+        counts = range(1, min(min(map(len, inst.interests)), len(wanted) // n) + 1)
+
+    def probe(t: int):
+        fl, value = flowkit.allocation_flow(inst, t, [1] * inst.m)
+        return fl if value == n * t else None
+
+    _, fl = last_feasible(counts, probe)
+    if fl is None:
+        return ZERO, {i: frozenset() for i in range(n)}
+    alloc = {i: frozenset(v - n for v in fl.carrying(i)) for i in range(n)}
+    return min_value(inst, alloc), alloc
 
 
 def allocation_digraph(inst: Instance, supply: int, caps: Sequence[int]):

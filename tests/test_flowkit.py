@@ -2,14 +2,14 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from maxminalloc import exact, flowkit, gen, lazysearch
 from maxminalloc.model import Epsilon, Instance, Item, HEAVY, LIGHT, min_value
 
 from oracles import (
     allocation_digraph, brute_count_feasible, brute_disjoint_paths, brute_heavy_matching,
-    residual_arcs,
+    cold_count_baseline, residual_arcs,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -251,6 +251,24 @@ def check_count_allocation(inst, alloc, best):
         assert bundle <= inst.interests[i]
 
 
+# Count-baseline inputs: gen_random up to n = 30, m = 120 (networks of up
+# to 152 nodes), and noisy planted instances up to n = 30.
+count_random_specs = st.tuples(st.just("random"), st.integers(1, 30), st.integers(1, 120),
+                               st.integers(0, 120), st.floats(0.05, 0.7), st.integers(2, 5),
+                               st.integers(0, 2**30))
+count_planted_specs = st.tuples(st.just("planted"), st.integers(2, 30), st.integers(2, 30),
+                                st.integers(1, 30), st.integers(0, 2**30))
+
+
+def count_instance(planted, spec):
+    if spec[0] == "planted":
+        _, n, q, k, seed = spec
+        return planted.planted_instance(n, Epsilon(1, q), min(k, q), seed, True)[0]
+    _, n, m, mh, density, q, seed = spec
+    mh = min(mh, m)
+    return gen.gen_random(n, mh, m - mh, density, Epsilon(1, q), seed)
+
+
 class TestBaseline:
     def test_dominates_eps_times_opt(self):
         rng = random.Random(5)
@@ -284,41 +302,55 @@ class TestBaseline:
         assert not networkx_count_feasible(inst, best + 1)
         check_count_allocation(inst, alloc, best)
 
-    def test_same_answer_as_the_full_count_range(self, monkeypatch):
-        # the counts searched stop at min(min_i |I_i|, |wanted| // n);
-        # searching 1..m // n instead gives the same value and allocation
-        real = flowkit.last_feasible
+    def test_same_answer_as_the_full_count_range(self):
+        # the counts searched stop at min(min_i |I_i|, |wanted| // n); a
+        # cold search over 1..m // n gives the same value and allocation
         rng = random.Random(21)
         for _ in range(80):
             inst = random_tiny(rng, n_max=4, m_max=10)
-            narrow = flowkit.baseline_solve(inst)
-            monkeypatch.setattr(flowkit, "last_feasible", lambda values, probe: real(
-                range(1, inst.m // inst.n + 1), probe))
-            assert flowkit.baseline_solve(inst) == narrow
-            monkeypatch.setattr(flowkit, "last_feasible", real)
+            full = cold_count_baseline(inst, range(1, inst.m // inst.n + 1))
+            assert flowkit.baseline_solve(inst) == full
 
-    def test_one_count_flow_per_probe(self, monkeypatch):
-        builds, probes = [], []
-        real_flow, real_search = flowkit.allocation_flow, flowkit.last_feasible
+    def test_one_count_network_then_one_at_the_best_count(self, monkeypatch):
+        # one network, warm-started from count to count; where the best
+        # count is 2 or more, one fresh network at it, read for the allocation
+        builds = []
+        real = flowkit.allocation_flow
 
-        def counted_flow(inst, supply, caps):
+        def counted(inst, supply, caps):
             builds.append(supply)
-            return real_flow(inst, supply, caps)
+            return real(inst, supply, caps)
 
-        def counted_search(values, probe):
-            def counted_probe(t):
-                probes.append(t)
-                return probe(t)
-            return real_search(values, counted_probe)
-
-        monkeypatch.setattr(flowkit, "allocation_flow", counted_flow)
-        monkeypatch.setattr(flowkit, "last_feasible", counted_search)
+        monkeypatch.setattr(flowkit, "allocation_flow", counted)
         rng = random.Random(13)
-        for _ in range(40):
+        seen = set()
+        for _ in range(60):
             inst = random_tiny(rng, n_max=3, m_max=8)
-            del builds[:], probes[:]
-            flowkit.baseline_solve(inst)
-            assert builds == probes
+            del builds[:]
+            _, alloc = flowkit.baseline_solve(inst)
+            best = len(alloc[0])
+            want = [] if flowkit._count_top(inst) == 0 else [1] if best <= 1 else [1, best]
+            assert builds == want
+            seen.add(len(want))
+        assert seen == {0, 1, 2}
+
+    @PROPERTY
+    @given(st.one_of(count_random_specs, count_planted_specs))
+    def test_warm_start_matches_cold_search(self, planted, spec):
+        inst = count_instance(planted, spec)
+        value, alloc = flowkit.baseline_solve(inst)
+        event(f"best count {'>= 2' if len(alloc[0]) >= 2 else '<= 1'}")
+        assert (value, alloc) == cold_count_baseline(inst)
+
+    @PROPERTY
+    @given(st.one_of(count_random_specs, count_planted_specs))
+    def test_ceiling_bounds_the_baseline(self, planted, spec):
+        inst = count_instance(planted, spec)
+        ceiling = flowkit.baseline_ceiling(inst)
+        event(f"ceiling {'none' if ceiling is None else 'given'}")
+        if ceiling is not None:
+            eps = inst.epsilon
+            assert flowkit.baseline_solve(inst)[0].key(eps) <= ceiling.key(eps)
 
 
 def random_digraph_state(rng, n=4, h=3):

@@ -1,9 +1,7 @@
-import importlib
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,7 +15,6 @@ from oracles import midpoint_first
 
 H = treesearch.HEAVY_KIND
 L = treesearch.LIGHT_KIND
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestPreprocess:
@@ -292,13 +289,6 @@ def checked_digraphs():
         lazysearch.collapse, lazysearch._probe = collapse, probe
 
 
-@pytest.fixture(scope="module")
-def planted():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(BENCH))
-        yield importlib.import_module("planted")
-
-
 epsilons = st.builds(lambda q, p: Epsilon(p, q) if p < q else Epsilon(1, q),
                      st.integers(2, 8), st.integers(1, 3))
 
@@ -334,10 +324,17 @@ class TestPolySolve:
             assert 9 * rep.value.as_fraction(eps) >= opt_v.as_fraction(eps)
             assert min_value(inst, rep.allocation).key(eps) >= rep.value.key(eps)
 
-    def test_precomputed_baseline_same_report(self, corpus):
-        for inst in corpus[::13]:
-            baseline = flowkit.baseline_solve(inst)
-            assert lazysearch.poly_solve(inst, baseline=baseline) == lazysearch.poly_solve(inst)
+    def test_precomputed_baseline_same_report(self, search_inputs, monkeypatch):
+        # without one, the search skips the baseline where it cannot win
+        real, calls = flowkit.baseline_solve, []
+        monkeypatch.setattr(flowkit, "baseline_solve", lambda inst: calls.append(inst) or real(inst))
+        skipped = 0
+        for inst in search_inputs:
+            del calls[:]
+            rep = lazysearch.poly_solve(inst)
+            skipped += not calls
+            assert lazysearch.poly_solve(inst, baseline=real(inst)) == rep
+        assert 0 < skipped < len(search_inputs)
 
     def test_small_eps_certifies_k_over_r_six(self):
         eps = Epsilon(1, 100)

@@ -1,9 +1,7 @@
-import importlib
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -24,8 +22,6 @@ from maxminalloc.model import (
 from oracles import (
     brute_candidates, brute_signature, bundle_weight, midpoint_first, milp_opt,
 )
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestExtendMatching:
@@ -164,10 +160,17 @@ class TestQuasiSolve:
             assert rep.value.as_fraction(eps) >= bound
             assert min_value(inst, rep.allocation).key(eps) >= rep.value.key(eps)
 
-    def test_precomputed_baseline_same_report(self, corpus):
-        for inst in corpus[::13]:
-            baseline = flowkit.baseline_solve(inst)
-            assert treesearch.quasi_solve(inst, baseline=baseline) == treesearch.quasi_solve(inst)
+    def test_precomputed_baseline_same_report(self, search_inputs, monkeypatch):
+        # without one, the search skips the baseline where it cannot win
+        real, calls = flowkit.baseline_solve, []
+        monkeypatch.setattr(flowkit, "baseline_solve", lambda inst: calls.append(inst) or real(inst))
+        skipped = 0
+        for inst in search_inputs:
+            del calls[:]
+            rep = treesearch.quasi_solve(inst)
+            skipped += not calls
+            assert treesearch.quasi_solve(inst, baseline=real(inst)) == rep
+        assert 0 < skipped < len(search_inputs)
 
     def test_empty_interests(self):
         inst = Instance(Epsilon(1, 2), [Item(0, LIGHT)], [[0], []])
@@ -187,6 +190,25 @@ class TestQuasiSolve:
                                                                          1: frozenset()}))
         assert won.algo == "quasi" and won.certified_T == rep.certified_T
         assert rep.iterations == won.iterations > 0
+
+
+def test_baseline_solved_only_where_it_can_win(planted, monkeypatch):
+    # on planted instances the baseline holds one item per agent (eps)
+    # and half the agents want no heavy item, so its ceiling is top*eps
+    real, calls = flowkit.baseline_solve, []
+    monkeypatch.setattr(flowkit, "baseline_solve", lambda inst: calls.append(inst) or real(inst))
+    inst, _, _ = planted.planted_instance(20, Epsilon(1, 10), 10, 3, False)
+    rep = treesearch.quasi_solve(inst)
+    # 5/10 > the ceiling 3/10
+    assert (rep.algo, rep.value, flowkit.baseline_ceiling(inst)) == (
+        "quasi", LatticeValue(0, 5), LatticeValue(0, 3))
+    assert calls == []
+    inst, _, _ = planted.planted_instance(20, Epsilon(1, 4), 4, 3, False)
+    rep = lazysearch.poly_solve(inst)
+    # 1/4 is below the ceiling 2/4, and ties the baseline, which wins
+    assert (rep.algo, rep.value, flowkit.baseline_ceiling(inst)) == (
+        "poly(baseline)", LatticeValue(0, 1), LatticeValue(0, 2))
+    assert calls == [inst]
 
 
 class TestTopFirst:
@@ -402,13 +424,6 @@ def quasi_checked(inst):
     with checked_steps() as steps:
         treesearch.quasi_solve(inst)
     return steps
-
-
-@pytest.fixture(scope="module")
-def planted():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(BENCH))
-        yield importlib.import_module("planted")
 
 
 epsilons = st.builds(lambda q, p: Epsilon(p, q) if p < q else Epsilon(1, q),
