@@ -99,21 +99,25 @@ def _frac_str(value, eps: Epsilon) -> str:
     return str(value.as_fraction(eps))
 
 
-def _ratio_bound(algo: str, inst: Instance) -> float:
-    """The ratio OPT/value that `algo`'s report is promised to meet.
+def _ratio_bound(algo: str, inst: Instance, extras: dict) -> float:
+    """The ratio OPT/value that `algo`'s report, with `extras`, is
+    promised to meet.
 
     The local searches keep their promise only while OPT <= 3/2 (they
-    certify T up to 3/2), which 2*packing_cap <= 3*q shows; above it only
-    the 1/eps of the baseline holds, and every search report meets that,
-    since search_solve never returns less than the baseline: it skips
-    computing the baseline only where its own value is strictly above
-    flowkit.baseline_ceiling, a bound on the baseline's value.
+    certify T up to 3/2), which 2*packing_cap <= 3*q shows, and only where
+    no probe ran out of budget (a "budget_exceeded" report: such a probe
+    proves nothing about T).  Otherwise only the 1/eps of the baseline
+    holds, and every search report meets that, since search_solve never
+    returns less than the baseline: it skips computing the baseline only
+    where its own value is strictly above flowkit.baseline_ceiling, a
+    bound on the baseline's value.
     """
     eps = inst.epsilon
     e = eps.numerator / eps.denominator
     if algo == "exact":
         return 1.0
-    if algo in ("quasi", "poly") and 2 * packing_cap(inst) <= 3 * eps.denominator:
+    if (algo in ("quasi", "poly") and "budget_exceeded" not in extras
+            and 2 * packing_cap(inst) <= 3 * eps.denominator):
         return min(1.0 / e, 3.0 + 4.0 * e if algo == "quasi" else 9.0)
     if algo in ("baseline", "quasi", "poly"):
         return 1.0 / e
@@ -148,11 +152,12 @@ def cmd_solve(args) -> int:
     if args.algo == "auto" and inst.m <= args.exact_cap:
         algos.append("exact")
     best = baseline = None
-    timings = {}
+    timings, bounds = {}, []
     for algo in algos:
         start = time.perf_counter()
         value, alloc, extras = _run_algo(inst, algo, args, baseline)
         timings[algo] = round(1000 * (time.perf_counter() - start), 3)
+        bounds.append(_ratio_bound(algo, inst, extras))
         if algo == "baseline":
             baseline = (value, alloc)
         if best is None or value.key(eps) > best[0].key(eps):
@@ -163,7 +168,7 @@ def cmd_solve(args) -> int:
     report = {
         "value": _frac_str(value, eps),
         "algo": algo,
-        "certified_ratio_bound": min(_ratio_bound(a, inst) for a in algos),
+        "certified_ratio_bound": min(bounds),
         "allocation": out,
         "wall_ms": timings,
     }

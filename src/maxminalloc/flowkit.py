@@ -2,14 +2,14 @@
 
 One integer-indexed max-flow engine (`_Flow`), the only code that knows
 its edge layout: it builds every network from (tail, head, capacity)
-triples, copies them and reads their flow.  Dinic's blocking flows
+triples and reads their flow.  Dinic's blocking flows
 (`_Flow.max_flow`) solve the unit network of the maximum heavy matching
 (`max_heavy_matching`) and the allocation network (`allocation_flow`),
 which carries both the count flow behind the unweighted count-allocation
 baseline (one network, warm-started from count to count) and the
 weight flow that bounds the LP threshold T* (`weight_feasible`).  The
-incremental node-disjoint path flow (`PathFlow`), a copy of the
-heavy-item residual digraph's `_Flow`,
+incremental node-disjoint path flow (`PathFlow`) works in place on the
+heavy-item residual digraph's `_Flow` and undoes its work on release; it
 augments one breadth-first shortest path at a time (`_Flow.reachable`,
 then `_Flow.push`) so that it can stop or add terminals between paths.
 """
@@ -62,14 +62,6 @@ class _Flow:
     def add_edge(self, u: int, v: int, c: int):
         self._insert(((u, v, c),))
 
-    def copy(self) -> _Flow:
-        """An independent copy of the network and its flow."""
-        fl = _Flow(0)
-        fl.adj = [a[:] for a in self.adj]
-        fl.head = self.head[:]
-        fl.cap = self.cap[:]
-        return fl
-
     def widen(self, u: int):
         """Raise the capacity of every forward edge out of u by one; the
         flow stays feasible, and max_flow continues from it."""
@@ -105,9 +97,9 @@ class _Flow:
                         return pred
         return pred
 
-    def push(self, s: int, t: int, pred: List[int]) -> int:
-        """Push flow along the s-t path that pred, from reachable, records;
-        the amount."""
+    def push(self, s: int, t: int, pred: List[int]) -> List[int]:
+        """Push the most flow the s-t path that pred, from reachable,
+        records can carry; returns the path's edges, t's end first."""
         head, cap = self.head, self.cap
         path = []
         v = t
@@ -119,7 +111,7 @@ class _Flow:
         for e in path:
             cap[e] -= aug
             cap[e ^ 1] += aug
-        return aug
+        return path
 
     def max_flow(self, s: int, t: int) -> int:
         """Dinic's algorithm (Dinitz 1970) on integer capacities; the value.
@@ -323,7 +315,7 @@ class ResidualDigraph:
     then the heavy items, ascending.  `arcs` holds the (tail, head) node
     pairs agent by agent, each agent's heavy items in ascending order.
 
-    `flow` is the node-split unit network that `PathFlow` copies, one
+    `flow` is the node-split unit network that `PathFlow` works on, one
     `_Flow`: node k is the pair in = 2k + 2 -> out = 2k + 3, joined by
     edge 2k, and arc r (u, v) is edge 2N + 2r from out-node 2u + 3 to
     in-node 2v + 2, N being the node count; every capacity is 1.  The
@@ -381,13 +373,16 @@ class ResidualDigraph:
 class PathFlow:
     """Maximum set of node-disjoint directed paths between agent sets.
 
-    A unit-capacity view over one `_Flow`, which starts as a copy of the
-    digraph's node-split network `g.flow` (see `ResidualDigraph`): each
-    digraph node is an in/out pair joined by one unit edge, which makes
-    the paths node-disjoint, and arcs run out -> in.  The copy leaves the digraph's
-    own network as it is.  The source S = 0 has a unit edge to the in-node
-    of every source agent, in the order they were added, and the out-node
-    of every sink agent has a unit edge to the sink T = 1, after its arcs.
+    A unit-capacity view over the digraph's node-split network `g.flow`
+    (see `ResidualDigraph`), worked on in place: each digraph node is an
+    in/out pair joined by one unit edge, which makes the paths
+    node-disjoint, and arcs run out -> in.  The source S = 0 has a unit
+    edge to the in-node of every source agent, in the order they were
+    added, and the out-node of every sink agent has a unit edge to the
+    sink T = 1.  These terminal edges go in after the digraph's own, so
+    each ends the adjacency lists it joins.  `release` gives the network
+    back as the digraph built it; until then no other PathFlow may take
+    it, and the digraph must not flip.
     Sources and sinks are agents of the digraph and may be added
     incrementally.  A node that is both source and sink yields a
     zero-length path.  Sources added to a maximum flow need no filter: a
@@ -397,19 +392,42 @@ class PathFlow:
     """
 
     def __init__(self, g: ResidualDigraph):
+        self._base = 2 * (len(g.nodes) + len(g.arcs))  # the digraph's edge ids
+        if len(g.flow.head) != self._base:
+            raise ValueError("the digraph's network is held by another PathFlow")
         self.sources: Set[int] = set()
         self.sinks: Set[int] = set()
         self.value = 0
         # a full residual search from S of the current state, and the
-        # agents whose out-node it reaches; cleared on every change
+        # agents whose out-node it reaches; cleared where a change can
+        # alter it
         self._pred: Optional[List[int]] = None
         self._reach: Optional[Set[int]] = None
         self._ids = g.nodes
         self._agent_node = g.agent_node
-        self._flow = g.flow.copy()
+        self._flow: Optional[_Flow] = g.flow
+        self._pushed: List[int] = []  # every edge a push moved flow along
 
     def _changed(self):
         self._pred = self._reach = None
+
+    def release(self):
+        """Give the network back as the digraph built it, and stop.
+
+        Every edge of the digraph a push touched returns to capacity 1
+        forward and 0 back, and the terminal edges come off the ends of
+        `head`, `cap` and the adjacency lists, the last added first.
+        """
+        fl, base = self._flow, self._base
+        head, cap, adj = fl.head, fl.cap, fl.adj
+        for e in self._pushed:
+            if e < base:
+                cap[e & ~1], cap[e | 1] = 1, 0
+        for e in range(len(head) - 2, base - 1, -2):
+            adj[head[e + 1]].pop()
+            adj[head[e]].pop()
+        del head[base:], cap[base:]
+        self._flow = None
 
     def add_source(self, agent: int):
         if agent not in self.sources:
@@ -418,26 +436,39 @@ class PathFlow:
             self._changed()
 
     def add_sink(self, agent: int):
-        if agent not in self.sinks:
-            self.sinks.add(agent)
-            self._flow.add_edge(2 * self._agent_node[agent] + 3, 1, 1)
+        """Add `agent` as a sink.  A kept search that missed T stays the
+        full search of the new state: T is never expanded, and the new
+        edge, last out of the agent's out-node, labels only T, where that
+        node is reached.  A kept search that reached T is dropped, since
+        an out-node expanded earlier may now label T first."""
+        if agent in self.sinks:
+            return
+        self.sinks.add(agent)
+        out = 2 * self._agent_node[agent] + 3
+        self._flow.add_edge(out, 1, 1)
+        pred = self._pred
+        if pred is not None and pred[1] != -1:
             self._changed()
+        elif pred is not None and pred[out] != -1:
+            pred[1] = len(self._flow.head) - 2
 
     def augment(self) -> bool:
         """Push one more path; False, with the flow unchanged, if none is left.
 
-        A search that misses T never stops early, so a failed one is the
-        full residual search of the state it leaves, and is kept for
-        reachable_out_agents.  A kept search of the unchanged state that
-        missed T answers a second augment without a new search.
+        The path is the one a breadth-first search from S that stops at T
+        finds.  A kept full search of the unchanged state gives it with no
+        new search: breadth-first search labels nodes in the same order
+        either way, so up to T the two agree.  A search that misses T
+        never stops early, so a failed one is the full residual search of
+        the state it leaves, and is kept for reachable_out_agents.
         """
-        if self._pred is not None and self._pred[1] == -1:
-            return False
-        pred = self._flow.reachable(0, 1, stop_at_t=True)
+        pred = self._pred
+        if pred is None:
+            pred = self._flow.reachable(0, 1, stop_at_t=True)
         if pred[1] == -1:
             self._pred = pred
             return False
-        self._flow.push(0, 1, pred)
+        self._pushed += self._flow.push(0, 1, pred)
         self.value += 1
         self._changed()
         return True

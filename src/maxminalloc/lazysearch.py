@@ -16,7 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from .model import Allocation, Instance, lowest_free
 from .flowkit import (
@@ -71,7 +71,9 @@ class LazyState:
     and `heavy_items`.  It is updated in place: _reverse_path, the only
     writer of heavy bundles, flips the arcs of the path it reverses, so
     one digraph serves every root of a probe (see _probe), and
-    check_invariants compares it with a fresh build.
+    check_invariants compares it with a fresh build.  `flow` is the
+    PathFlow that holds the digraph's network, or None; compute_W sets
+    it, and it is released before any flip or comparison.
     """
 
     def __init__(self, inst: Instance, M: Dict[int, Bundle], i0: int,
@@ -90,6 +92,13 @@ class LazyState:
         if digraph is None:
             digraph = ResidualDigraph(inst, self.heavy_matching(), agents, heavy_items)
         self.digraph = digraph
+        self.flow: Optional[PathFlow] = None
+
+    def release_flow(self):
+        """Give the digraph's network back from the flow holding it."""
+        if self.flow is not None:
+            self.flow.release()
+            self.flow = None
 
     # -- derived views ------------------------------------------------------
 
@@ -152,6 +161,7 @@ class LazyState:
                 raise LazyInvariantError("blocked edge in I")
         # Fact 1, from scratch: f(Y_<=t-1, X_<=t u I) >= |X_<=t|
         g = ResidualDigraph(self.inst, self.heavy_matching(), self.agents, self.heavy_items)
+        self.release_flow()
         d = self.digraph
         if ((d.arcs, d.flow.head, d.flow.cap, d.flow.adj)
                 != (g.arcs, g.flow.head, g.flow.cap, g.flow.adj)):
@@ -163,6 +173,7 @@ class LazyState:
             sinks = {e.agent for i in range(1, t + 1) for e in self.X[i]}
             sinks |= {e.agent for e in self.I}
             pf = disjoint_paths(g, sources, sinks)
+            pf.release()
             need = sum(len(self.X[i]) for i in range(1, t + 1))
             if pf.value < need:
                 raise LazyInvariantError(
@@ -210,10 +221,11 @@ def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     """Scan for addable edges; returns (#added to I, #added to X_{l+1}).
 
     `pf` is compute_W's flow from every blocker to I on the current
-    matching; with the X agents added as sinks it is the flow the scan
-    extends.  The scan reads it only through would_increase and augment,
-    which depend on the maximum-flow value, not on which maximum flow is
-    held.  A new layer is appended only when some addable edge is blocked.
+    matching, state.flow; with the X agents added as sinks it is the flow
+    the scan extends, and it stays held for the next compute_W.  The scan
+    reads it only through would_increase and augment, which depend on the
+    maximum-flow value, not on which maximum flow is held.  A new layer is
+    appended only when some addable edge is blocked.
 
     One ascending pass over the agents suffices.  During the scan M and
     `owner` are fixed while the tree's items and the sink set only grow,
@@ -261,18 +273,37 @@ def compute_W(
     state: LazyState,
 ) -> Tuple[List[List[List[int]]], List[List[LightEdge]], PathFlow]:
     """Layer-ordered flow F(Y_<=l, I); returns per-layer paths W_i, the
-    unblocked edges I_i they reach, and the flow, which build_layer
-    continues.  Each layer's sources join the maximum flow of the layers
-    below it, so a path found for layer i starts in Y_i."""
-    pf = PathFlow(state.digraph)
-    for e in state.I:
-        pf.add_sink(e.agent)
-    prefix = []
-    for yi in state.Y:
-        for a in sorted(yi):
-            pf.add_source(a)
-        pf.augment_to_max()
-        prefix.append(pf.value)
+    unblocked edges I_i they reach, and the flow, state.flow, which
+    build_layer continues.  Each layer's sources join the maximum flow of
+    the layers below it, so a path found for layer i starts in Y_i.
+
+    A flow held where there is no X layer is the one build_layer leaves
+    where it grew only I: its one source is i0 and its sinks are I's
+    agents.  It is the maximum flow this call would build, path for path,
+    and is read as it is.  Both networks have the same terminal edges,
+    added in another order, but each node holds at most one of them, at
+    the end of its adjacency list, so every node's list but T's, which no
+    search expands, is the same.  S -> i0 is a single unit edge, so each
+    flow is at most one path.  build_layer's path is the first it found,
+    by a breadth-first search from S, with nothing pushed, to which the
+    old I sinks were unreachable: the search this call makes first,
+    labelling the same nodes in the same order and reaching T through
+    the same sink.  Any other held flow is released and a fresh one built.
+    """
+    pf = state.flow
+    if pf is None or len(state.Y) > 1:
+        state.release_flow()
+        pf = state.flow = PathFlow(state.digraph)
+        for e in state.I:
+            pf.add_sink(e.agent)
+        prefix = []
+        for yi in state.Y:
+            for a in sorted(yi):
+                pf.add_source(a)
+            pf.augment_to_max()
+            prefix.append(pf.value)
+    else:
+        prefix = [pf.value]
     layer_of = {a: i for i, yi in enumerate(state.Y) for a in yi}
     W: List[List[List[int]]] = [[] for _ in state.Y]
     for path in pf.paths():
@@ -312,6 +343,7 @@ def collapse(state: LazyState, t: int, W: List[List[List[int]]],
     edge the swaps unblocked.
     """
     r = state.params.r
+    state.release_flow()
     owner_before = state.owner_light()
     heavy_before = sum(1 for kind, _ in state.M.values() if kind == HEAVY_KIND)
     swapped: Set[int] = set()
@@ -359,6 +391,7 @@ def collapse(state: LazyState, t: int, W: List[List[List[int]]],
             pf.add_sink(e.agent)
             if not pf.augment():
                 raise LazyInvariantError("released edge did not raise the flow")
+    pf.release()
     return False
 
 
@@ -377,11 +410,11 @@ def extend_matching_poly(
 
     Alternates collapse and layer building; returns MATCHED, STALLED or
     BUDGET_EXCEEDED.  `digraph` is the residual digraph of M's heavy
-    matching, which the search updates in place; one is built when it is
-    None.  The collapse rule is the analysis's with mu -> 0:
-    collapse the lowest layer that reaches any unblocked edge.  The
-    analysis collapses layer i once ceil(mu |Y_i|) of its blockers do,
-    which is 1 for every |Y_i| < 1/mu.
+    matching, which the search updates in place and hands back with its
+    network released; one is built when it is None.  The collapse rule is
+    the analysis's with mu -> 0: collapse the lowest layer that reaches any
+    unblocked edge.  The analysis collapses layer i once ceil(mu |Y_i|) of
+    its blockers do, which is 1 for every |Y_i| < 1/mu.
     """
     if i0 in M:
         raise ValueError("root already matched")
@@ -393,33 +426,36 @@ def extend_matching_poly(
     stats = stats if stats is not None else LazyStats()
     matched_before = set(M)
     last_sig = None
-    while stats.iterations < budget:
-        stats.iterations += 1
-        while True:
-            W, I_layers, pf = compute_W(state)
-            t = next((i for i, reached in enumerate(I_layers) if reached), None)
-            if t is not None:
-                stats.collapses += 1
-                if collapse(state, t, W, I_layers):
-                    if not matched_before <= set(state.M):
-                        raise LazyInvariantError("a matched agent lost its bundle")
-                    return MATCHED
-                break
-            added_i, added_x = build_layer(state, pf)
-            if added_x:
-                stats.layers_peak = max(stats.layers_peak, len(state.Y) - 1)
-                break
-            if not added_i:
-                return STALLED
-            # only I grew: no signature movement yet, retry the collapse
-        state.check_invariants()
-        sig = state.signature()
-        if last_sig is not None and not sig < last_sig:
-            raise LazyInvariantError(
-                f"signature did not decrease: {last_sig} -> {sig}"
-            )
-        last_sig = sig
-    return BUDGET_EXCEEDED
+    try:
+        while stats.iterations < budget:
+            stats.iterations += 1
+            while True:
+                W, I_layers, pf = compute_W(state)
+                t = next((i for i, reached in enumerate(I_layers) if reached), None)
+                if t is not None:
+                    stats.collapses += 1
+                    if collapse(state, t, W, I_layers):
+                        if not matched_before <= set(state.M):
+                            raise LazyInvariantError("a matched agent lost its bundle")
+                        return MATCHED
+                    break
+                added_i, added_x = build_layer(state, pf)
+                if added_x:
+                    stats.layers_peak = max(stats.layers_peak, len(state.Y) - 1)
+                    break
+                if not added_i:
+                    return STALLED
+                # only I grew: no signature movement yet, retry the collapse
+            state.check_invariants()
+            sig = state.signature()
+            if last_sig is not None and not sig < last_sig:
+                raise LazyInvariantError(
+                    f"signature did not decrease: {last_sig} -> {sig}"
+                )
+            last_sig = sig
+        return BUDGET_EXCEEDED
+    finally:
+        state.release_flow()
 
 
 def _poly_r(k: int) -> int:
@@ -480,8 +516,10 @@ def poly_solve(
 
     A k with no size p in (r, k) (k <= 2) has no r and is not searched.
     The probe at r tries the sizes p that are valid at its largest k, in
-    _p_candidates' order.  preprocess depends on the instance alone: it
-    runs once per call, and every probe starts from its read-only result.
+    _p_candidates' order, and fails as BUDGET_EXCEEDED where some size
+    ran out of budget and none passed.  preprocess depends on the
+    instance alone: it runs once per call, and every probe starts from
+    its read-only result.
     """
     pre = preprocess(inst)
 
@@ -489,7 +527,8 @@ def poly_solve(
         r = _poly_r(k)
         return r if _p_candidates(r, k) else None
 
-    def probe(r: int, k: int) -> Optional[ProbeResult]:
+    def probe(r: int, k: int) -> Union[ProbeResult, str]:
+        failed = STALLED  # BUDGET_EXCEEDED where some size ran out of budget
         for p in _p_candidates(r, k):
             params = Params(r, p)
             params.validate(k)
@@ -501,6 +540,8 @@ def poly_solve(
                     "collapses": stats.collapses,
                 }
                 return alloc, stats.iterations, meta
-        return None
+            if outcome == BUDGET_EXCEEDED:
+                failed = outcome
+        return failed
 
     return search_solve(inst, "poly", key, probe, baseline)

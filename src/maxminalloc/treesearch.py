@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from .model import (
@@ -482,7 +482,8 @@ class SolveReport:
 Baseline = Tuple[LatticeValue, Allocation]
 
 # what a local search's probe returns at a passing r: (allocation,
-# iterations, meta)
+# iterations, meta); at a failing r it returns its outcome, STALLED or
+# BUDGET_EXCEEDED
 ProbeResult = Tuple[Allocation, int, Dict[str, object]]
 
 
@@ -510,7 +511,7 @@ def search_solve(
     inst: Instance,
     algo: str,
     key: Callable[[int], Optional[int]],
-    probe: Callable[[int, int], Optional[ProbeResult]],
+    probe: Callable[[int, int], Union[ProbeResult, str]],
     baseline: Optional[Baseline] = None,
 ) -> SolveReport:
     """The outer search both local searches share.
@@ -529,6 +530,10 @@ def search_solve(
     The baseline is computed after the search, and not at all where the
     search's value is strictly above flowkit.baseline_ceiling, a bound
     on the baseline's value: there the baseline cannot win.
+
+    A probe that runs out of its budget is read as a failed r, but it
+    proves nothing about T, so the search's ratio is void: the report's
+    meta then lists those r, ascending, as "budget_exceeded".
     """
     eps = inst.epsilon
     largest: Dict[int, LatticeValue] = {}  # r -> its largest T, r ascending
@@ -537,12 +542,22 @@ def search_solve(
         if r is not None:
             largest[r] = T
     keys = list(largest)
-    idx, found = top_first(keys, lambda r: probe(r, k_of(largest[r], eps)))
+    over_budget: List[int] = []
+
+    def ask(r: int) -> Optional[ProbeResult]:
+        found = probe(r, k_of(largest[r], eps))
+        if found == BUDGET_EXCEEDED:
+            over_budget.append(r)
+        return None if isinstance(found, str) else found
+
+    idx, found = top_first(keys, ask)
+    flags = {"budget_exceeded": sorted(over_budget)} if over_budget else {}
     if found is None:
         base_val, base_alloc = baseline if baseline is not None else flowkit.baseline_solve(inst)
-        return SolveReport(base_val, base_alloc, f"{algo}(baseline)")
+        return SolveReport(base_val, base_alloc, f"{algo}(baseline)", meta=flags)
     r = keys[idx]
     alloc, iterations, meta = found
+    meta = {**meta, **flags}
     value = min_value(inst, alloc)
     if baseline is None:
         ceiling = flowkit.baseline_ceiling(inst)
@@ -563,9 +578,9 @@ def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
     eps = inst.epsilon
     interests = SupportHypergraph.of_interests(inst)
 
-    def probe(r: int, k: int) -> Optional[ProbeResult]:
+    def probe(r: int, k: int) -> Union[ProbeResult, str]:
         outcome, M, stats = _probe(inst, r, interests, budget)
-        return (matching_allocation(M), stats.iterations, {}) if outcome == MATCHED else None
+        return (matching_allocation(M), stats.iterations, {}) if outcome == MATCHED else outcome
 
     return search_solve(inst, "quasi", lambda k: _quasi_r(k, eps), probe, baseline)
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from contextlib import contextmanager
 
@@ -169,13 +170,6 @@ class TestMaxFlow:
         for u in range(size):
             assert fl.carrying(u) == [v for k, (w, v, _) in enumerate(edges)
                                       if w == u and fl.cap[2 * k + 1] > 0]
-        # a copy changed after copying leaves the original as it was
-        before = (fl.head[:], fl.cap[:], [a[:] for a in fl.adj])
-        copy = fl.copy()
-        copy.add_edge(t, s, 1)
-        copy.max_flow(t, s)  # cancels flow in place
-        copy.cap[0] += 1
-        assert (fl.head, fl.cap, fl.adj) == before
 
 
 class TestAllocationFlow:
@@ -425,7 +419,7 @@ class TestDisjointPaths:
 def fresh_out_agents(pf):
     """reachable_out_agents by a fresh residual search on a copy of pf's
     flow, which no cache of pf's can answer."""
-    pred = pf._flow.copy().reachable(0, 1)
+    pred = copy.deepcopy(pf._flow).reachable(0, 1)
     return {i for i, k in pf._agent_node.items() if pred[2 * k + 3] != -1}
 
 
@@ -516,20 +510,31 @@ class TestWouldIncrease:
 
     def test_present_terminal_keeps_the_search(self):
         """Adding a source or sink that is already one changes nothing, so
-        the next query runs no search; a new sink does."""
+        the next query runs no search.  A new sink keeps a kept search
+        that missed T, which answers the next query as a fresh search
+        would, and drops one that reached T, through the new sink's
+        out-node where it was reached."""
         rng = random.Random(21)
+        reached_seen = set()
         for _ in range(20):
             inst, matching = random_digraph_state(rng)
             pf = flowkit.disjoint_paths(flowkit.ResidualDigraph(inst, matching), [0], [1])
-            pf.would_increase(2)
+            pf.would_increase(2)  # a full search of a maximum flow: it misses T
             with counted_searches() as searches:
                 pf.add_source(0)
                 pf.add_sink(1)
                 pf.would_increase(3)
-                assert searches == []
+                reached = pf.would_increase(2)
                 pf.add_sink(2)
-                pf.would_increase(3)
-                assert searches == [1]
+                answer = pf.reachable_out_agents()
+                assert searches == []
+            assert answer == fresh_out_agents(pf)
+            with counted_searches() as searches:
+                pf.add_sink(3)
+                pf.reachable_out_agents()
+                assert searches == ([1] if reached else [])
+            reached_seen.add(reached)
+        assert reached_seen == {True, False}
 
 
 class TestFailedAugmentSearch:
@@ -571,7 +576,11 @@ class TestFailedAugmentSearch:
             lazysearch.poly_solve(inst)
 
     def test_second_failed_augment_runs_no_search(self):
+        """A failed augment's search answers a second augment, and an
+        augment after a new sink, which keeps it; what that augment pushes
+        is what a copy without the kept search pushes."""
         rng = random.Random(27)
+        grew_seen = set()
         for _ in range(20):
             inst, matching = random_digraph_state(rng)
             agents = list(range(inst.n))
@@ -582,9 +591,15 @@ class TestFailedAugmentSearch:
                 assert not pf.augment() and not pf.augment()
                 assert searches == []
                 assert (pf.value, pf.paths()) == (value, paths)
-                pf.add_sink(agents[0])  # a new sink clears the kept search
-                pf.augment()
-                assert searches == [1]
+                pf.add_sink(agents[0])
+                ref = copy.deepcopy(pf)
+                grew = pf.augment()
+                assert searches == []
+            ref._changed()
+            assert ref.augment() == grew
+            assert (pf.value, pf.paths()) == (ref.value, ref.paths())
+            grew_seen.add(grew)
+        assert grew_seen == {True, False}
 
     def test_poly_solve_reuses_some_search(self, monkeypatch):
         # without the reuse every augment and every query runs a search
@@ -657,6 +672,7 @@ class TestPathFlowProperties:
             if ("agent", s) in digraph:
                 reach |= nx.descendants(digraph, ("agent", s))
         assert pf.reachable_out_agents() == {v for kind, v in reach if kind == "agent"}
+        pf.release()
         pf = flowkit.disjoint_paths(g, sources, sinks)
         assert pf.value == networkx_disjoint_paths(inst, matching, sources, sinks)
         paths = pf.paths()
@@ -697,3 +713,41 @@ class TestPathFlowProperties:
             assert not starts & left_unsaturated
             left_unsaturated |= set(layer) - starts
             assert pf.value == networkx_disjoint_paths(inst, matching, added, sinks)
+
+    @PROPERTY
+    @given(path_flow_inputs(), st.data())
+    def test_kept_searches_match_fresh_searches(self, drawn, data):
+        """Random add_source, add_sink, augment and would_increase calls
+        give the values, paths and answers of a deep copy, taken before
+        each call, that drops its kept search and so searches from
+        scratch.  While the flow holds the digraph's network no second
+        PathFlow may take it, and after release the network is a fresh
+        build's."""
+        inst, matching, _, _ = drawn
+        g = flowkit.ResidualDigraph(inst, matching)
+        pf = flowkit.PathFlow(g)
+        ops = data.draw(st.lists(st.tuples(
+            st.sampled_from(["source", "sink", "sink", "augment", "augment", "would"]),
+            st.integers(0, inst.n - 1)), max_size=30))
+        for op, a in ops:
+            ref = copy.deepcopy(pf)
+            ref._changed()
+            for flow in (pf, ref):
+                if op == "source":
+                    answer = flow.add_source(a)
+                elif op == "sink":
+                    answer = flow.add_sink(a)
+                elif op == "augment":
+                    answer = flow.augment()
+                else:
+                    answer = flow.would_increase(a)
+                if flow is pf:
+                    got = answer
+            assert got == answer, (op, a)
+            assert (pf.value, pf.paths(), pf._flow.cap) == (ref.value, ref.paths(), ref._flow.cap)
+        if pf.sources or pf.sinks:
+            with pytest.raises(ValueError):
+                flowkit.PathFlow(g)
+        pf.release()
+        fresh = flowkit.ResidualDigraph(inst, matching).flow
+        assert (g.flow.head, g.flow.cap, g.flow.adj) == (fresh.head, fresh.cap, fresh.adj)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import random
 from contextlib import contextmanager
@@ -315,6 +317,52 @@ class TestDigraphInPlace:
         assert all(len(digraphs) <= 1 for digraphs in used)
 
 
+@contextmanager
+def checked_reuses():
+    """On every compute_W call that reads the flow build_layer left as it
+    is, compare its W and I_layers with a fresh compute_W on a copy of the
+    state whose flow is released.  Yields the list of reuses."""
+    compute_W = lazysearch.compute_W
+    reuses = []
+
+    def checked(state):
+        before = copy.deepcopy(state) if state.flow is not None else None
+        held = state.flow
+        out = compute_W(state)
+        if held is not None and out[2] is held:
+            before.release_flow()
+            assert out[:2] == compute_W(before)[:2]
+            reuses.append(1)
+        return out
+
+    lazysearch.compute_W = checked
+    try:
+        yield reuses
+    finally:
+        lazysearch.compute_W = compute_W
+
+
+class TestHeldFlowReuse:
+    """compute_W reads build_layer's flow as it is where only I grew
+    with no X layer; there it must equal a fresh build's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.6, 1.0]), epsilons, st.integers(0, 2**30))
+    @example(5, 3, 8, 0.6, Epsilon(1, 4), 3)
+    def test_random(self, n, mh, ml, density, eps, seed):
+        with checked_reuses():
+            lazysearch.poly_solve(gen.gen_random(n, mh, ml, density, eps, seed))
+
+    @pytest.mark.parametrize("n, q, k, noisy", [(16, 10, 10, False), (16, 10, 10, True),
+                                                (24, 20, 8, True)])
+    def test_planted(self, planted, n, q, k, noisy):
+        inst, _, _ = planted.planted_instance(n, Epsilon(1, q), k, 5, noisy)
+        with checked_reuses() as reuses:
+            lazysearch.poly_solve(inst)
+        assert reuses
+
+
 class TestPolySolve:
     def test_ratio_on_random(self, corpus):
         for inst in corpus[::13]:
@@ -360,6 +408,7 @@ def test_budget_one_falls_back_to_baseline(solve):
     rep = solve(inst, budget=1)
     assert rep.algo == f"{full.algo}(baseline)"
     assert (rep.value, rep.allocation) == (base_val, base_alloc)
+    assert rep.meta["budget_exceeded"] and "budget_exceeded" not in full.meta
 
 
 SOLVES = {"quasi": treesearch.quasi_solve, "poly": lazysearch.poly_solve}
@@ -405,19 +454,24 @@ def unmemoized_report(inst, algo, budget):
 
 
 @contextmanager
-def probe_keys():
+def probe_keys(outcomes=None):
     """Record the key of every _probe call: r for the tree search, Params
-    for the layered one."""
+    for the layered one; and its outcome by r in `outcomes`, if given."""
     tree, lazy = treesearch._probe, lazysearch._probe
     keys = []
+    outcomes = outcomes if outcomes is not None else {}
 
     def tree_probe(inst, r, *args):
         keys.append(r)
-        return tree(inst, r, *args)
+        out = tree(inst, r, *args)
+        outcomes.setdefault(r, set()).add(out[0])
+        return out
 
     def lazy_probe(inst, params, *args):
         keys.append(params)
-        return lazy(inst, params, *args)
+        out = lazy(inst, params, *args)
+        outcomes.setdefault(params.r, set()).add(out[0])
+        return out
 
     treesearch._probe, lazysearch._probe = tree_probe, lazy_probe
     try:
@@ -443,13 +497,21 @@ def check_against_t_walk(inst, budget):
     """Each solve probes a key at most once, and only the top r when the
     top passes.  quasi reports what the walk over T values reports, or
     the top passed and its value is no lower; poly reports a value at
-    least the walk's.  Returns how many probes the walks over T values
-    repeat."""
+    least the walk's.  The report lists as "budget_exceeded" each r
+    whose probes ran out of budget and none passed; the walk over T
+    values asks other r, so the comparison leaves that list out.
+    Returns how many probes the walks over T values repeat."""
     repeats = 0
     for algo, solve in SOLVES.items():
-        with probe_keys() as keys:
+        outcomes = {}
+        with probe_keys(outcomes) as keys:
             rep = solve(inst, budget)
         assert len(keys) == len(set(keys)), (algo, keys)
+        over = sorted(r for r, outs in outcomes.items()
+                      if lazysearch.BUDGET_EXCEEDED in outs and lazysearch.MATCHED not in outs)
+        assert rep.meta.get("budget_exceeded", []) == over, (algo, outcomes)
+        rep = dataclasses.replace(rep, meta={k: v for k, v in rep.meta.items()
+                                             if k != "budget_exceeded"})
         top = top_key(inst, algo)
         if rep.r == top:
             assert {getattr(key, "r", key) for key in keys} == {top}, (algo, keys)
