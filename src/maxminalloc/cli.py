@@ -126,7 +126,9 @@ def _ratio_bound(algo: str, inst: Instance, extras: dict) -> float:
 
 def _run_algo(inst: Instance, algo: str, args, baseline=None):
     """Returns (value, allocation, extras dict) for one algorithm; the local
-    searches reuse `baseline`, a flowkit.baseline_solve result, if given."""
+    searches reuse `baseline`, a flowkit.baseline_solve result, if given,
+    and their extras carry the report's label as "algo", which names a
+    fallback to the baseline ("quasi(baseline)")."""
     if algo == "exact":
         value, alloc = exact.opt(inst, args.exact_cap)
         return value, alloc, {}
@@ -136,7 +138,7 @@ def _run_algo(inst: Instance, algo: str, args, baseline=None):
     if algo in ("quasi", "poly"):
         solve = treesearch.quasi_solve if algo == "quasi" else lazysearch.poly_solve
         rep = solve(inst, args.budget, baseline)
-        extras = {"iterations": rep.iterations}
+        extras = {"algo": rep.algo, "iterations": rep.iterations}
         if rep.certified_T is not None:
             extras["certified_T"] = _frac_str(rep.certified_T, inst.epsilon)
             extras["r"] = rep.r

@@ -75,12 +75,11 @@ class _Flow:
         head, cap = self.head, self.cap
         return [head[e] for e in self.adj[u] if not e & 1 and cap[e ^ 1] > 0]
 
-    def reachable(self, s: int, t: int, stop_at_t: bool = False) -> List[int]:
+    def reachable(self, s: int, t: int) -> List[int]:
         """Breadth-first search over residual edges from s, never leaving t.
 
         Returns pred: the edge each reached node was first reached by (-2
-        for s, -1 for unreached nodes).  With stop_at_t the search ends as
-        soon as it reaches t.
+        for s, -1 for unreached nodes).
         """
         adj, head, cap = self.adj, self.head, self.cap
         pred = [-1] * len(adj)
@@ -93,8 +92,6 @@ class _Flow:
                     pred[v] = e
                     if v != t:
                         q.append(v)
-                    elif stop_at_t:
-                        return pred
         return pred
 
     def push(self, s: int, t: int, pred: List[int]) -> List[int]:
@@ -311,9 +308,10 @@ class ResidualDigraph:
     """Directed graph G(A u B1, E_M) for a heavy matching M, on integer nodes.
 
     Arc j->i when {i,j} in M, arc i->j when i is interested in unmatched-
-    to-i heavy item j.  Node k is `nodes[k]`: the agents first, ascending,
-    then the heavy items, ascending.  `arcs` holds the (tail, head) node
-    pairs agent by agent, each agent's heavy items in ascending order.
+    to-i heavy item j.  Node k is `nodes[k]`: the agents first, then the
+    heavy items, the sorted lists `agents` and `items`.  `arcs` holds the
+    (tail, head) node pairs agent by agent, each agent's heavy items in
+    ascending order.
 
     `flow` is the node-split unit network that `PathFlow` works on, one
     `_Flow`: node k is the pair in = 2k + 2 -> out = 2k + 3, joined by
@@ -327,13 +325,13 @@ class ResidualDigraph:
     """
 
     def __init__(self, inst: Instance, matching: HeavyMatching,
-                 agents: Optional[Set[int]] = None,
-                 items: Optional[Set[int]] = None):
+                 agents: Optional[Iterable[int]] = None,
+                 items: Optional[Iterable[int]] = None):
         self.agents = sorted(agents) if agents is not None else list(range(inst.n))
-        items = sorted(items if items is not None else inst.heavy_ids)
-        self.nodes = self.agents + items
+        self.items = sorted(items if items is not None else inst.heavy_ids)
+        self.nodes = self.agents + self.items
         self.agent_node = {i: k for k, i in enumerate(self.agents)}
-        self._item_node = {j: k for k, j in enumerate(items, len(self.agents))}
+        self._item_node = {j: k for k, j in enumerate(self.items, len(self.agents))}
         self._arc_of: Dict[Tuple[int, int], int] = {}  # (agent node, item node) -> arc
         self.arcs: List[Tuple[int, int]] = []
         matched: Set[int] = set()
@@ -389,6 +387,10 @@ class PathFlow:
     source that flow left unsaturated has no residual path to T, so no
     augmenting path touches a node it reaches, and it never starts a later
     path; the new sources find the paths they would find alone.
+    Both questions put to the residual network, the next augmenting path
+    and the agents a new sink would raise the count at, are read from one
+    full breadth-first search from S (`_search`), run at most once per
+    flow state.
     """
 
     def __init__(self, g: ResidualDigraph):
@@ -398,9 +400,9 @@ class PathFlow:
         self.sources: Set[int] = set()
         self.sinks: Set[int] = set()
         self.value = 0
-        # a full residual search from S of the current state, and the
+        # the full residual search from S of the current state, and the
         # agents whose out-node it reaches; cleared where a change can
-        # alter it
+        # alter them
         self._pred: Optional[List[int]] = None
         self._reach: Optional[Set[int]] = None
         self._ids = g.nodes
@@ -437,10 +439,10 @@ class PathFlow:
 
     def add_sink(self, agent: int):
         """Add `agent` as a sink.  A kept search that missed T stays the
-        full search of the new state: T is never expanded, and the new
-        edge, last out of the agent's out-node, labels only T, where that
-        node is reached.  A kept search that reached T is dropped, since
-        an out-node expanded earlier may now label T first."""
+        search of the new state: T is never expanded, and the new edge,
+        last out of the agent's out-node, labels only T, where that node
+        is reached.  A kept search that reached T is dropped, since an
+        out-node expanded earlier may now label T first."""
         if agent in self.sinks:
             return
         self.sinks.add(agent)
@@ -452,42 +454,39 @@ class PathFlow:
         elif pred is not None and pred[out] != -1:
             pred[1] = len(self._flow.head) - 2
 
+    def _search(self) -> List[int]:
+        """The full residual search from S of the current state (see
+        _Flow.reachable), run where no kept one holds."""
+        if self._pred is None:
+            self._pred = self._flow.reachable(0, 1)
+        return self._pred
+
     def augment(self) -> bool:
         """Push one more path; False, with the flow unchanged, if none is left.
 
-        The path is the one a breadth-first search from S that stops at T
-        finds.  A kept full search of the unchanged state gives it with no
-        new search: breadth-first search labels nodes in the same order
-        either way, so up to T the two agree.  A search that misses T
-        never stops early, so a failed one is the full residual search of
-        the state it leaves, and is kept for reachable_out_agents.
+        The path is the search's breadth-first shortest path to T: the
+        one a search stopping at T would find, since breadth-first search
+        labels nodes in the same order either way.  A failed augment
+        leaves the search kept for the unchanged state.
         """
-        pred = self._pred
-        if pred is None:
-            pred = self._flow.reachable(0, 1, stop_at_t=True)
+        pred = self._search()
         if pred[1] == -1:
-            self._pred = pred
             return False
         self._pushed += self._flow.push(0, 1, pred)
         self.value += 1
         self._changed()
         return True
 
-    def augment_to_max(self) -> int:
-        added = 0
+    def augment_to_max(self):
         while self.augment():
-            added += 1
-        return added
+            pass
 
     def reachable_out_agents(self) -> Set[int]:
         """Agents whose out-node is residual-reachable from an unsaturated source.
 
         Adding such an agent as a fresh sink increases the path count by one.
-        The residual search runs at most once per flow state.
         """
-        if self._pred is None:
-            self._pred = self._flow.reachable(0, 1)
-        pred = self._pred
+        pred = self._search()
         return {i for i, k in self._agent_node.items() if pred[2 * k + 3] != -1}
 
     def would_increase(self, agent: int) -> bool:
@@ -496,7 +495,7 @@ class PathFlow:
         An agent already in the sink set cannot raise the count (the sink
         agent set would not change); otherwise residual reachability of its
         out-node is exactly the augmenting-path condition.  The reachable
-        set is computed once per flow state and reused until the next change.
+        set is read from the search once per flow state.
         """
         if agent in self.sinks:
             return False

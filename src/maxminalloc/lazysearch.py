@@ -16,7 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from .model import Allocation, Instance, lowest_free
 from .flowkit import (
@@ -67,30 +67,30 @@ class LazyStats:
 class LazyState:
     """Layers, the unblocked set I and the matching, for one root agent.
 
-    `digraph` is the residual digraph of M's heavy matching over `agents`
-    and `heavy_items`.  It is updated in place: _reverse_path, the only
-    writer of heavy bundles, flips the arcs of the path it reverses, so
-    one digraph serves every root of a probe (see _probe), and
-    check_invariants compares it with a fresh build.  `flow` is the
-    PathFlow that holds the digraph's network, or None; compute_W sets
-    it, and it is released before any flip or comparison.
+    `digraph` is the residual digraph of M's heavy matching, built over
+    every agent and heavy item where none is given; its `agents` and
+    `items` are the ones the search works on (after preprocess, the
+    residue).  It is updated in place: _reverse_path, the only writer of
+    heavy bundles, flips the arcs of the path it reverses, so one digraph
+    serves every root of a probe (see _probe), and check_invariants
+    compares it with a fresh build over the same agents and items.
+    `flow` is the PathFlow that holds the digraph's network, or None:
+    compute_W sets it, build_layer continues it, and it is released
+    before any flip or comparison.
     """
 
     def __init__(self, inst: Instance, M: Dict[int, Bundle], i0: int,
-                 params: Params, agents: AbstractSet[int], heavy_items: AbstractSet[int],
-                 digraph: Optional[ResidualDigraph] = None):
+                 params: Params, digraph: Optional[ResidualDigraph] = None):
         self.inst = inst
         self.M = M
         self.i0 = i0
         self.params = params
-        self.agents = agents
-        self.heavy_items = heavy_items
         # layer 0 holds the dummy blocking edge (i0, {}) and no X edges
         self.X: List[List[LightEdge]] = [[]]
         self.Y: List[Set[int]] = [{i0}]
         self.I: List[LightEdge] = []
         if digraph is None:
-            digraph = ResidualDigraph(inst, self.heavy_matching(), agents, heavy_items)
+            digraph = ResidualDigraph(inst, self.heavy_matching())
         self.digraph = digraph
         self.flow: Optional[PathFlow] = None
 
@@ -103,10 +103,9 @@ class LazyState:
     # -- derived views ------------------------------------------------------
 
     def heavy_matching(self) -> HeavyMatching:
+        """M's heavy bundles; a digraph reads only its own agents' ones."""
         return {
-            a: next(iter(items))
-            for a, (kind, items) in self.M.items()
-            if kind == HEAVY_KIND and a in self.agents
+            a: next(iter(items)) for a, (kind, items) in self.M.items() if kind == HEAVY_KIND
         }
 
     def owner_light(self) -> Dict[int, int]:
@@ -160,9 +159,9 @@ class LazyState:
             if len(self.free_items_of(e, owner)) < r:
                 raise LazyInvariantError("blocked edge in I")
         # Fact 1, from scratch: f(Y_<=t-1, X_<=t u I) >= |X_<=t|
-        g = ResidualDigraph(self.inst, self.heavy_matching(), self.agents, self.heavy_items)
-        self.release_flow()
         d = self.digraph
+        g = ResidualDigraph(self.inst, self.heavy_matching(), d.agents, d.items)
+        self.release_flow()
         if ((d.arcs, d.flow.head, d.flow.cap, d.flow.adj)
                 != (g.arcs, g.flow.head, g.flow.cap, g.flow.adj)):
             raise LazyInvariantError("residual digraph is stale")
@@ -217,15 +216,15 @@ def preprocess(inst: Instance) -> Preprocessed:
             MappingProxyType(matching))
 
 
-def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
+def build_layer(state: LazyState) -> Tuple[int, int]:
     """Scan for addable edges; returns (#added to I, #added to X_{l+1}).
 
-    `pf` is compute_W's flow from every blocker to I on the current
-    matching, state.flow; with the X agents added as sinks it is the flow
-    the scan extends, and it stays held for the next compute_W.  The scan
-    reads it only through would_increase and augment, which depend on the
-    maximum-flow value, not on which maximum flow is held.  A new layer is
-    appended only when some addable edge is blocked.
+    The scan continues state.flow, compute_W's flow from every blocker to
+    I on the current matching: with the X agents added as sinks it is the
+    flow the scan extends, and it stays held for the next compute_W.  The
+    scan reads it only through would_increase and augment, which depend
+    on the maximum-flow value, not on which maximum flow is held.  A new
+    layer is appended only when some addable edge is blocked.
 
     One ascending pass over the agents suffices.  During the scan M and
     `owner` are fixed while the tree's items and the sink set only grow,
@@ -236,6 +235,7 @@ def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     cannot later.
     """
     r, p = state.params.r, state.params.p
+    pf = state.flow
     for layer in state.X:
         for e in layer:
             pf.add_sink(e.agent)
@@ -244,7 +244,7 @@ def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     tree = state.tree_lights()
     new_x: List[LightEdge] = []
     added_i = 0
-    for i in sorted(state.agents):
+    for i in state.digraph.agents:
         if not pf.would_increase(i):
             continue
         fresh = lowest_free(state.inst.beps(i), tree, p)
@@ -269,13 +269,11 @@ def build_layer(state: LazyState, pf: PathFlow) -> Tuple[int, int]:
     return added_i, len(new_x)
 
 
-def compute_W(
-    state: LazyState,
-) -> Tuple[List[List[List[int]]], List[List[LightEdge]], PathFlow]:
-    """Layer-ordered flow F(Y_<=l, I); returns per-layer paths W_i, the
-    unblocked edges I_i they reach, and the flow, state.flow, which
-    build_layer continues.  Each layer's sources join the maximum flow of
-    the layers below it, so a path found for layer i starts in Y_i.
+def compute_W(state: LazyState) -> Tuple[List[List[List[int]]], List[List[LightEdge]]]:
+    """Layer-ordered flow F(Y_<=l, I), held as state.flow for build_layer
+    to continue; returns per-layer paths W_i and the unblocked edges I_i
+    they reach.  Each layer's sources join the maximum flow of the layers
+    below it, so a path found for layer i starts in Y_i.
 
     A flow held where there is no X layer is the one build_layer leaves
     where it grew only I: its one source is i0 and its sinks are I's
@@ -315,7 +313,7 @@ def compute_W(
             raise LazyInvariantError("layered flow does not match prefix values")
     by_agent = {e.agent: e for e in state.I}
     I_layers = [[by_agent[path[-1]] for path in wi] for wi in W]
-    return W, I_layers, pf
+    return W, I_layers
 
 
 def _reverse_path(state: LazyState, path: List[int]):
@@ -401,8 +399,6 @@ def extend_matching_poly(
     i0: int,
     params: Params,
     budget: int = DEFAULT_BUDGET,
-    agents: Optional[AbstractSet[int]] = None,
-    heavy_items: Optional[AbstractSet[int]] = None,
     stats: Optional[LazyStats] = None,
     digraph: Optional[ResidualDigraph] = None,
 ) -> str:
@@ -410,19 +406,16 @@ def extend_matching_poly(
 
     Alternates collapse and layer building; returns MATCHED, STALLED or
     BUDGET_EXCEEDED.  `digraph` is the residual digraph of M's heavy
-    matching, which the search updates in place and hands back with its
-    network released; one is built when it is None.  The collapse rule is
-    the analysis's with mu -> 0: collapse the lowest layer that reaches any
-    unblocked edge.  The analysis collapses layer i once ceil(mu |Y_i|) of
-    its blockers do, which is 1 for every |Y_i| < 1/mu.
+    matching over the agents and heavy items the search may use (see
+    LazyState), which the search updates in place and hands back with its
+    network released.  The collapse rule is the analysis's with mu -> 0:
+    collapse the lowest layer that reaches any unblocked edge.  The
+    analysis collapses layer i once ceil(mu |Y_i|) of its blockers do,
+    which is 1 for every |Y_i| < 1/mu.
     """
     if i0 in M:
         raise ValueError("root already matched")
-    if agents is None:
-        agents = set(range(inst.n))
-    if heavy_items is None:
-        heavy_items = set(inst.heavy_ids)
-    state = LazyState(inst, M, i0, params, agents, heavy_items, digraph)
+    state = LazyState(inst, M, i0, params, digraph)
     stats = stats if stats is not None else LazyStats()
     matched_before = set(M)
     last_sig = None
@@ -430,7 +423,7 @@ def extend_matching_poly(
         while stats.iterations < budget:
             stats.iterations += 1
             while True:
-                W, I_layers, pf = compute_W(state)
+                W, I_layers = compute_W(state)
                 t = next((i for i, reached in enumerate(I_layers) if reached), None)
                 if t is not None:
                     stats.collapses += 1
@@ -439,7 +432,7 @@ def extend_matching_poly(
                             raise LazyInvariantError("a matched agent lost its bundle")
                         return MATCHED
                     break
-                added_i, added_x = build_layer(state, pf)
+                added_i, added_x = build_layer(state)
                 if added_x:
                     stats.layers_peak = max(stats.layers_peak, len(state.Y) - 1)
                     break
@@ -494,9 +487,7 @@ def _probe(inst: Instance, params: Params, budget: int,
             continue
         if digraph is None:
             digraph = ResidualDigraph(inst, matching, agents, heavy)
-        outcome = extend_matching_poly(
-            inst, M, i0, params, budget, agents, heavy, stats, digraph
-        )
+        outcome = extend_matching_poly(inst, M, i0, params, budget, stats, digraph)
         if outcome != MATCHED:
             return outcome, None, stats
     for i, j in forced.items():
@@ -510,9 +501,9 @@ def poly_solve(
     budget: int = DEFAULT_BUDGET,
     baseline: Optional[Baseline] = None,
 ) -> SolveReport:
-    """Binary search on r = _poly_r(k) with the layered matcher (see
-    search_solve); falls back to the 1/eps count baseline, which covers
-    the k <= 9 regime.
+    """Search on r = _poly_r(k) with the layered matcher, the top r asked
+    first (search_solve, top_first); falls back to the 1/eps count
+    baseline, which covers the k <= 9 regime.
 
     A k with no size p in (r, k) (k <= 2) has no r and is not searched.
     The probe at r tries the sizes p that are valid at its largest k, in

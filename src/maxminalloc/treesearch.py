@@ -570,10 +570,10 @@ def search_solve(
 
 def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
                 baseline: Optional[Baseline] = None) -> SolveReport:
-    """Binary search on r = ceil(k/(3+4 eps)) with the tree search (see
-    search_solve); a stalled probe is treated as evidence that T exceeds
-    the optimum.  Falls back to the 1/eps count baseline, which
-    dominates for eps >= 1/4.
+    """Search on r = ceil(k/(3+4 eps)) with the tree search, the top r
+    asked first (search_solve, top_first); a stalled probe is treated as
+    evidence that T exceeds the optimum.  Falls back to the 1/eps count
+    baseline, which dominates for eps >= 1/4.
     """
     eps = inst.epsilon
     interests = SupportHypergraph.of_interests(inst)

@@ -75,8 +75,8 @@ class TestSolve:
     def test_ratio_bound_only_up_to_three_halves(self, tmp_path, capsys, lights, bounds):
         # agent 0 wants two heavy items, agent 1 `lights` light items: OPT is
         # 1 with 10 lights, and 2 with 20, where the searches certify only
-        # T = 3/2 (quasi returns 1/2, poly the baseline's 1/5) and only the
-        # baseline's 1/eps holds
+        # T = 3/2 (quasi returns 1/2, poly stalls and falls back to the
+        # baseline's 1/5) and only the baseline's 1/eps holds
         eps = Epsilon(1, 10)
         items = [Item(0, HEAVY), Item(1, HEAVY)] + [Item(j, LIGHT) for j in range(2, 2 + lights)]
         inst = Instance(eps, items, [[0, 1], list(range(2, 2 + lights))])
@@ -86,6 +86,7 @@ class TestSolve:
             out = str(tmp_path / f"{algo}.json")
             assert cli.main(["solve", path, "--algo", algo, "--out", out]) == 0
             report = json.loads(capsys.readouterr().out)
+            assert report["algo"] == {"quasi": "quasi", "poly": "poly(baseline)"}[algo]
             assert report["certified_ratio_bound"] == bound
             assert opt.as_fraction(eps) <= bound * Fraction(report["value"])
 
@@ -101,11 +102,12 @@ class TestSolve:
         assert cli.main(argv + ["--budget", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["budget_exceeded"] and report["value"] == "1/10"
+        assert report["algo"] == f"{algo}(baseline)"
         assert report["certified_ratio_bound"] == 10.0
         assert opt <= 10 * Fraction(report["value"])
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        assert "budget_exceeded" not in report
+        assert "budget_exceeded" not in report and report["algo"] == algo
         assert report["certified_ratio_bound"] == bound
         assert opt <= bound * Fraction(report["value"])
 

@@ -162,10 +162,11 @@ class TestExtendMatchingPoly:
             [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 8)],
             [[0], [0, 1, 2, 3, 4], [5, 6, 7]],
         )
+        digraph = flowkit.ResidualDigraph(inst, {1: 0}, {0, 1, 2}, {0})
         state = lazysearch.LazyState(inst, {1: (H, frozenset({0}))}, 0,
-                                     lazysearch.Params(r=2, p=3), {0, 1, 2}, {0})
-        _, _, pf = lazysearch.compute_W(state)
-        assert lazysearch.build_layer(state, pf) == (1, 0)
+                                     lazysearch.Params(r=2, p=3), digraph)
+        lazysearch.compute_W(state)
+        assert lazysearch.build_layer(state) == (1, 0)
         assert calls == [(), (1, 2, 3, 4)]
 
     def test_layer_collapse_along_heavy_path(self):
@@ -227,12 +228,11 @@ class TestExtendMatchingPoly:
             params = lazysearch.Params(r=1, p=2)
             agents, heavy, forced, matching = lazysearch.preprocess(inst)
             M = {i: (H, frozenset({j})) for i, j in matching.items()}
+            digraph = flowkit.ResidualDigraph(inst, matching, agents, heavy)
             for i0 in sorted(agents):
                 if i0 in M:
                     continue
-                out = lazysearch.extend_matching_poly(
-                    inst, M, i0, params, agents=agents, heavy_items=heavy
-                )
+                out = lazysearch.extend_matching_poly(inst, M, i0, params, digraph=digraph)
                 assert out == lazysearch.MATCHED
             for i, j in forced.items():
                 M[i] = (H, frozenset({j}))
@@ -247,17 +247,63 @@ class TestExtendMatchingPoly:
             params = lazysearch.Params(r=1, p=2)
             agents, heavy, forced, matching = lazysearch.preprocess(inst)
             M = {i: (H, frozenset({j})) for i, j in matching.items()}
+            digraph = flowkit.ResidualDigraph(inst, matching, agents, heavy)
             for i0 in sorted(agents):
                 if i0 in M:
                     continue
                 before = set(M)
-                out = lazysearch.extend_matching_poly(
-                    inst, M, i0, params, agents=agents, heavy_items=heavy
-                )
+                out = lazysearch.extend_matching_poly(inst, M, i0, params, digraph=digraph)
                 if out == lazysearch.MATCHED:
                     assert before | {i0} <= set(M)
                 else:
                     assert before <= set(M)
+
+
+def poly_params(inst):
+    """Every distinct (r, p) of the poly probes over the T candidates."""
+    keys = []
+    for T in treesearch.t_probe_candidates(inst):
+        k = k_of(T, inst.epsilon)
+        r = lazysearch._poly_r(k)
+        keys += [lazysearch.Params(r, p) for p in lazysearch._p_candidates(r, k)]
+    return list(dict.fromkeys(keys))
+
+
+def probe_through_digraph(inst, params, budget, pre):
+    """_probe's outcome and allocation, each root run by
+    extend_matching_poly with the residue's digraph as its only record of
+    the agents and heavy items it may use."""
+    agents, heavy, forced, matching = pre
+    M = {i: (H, frozenset({j})) for i, j in matching.items()}
+    digraph = flowkit.ResidualDigraph(inst, matching, agents, heavy)
+    for i0 in sorted(agents):
+        if i0 not in M:
+            out = lazysearch.extend_matching_poly(inst, M, i0, params, budget, digraph=digraph)
+            if out != lazysearch.MATCHED:
+                return out, None
+    M.update((i, (H, frozenset({j}))) for i, j in forced.items())
+    return lazysearch.MATCHED, {a: items for a, (_, items) in M.items()}
+
+
+def test_restricted_digraph_alone_answers_as_probe():
+    # instances where preprocess forces agents, so the residue's digraph
+    # leaves some agents and heavy items out; every (r, p) of their T
+    # candidates
+    rng = random.Random(30)
+    budget = treesearch.DEFAULT_BUDGET
+    pairs = 0
+    for _ in range(300):
+        inst = gen.gen_random(rng.randint(3, 8), rng.randint(2, 6), rng.randint(4, 20),
+                              rng.choice([0.3, 0.6]), Epsilon(1, rng.randint(2, 6)),
+                              rng.randrange(2**30))
+        pre = lazysearch.preprocess(inst)
+        if not pre[0] or not pre[2]:
+            continue
+        for params in poly_params(inst):
+            want = lazysearch._probe(inst, params, budget, pre)[:2]
+            assert probe_through_digraph(inst, params, budget, pre) == want, params
+            pairs += 1
+    assert pairs > 200
 
 
 @contextmanager
@@ -276,8 +322,7 @@ def checked_digraphs():
     def checked_collapse(state, *args):
         out = collapse(state, *args)
         g = state.digraph
-        fresh = flowkit.ResidualDigraph(state.inst, state.heavy_matching(), state.agents,
-                                        state.heavy_items)
+        fresh = flowkit.ResidualDigraph(state.inst, state.heavy_matching(), g.agents, g.items)
         assert g.arcs == fresh.arcs
         fl, want = g.flow, fresh.flow
         assert (fl.head, fl.cap, fl.adj) == (want.head, want.cap, want.adj)
@@ -329,9 +374,9 @@ def checked_reuses():
         before = copy.deepcopy(state) if state.flow is not None else None
         held = state.flow
         out = compute_W(state)
-        if held is not None and out[2] is held:
+        if held is not None and state.flow is held:
             before.release_flow()
-            assert out[:2] == compute_W(before)[:2]
+            assert out == compute_W(before)
             reuses.append(1)
         return out
 
@@ -581,14 +626,8 @@ def check_shared_preprocess(inst, budget):
     """Every (r, p) probe over the T candidates, run in turn from one
     preprocess result, answers as a probe from a fresh result, and leaves
     the shared one as preprocess gives it."""
-    eps = inst.epsilon
-    keys = []
-    for T in treesearch.t_probe_candidates(inst):
-        k = k_of(T, eps)
-        r = lazysearch._poly_r(k)
-        keys += [lazysearch.Params(r, p) for p in lazysearch._p_candidates(r, k)]
     pre = lazysearch.preprocess(inst)
-    for params in dict.fromkeys(keys):
+    for params in poly_params(inst):
         shared = lazysearch._probe(inst, params, budget, pre)
         assert shared == lazysearch._probe(inst, params, budget,
                                            lazysearch.preprocess(inst)), params
