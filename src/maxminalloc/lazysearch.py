@@ -33,6 +33,7 @@ from .treesearch import (
     DEFAULT_BUDGET,
     ProbeResult,
     SolveReport,
+    matching_allocation,
     search_solve,
 )
 
@@ -492,8 +493,7 @@ def _probe(inst: Instance, params: Params, budget: int,
             return outcome, None, stats
     for i, j in forced.items():
         M[i] = (HEAVY_KIND, frozenset([j]))
-    alloc = {a: items for a, (kind, items) in M.items()}
-    return MATCHED, alloc, stats
+    return MATCHED, matching_allocation(M), stats
 
 
 def poly_solve(

@@ -357,6 +357,26 @@ class TestF3:
         assert lazysearch.poly_solve(inst).value.as_fraction(inst.epsilon) >= opt / 9
 
 
+F4 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="F4, ROADMAP item 4")
+
+
+class TestF4:
+    # A probe's roots share one step budget.  On this planted instance
+    # (OPT = 1) every quasi root at the top r = 5 needs at most 7 steps,
+    # but the shared count reaches 45, so at budget 8 quasi falls back to
+    # the baseline's 1/10 where a per-root budget gives 1/2; poly's six
+    # roots take one step each, and at budget 2 it falls back too.
+    @F4
+    @pytest.mark.parametrize("solve, budget", [(treesearch.quasi_solve, 8),
+                                               (lazysearch.poly_solve, 2)],
+                             ids=["quasi", "poly"])
+    def test_budget_counts_per_root(self, planted, solve, budget):
+        inst, _, _ = planted.planted_instance(12, Epsilon(1, 10), 10, 7, False)
+        rep = solve(inst, budget=budget)
+        assert "budget_exceeded" not in rep.meta
+        assert not rep.algo.endswith("(baseline)")
+
+
 class TestGap3Certify:
     def test_never_stalls_and_meets_third(self, corpus):
         for inst in corpus[::17]:
