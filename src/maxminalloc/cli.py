@@ -308,8 +308,8 @@ def _add_exact_cap(p):
 
 def _add_search_knobs(p):
     p.add_argument("--budget", type=_count_arg, default=treesearch.DEFAULT_BUDGET,
-                   help="local-search iteration budget per probe (one per bundle size r), "
-                        "shared by its root agents")
+                   help="local-search iteration budget per root agent of each probe "
+                        "(one probe per bundle size r)")
     _add_exact_cap(p)
 
 

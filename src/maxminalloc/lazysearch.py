@@ -406,10 +406,11 @@ def extend_matching_poly(
     """Grow M so that i0 gets a heavy item or r light items.
 
     Alternates collapse and layer building; returns MATCHED, STALLED or
-    BUDGET_EXCEEDED.  `digraph` is the residual digraph of M's heavy
-    matching over the agents and heavy items the search may use (see
-    LazyState), which the search updates in place and hands back with its
-    network released.  The collapse rule is the analysis's with mu -> 0:
+    BUDGET_EXCEEDED, the last after `budget` steps of this call (`stats`
+    only adds up the calls it is passed to).  `digraph` is the residual
+    digraph of M's heavy matching over the agents and heavy items the
+    search may use (see LazyState), which the search updates in place and
+    hands back with its network released.  The collapse rule is the analysis's with mu -> 0:
     collapse the lowest layer that reaches any unblocked edge.  The
     analysis collapses layer i once ceil(mu |Y_i|) of its blockers do,
     which is 1 for every |Y_i| < 1/mu.
@@ -421,7 +422,7 @@ def extend_matching_poly(
     matched_before = set(M)
     last_sig = None
     try:
-        while stats.iterations < budget:
+        for _ in range(budget):
             stats.iterations += 1
             while True:
                 W, I_layers = compute_W(state)

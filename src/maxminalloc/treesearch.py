@@ -2,13 +2,15 @@
 
 Grows a tree of addable edges and the matching edges that block them,
 rooted at an unmatched agent; an unblocked addable edge triggers a
-contraction that swaps it into the matching.  Each step picks an addable
-edge closest to the root (least light-edge distance), which bounds the
-search quasi-polynomially, and a contraction cuts the tree by layer (see
-contract), which makes the layered signature fall on every step whatever
-the pick.  quasi_solve and gap3_certify run this one search; addable
-edges are drawn from one per-agent table of ascending item lists: the
-full interest sets, or a CLP support hypergraph.
+contraction that swaps it into the matching.  Each step takes an
+unblocked edge of any tree agent when there is one (collapse early, as
+Polacek-Svensson do), and otherwise grows the tree by an edge closest to
+the root (least light-edge distance), which bounds how many layers the
+tree holds and so the search quasi-polynomially.  A contraction cuts the
+tree by layer (see contract), which makes the layered signature fall on
+every step whatever the pick.  quasi_solve and gap3_certify run this one
+search; addable edges are drawn from one per-agent table of ascending
+item lists: the full interest sets, or a CLP support hypergraph.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .model import (
     k_of,
     last_feasible,
     lattice_values,
-    lowest_free,
     min_value,
 )
 from . import flowkit
@@ -83,22 +84,33 @@ class Candidate:
 class TreeState:
     """The alternating tree of one extend_matching call.
 
-    Keeps each tree agent's candidates (its lowest free heavy item and its
-    best r lowest free lights) between steps, and a heap of them keyed
-    (dist, agent, items), the order find_addable picks by.  The cache is
-    exact:
-    - between contractions tree_items only grows, and lowest_free keeps
-      its answer while the items added miss it (None stays None);
-    - every other light pool's pick can only rise lexicographically as
-      items are taken, so the best light pick stays best until one of its
-      own items is taken;
+    Keeps each tree agent's candidates between steps: a free heavy item,
+    and over its light pools the best r free lights.  A bundle is filled
+    with the lowest free items M does not hold first, then with the
+    lowest held ones, so an agent that has an unblocked edge has an
+    unblocked candidate; a light pool's pick is ranked by (number of held
+    items, items).  The candidates sit in two heaps keyed (dist, agent,
+    items), the order find_addable picks by: one of the unblocked ones
+    and one of the rest.  M and owner change only in contract, which
+    calls rebuild_items, so a candidate stays unblocked or blocked while
+    it is cached.  The cache is exact:
+    - between contractions tree_items only grows, so a pool's free items
+      only go; its pick keeps its answer while the items taken miss it
+      (None stays None);
+    - taking items can only raise a pool's pick under its ranking: the
+      held count can only rise, and at an equal count each of the sorted
+      items can only rise.  So the best light pick stays best until one
+      of its own items is taken.  (Under plain lexicographic order it
+      would not: pool [1 (held), 5, 6] at r = 2 picks (5, 6), and after
+      6 is taken it falls to (1, 5).)
     - an agent's dist is fixed while it stays in the tree.
     take() grows tree_items and drops the candidates that use an item it
     adds, found through an item -> agents index; rebuild_items, the only
-    other writer of tree_items, clears the whole cache and the heap.  An
-    agent whose candidates were dropped, and a new tree agent, is marked
-    stale; the next pick finds its candidates and pushes them.  A heap
-    entry whose candidate is no longer cached is popped when it surfaces.
+    other writer of tree_items, clears the whole cache and both heaps.
+    An agent whose candidates were dropped, and a new tree agent, is
+    marked stale; the next pick finds its candidates and pushes them.  A
+    heap entry whose candidate is no longer cached is popped when it
+    surfaces.
 
     It also keeps the signature's coordinates (see signature), which
     add_edge and contract update; check_structure recounts them.
@@ -120,7 +132,9 @@ class TreeState:
         self._stale: Set[int] = {i0}  # tree agents whose candidates are not cached
         # (dist, agent, items, candidate): a (dist, agent) pair fixes the
         # kind, so entries that tie on the key hold equal candidates and
-        # the heap never has to order two Candidates
+        # a heap never has to order two Candidates.  _unblocked holds the
+        # candidates none of whose items M holds, _heap the rest.
+        self._unblocked: List[Tuple[int, int, Tuple[int, ...], Candidate]] = []
         self._heap: List[Tuple[int, int, Tuple[int, ...], Candidate]] = []
         # coords[2d] is minus the addable edges at distance d, coords[2d + 1]
         # the blockers in layer d; trailing zero pairs are allowed
@@ -155,6 +169,7 @@ class TreeState:
         self._cands.clear()
         self._users.clear()
         self._heap.clear()
+        self._unblocked.clear()
         self._stale = {self.i0} | set(self.blockers)
 
     # -- signatures --------------------------------------------------------
@@ -212,10 +227,12 @@ class TreeState:
 
     def _refresh(self):
         """Find and push the candidates of every stale tree agent."""
+        held = self.owner.keys()
         for i in self._stale:
             cands = self._cands[i] = self._find_candidates(i)
             for c in cands:
-                heapq.heappush(self._heap, (c.dist, c.agent, c.items, c))
+                heap = self._unblocked if held.isdisjoint(c.items) else self._heap
+                heapq.heappush(heap, (c.dist, c.agent, c.items, c))
         self._stale.clear()
 
     def candidates(self) -> List[Candidate]:
@@ -228,9 +245,15 @@ class TreeState:
         return [c for i in self.agents_in_tree() for c in self._cands[i]]
 
     def pick(self) -> Optional[Candidate]:
-        """The least cached candidate under (dist, agent, items), or None."""
+        """The least cached unblocked candidate under (dist, agent, items),
+        else the least cached candidate, or None."""
         self._refresh()
-        heap, cands = self._heap, self._cands
+        return self._top(self._unblocked) or self._top(self._heap)
+
+    def _top(self, heap: list) -> Optional[Candidate]:
+        """The least cached candidate in heap, popping the entries of
+        candidates no longer cached."""
+        cands = self._cands
         while heap:
             c = heap[0][3]
             live = cands.get(c.agent)  # at most two candidates
@@ -239,20 +262,41 @@ class TreeState:
             heapq.heappop(heap)
         return None
 
+    def _fill(self, items: Sequence[int], count: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """(owned, picked): `count` free entries of ascending `items`, the
+        lowest ones M does not hold and then as many of the lowest held
+        ones as are still short, sorted, with `owned` the number of held
+        ones; None when fewer than `count` are free."""
+        taken, owner = self.tree_items, self.owner
+        fresh: List[int] = []
+        owned: List[int] = []
+        for j in items:
+            if j in taken:
+                continue
+            if j not in owner:
+                fresh.append(j)
+                if len(fresh) == count:
+                    return 0, tuple(fresh)
+            elif len(owned) < count:
+                owned.append(j)
+        short = count - len(fresh)
+        if short > len(owned):
+            return None
+        return short, tuple(sorted(fresh + owned[:short]))
+
     def _find_candidates(self, i: int) -> List[Candidate]:
-        # the lowest free item ids suffice: find_addable breaks ties by them
+        # unowned items first, so an agent with an unblocked edge has an
+        # unblocked candidate; then the lowest ids, which find_addable
+        # breaks ties by
         base = self.dist_of_agent(i)
         out: List[Candidate] = []
-        pick = lowest_free(self.table.heavy.get(i, ()), self.tree_items, 1)
-        if pick is not None:
-            out.append(Candidate(i, pick, HEAVY_KIND, base))
-        best_pool = None
-        for pool in self.table.light.get(i, ()):
-            pick = lowest_free(pool, self.tree_items, self.r)
-            if pick is not None and (best_pool is None or pick < best_pool):
-                best_pool = pick
-        if best_pool is not None:
-            out.append(Candidate(i, best_pool, LIGHT_KIND, base + 1))
+        heavy = self._fill(self.table.heavy.get(i, ()), 1)
+        if heavy is not None:
+            out.append(Candidate(i, heavy[1], HEAVY_KIND, base))
+        light = min(filter(None, (self._fill(pool, self.r)
+                                  for pool in self.table.light.get(i, ()))), default=None)
+        if light is not None:
+            out.append(Candidate(i, light[1], LIGHT_KIND, base + 1))
         for c in out:
             for j in c.items:
                 self._users.setdefault(j, []).append(i)
@@ -268,8 +312,16 @@ def _trimmed(coords: List[int]) -> tuple:
 
 
 def find_addable(state: TreeState) -> Optional[Candidate]:
-    """The candidate closest to the root; ties go to the lowest agent, then
-    to the lowest items."""
+    """An unblocked candidate if there is one, else the candidate closest to
+    the root; either way the least under (dist, agent, items).
+
+    Taking an unblocked edge at any distance ends the step in a
+    contraction, which only cuts the tree (see contract).  A grow step
+    keeps the closest edge: the bound on how many layers a tree holds,
+    behind the quasi-polynomial running time of Asadpour-Feige-Saberi
+    and Polacek-Svensson, rests on each grow step taking an edge no
+    farther from the root than any other addable one.
+    """
     return state.pick()
 
 
@@ -333,11 +385,12 @@ def contract(state: TreeState, cand: Candidate) -> bool:
       of layer <= d that was not contracted, so the cut keeps -A_0, B_0,
       ..., -A_L and B_d for d < L; B_L falls by one as f leaves, and what
       follows B_L may change.
-    Neither step depends on which edge find_addable picked; the closest
-    pick only bounds how many layers the tree holds.  The timestamp cut of
-    Asadpour-Feige-Saberi (TALG 2012), which drops all that was added
-    after f, would also drop any edge at dist < L added after f, raising
-    -A_d for its d.
+    Neither step depends on which edge find_addable picked, so it may take
+    an unblocked edge at any distance before it grows; the closest pick of
+    a grow step only bounds how many layers the tree holds.  The timestamp
+    cut of Asadpour-Feige-Saberi (TALG 2012), which drops all that was
+    added after f, would also drop any edge at dist < L added after f,
+    raising -A_d for its d.
 
     Nor does the gap-3 no-stall argument depend on the pick: it reads only
     a stalled tree, its agents and its items, and the structure that
@@ -400,8 +453,10 @@ def extend_matching(
     """Grow M so that i0 gets a heavy item or r light items.
 
     Addable edges come from `support`, or from every interest when it is
-    None.  Returns MATCHED, STALLED or BUDGET_EXCEEDED.  Previously matched
-    agents stay matched (their bundles may be reshuffled).
+    None.  Returns MATCHED, STALLED or BUDGET_EXCEEDED, the last after
+    `budget` steps of this call; `stats` only adds up the steps and
+    contractions of the calls it is passed to.  Previously matched agents
+    stay matched (their bundles may be reshuffled).
     """
     if i0 in M:
         raise ValueError("root already matched")
@@ -410,7 +465,7 @@ def extend_matching(
     state = TreeState(M, owner, i0, r, support)
     stats = stats if stats is not None else ExtendStats()
     matched_before = set(M)
-    while stats.iterations < budget:
+    for _ in range(budget):
         stats.iterations += 1
         cand = find_addable(state)
         if cand is None:

@@ -249,21 +249,27 @@ def brute_min_knapsack(
 def brute_candidates(state) -> List[Tuple[int, Tuple[int, ...], str, int]]:
     """Every tree agent's candidates as (agent, ascending items, kind,
     dist), agents ascending and heavy first, recomputed from the tree's
-    table and items: the lowest free heavy item, and over the light pools
-    with r free items the lexicographically smallest r-set of them."""
+    table, items and owners: the lowest free heavy item that M does not
+    hold, else the lowest free one, and over the light pools with r free
+    items, of the r-sets of them with the fewest items M holds, the
+    lexicographically smallest."""
     out = []
     for i in sorted({state.i0} | set(state.blockers)):
         dist = 0 if i == state.i0 else state.blockers[i].dist
-        heavy = sorted(set(state.table.heavy.get(i, ())) - state.tree_items)
+        heavy = sorted(set(state.table.heavy.get(i, ())) - state.tree_items,
+                       key=lambda j: (j in state.owner, j))
         if heavy:
             out.append((i, tuple(heavy[:1]), HEAVY_KIND, dist))
         picks = []
         for pool in state.table.light.get(i, ()):
             free = sorted(set(pool) - state.tree_items)
             if len(free) >= state.r:
-                picks.append(free[:state.r])
+                unowned = [j for j in free if j not in state.owner]
+                owned = [j for j in free if j in state.owner]
+                short = max(state.r - len(unowned), 0)
+                picks.append((short, tuple(sorted(unowned[:state.r] + owned[:short]))))
         if picks:
-            out.append((i, tuple(min(picks)), LIGHT_KIND, dist + 1))
+            out.append((i, min(picks)[1], LIGHT_KIND, dist + 1))
     return out
 
 

@@ -92,14 +92,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("algo, bound", [("quasi", 3.4), ("poly", 9.0)])
     def test_probe_out_of_budget_voids_the_ratio(self, tmp_path, capsys, planted, algo, bound):
-        # fault F4 in small: at budget 3 every probe runs out of steps and
+        # fault F4 in small: below the steps of the top probe's slowest
+        # root (3 for quasi, 1 for poly) every probe runs out of steps and
         # the search falls back to the baseline's 1/10, where the planted
         # OPT is 1, so only the baseline's 1/eps = 10 holds
         inst, _, opt = planted.planted_instance(12, Epsilon(1, 10), 10, 7, False)
         path = write_instance(tmp_path, inst)
         out = str(tmp_path / "a.json")
         argv = ["solve", path, "--algo", algo, "--out", out]
-        assert cli.main(argv + ["--budget", "3"]) == 0
+        budget = {"quasi": "2", "poly": "0"}[algo]
+        assert cli.main(argv + ["--budget", budget]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["budget_exceeded"] and report["value"] == "1/10"
         assert report["algo"] == f"{algo}(baseline)"

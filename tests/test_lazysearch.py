@@ -441,12 +441,13 @@ class TestPolySolve:
 
 @pytest.mark.parametrize("solve", [treesearch.quasi_solve, lazysearch.poly_solve])
 def test_budget_one_falls_back_to_baseline(solve):
-    # agents 2 and 3 are two roots that each need a search step, and the
-    # budget is shared by the roots of a T probe, so every probe fails
+    # agents 3 and 4 want the same five lights, the lowest of agent 2's
+    # twenty: at every r some root needs more than one search step, and
+    # each root has a budget of one, so every probe fails
     eps = Epsilon(1, 10)
-    items = [Item(0, HEAVY), Item(1, HEAVY)] + [Item(j, LIGHT) for j in range(2, 32)]
-    inst = Instance(eps, items, [[0, 1], [0, 1], [0, 1, *range(2, 17)],
-                                 [0, 1, *range(17, 32)]])
+    items = [Item(0, HEAVY), Item(1, HEAVY)] + [Item(j, LIGHT) for j in range(2, 22)]
+    inst = Instance(eps, items, [[0, 1], [0, 1], [0, 1, *range(2, 22)],
+                                 [0, 1, *range(2, 7)], [0, 1, *range(2, 7)]])
     base_val, base_alloc = flowkit.baseline_solve(inst)
     full = solve(inst)
     assert full.value.key(eps) > base_val.key(eps)

@@ -65,7 +65,7 @@ def test_lp_mid_answers():
                 if not tstar.is_zero():
                     alloc = treesearch.gap3_certify(inst, res, tstar)
                     lines.append(repr(_allocation(alloc)))
-    assert _digest(lines) == "3d68040ff6b1ca32c7e7e979055f68ad98205b5dd715ccaca3e8249a7b20a094"
+    assert _digest(lines) == "e3c436c8a7fb49100d0518879367d01dc90b5ac48689ba72f83baca12f29b329"
 
 
 def test_search_planted_answers(planted, monkeypatch):
@@ -107,9 +107,9 @@ def test_search_planted_answers(planted, monkeypatch):
             for algo, value, alloc in answers:
                 lines.append(f"{algo} {value.as_fraction(inst.epsilon)} {_allocation(alloc)}")
     values = [" ".join(line.split(" ", 2)[:2]) for line in lines]
-    assert _digest(lines) == "75929e4bac5af9b2ad3ee14ad6dcf093af696d64b8cf726b82efde90cafc58a4"
+    assert _digest(lines) == "3629798a38418db815a8c0e1ea592a97e28a8cbcbf01c60dc0fb2fcb9c3de675"
     assert _digest(values) == "e518d952a993e9c0a7b9c6a49145eaa0b0fbaa2397104b77644a7b21c5809183"
-    assert _digest(reports) == "d2305fe274fed7d732800bdac184c0af8a34359dc88bb055cf444d853f496a2e"
+    assert _digest(reports) == "1690cdc549d0b1ab7c6dad601ab54cc4b2fe1cb0d4d936c0f29f609611d2088f"
     assert calls == {"quasi _probe": 48, "poly _probe": 108, "preprocess": 48,
                      "baseline_solve": 96, "allocation_flow": 96, "_Flow.reachable": 3025}
 
@@ -124,6 +124,6 @@ def test_corpus_answers(corpus):
         rep = lazysearch.poly_solve(inst)
         polys.append(_report(rep, eps))
         values.append(str(rep.value.as_fraction(eps)))
-    assert _digest(quasis) == "2e13655a4769255248b7601ed023c87728b35600b7ede86e669f9fd636563f63"
+    assert _digest(quasis) == "8fa98d9b71d020e713ba4605ee1b9bde9f8715ba32e104ef467b4c588089f432"
     assert _digest(values) == "a9e688190c140a3acfe028d84a344f2ce75df48d7b28dd1559fbd967d8b66254"
     assert _digest(polys) == "c7e809817767573125debcbb1fa8c5de174234e575cce1dff01132d22f645aaa"

@@ -83,6 +83,21 @@ class TestExtendMatching:
         assert M == {1: (treesearch.HEAVY_KIND, frozenset({0}))}
         assert owner == {0: 1}
 
+    def test_free_bundle_matches_in_one_step(self, corpus):
+        # a root with a heavy item or r = 2 lights that M does not hold
+        # takes them at once, whatever edge it could grow first
+        for inst in corpus[::3]:
+            M, owner = {}, {}
+            for i0 in range(inst.n):
+                heavy = [j for j in inst.b1(i0) if j not in owner]
+                light = [j for j in inst.beps(i0) if j not in owner]
+                stats = treesearch.ExtendStats()
+                out = treesearch.extend_matching(inst, M, owner, i0, 2, stats=stats)
+                if heavy or len(light) >= 2:
+                    assert (out, stats.iterations) == (treesearch.MATCHED, 1)
+                if out != treesearch.MATCHED:
+                    break
+
     def test_stall_when_impossible(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)], [[0], [0]])
         M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
@@ -357,17 +372,13 @@ class TestF3:
         assert lazysearch.poly_solve(inst).value.as_fraction(inst.epsilon) >= opt / 9
 
 
-F4 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="F4, ROADMAP item 4")
-
-
 class TestF4:
-    # A probe's roots share one step budget.  On this planted instance
-    # (OPT = 1) every quasi root at the top r = 5 needs at most 7 steps,
-    # but the shared count reaches 45, so at budget 8 quasi falls back to
-    # the baseline's 1/10 where a per-root budget gives 1/2; poly's six
-    # roots take one step each, and at budget 2 it falls back too.
-    @F4
-    @pytest.mark.parametrize("solve, budget", [(treesearch.quasi_solve, 8),
+    # Each root has its own step budget.  On this planted instance
+    # (OPT = 1) every quasi root at the top r = 5 needs at most 3 steps,
+    # 18 in all, and poly's six roots one step each, so budgets of 3 and
+    # 2 shared by a probe's roots would run out and fall back to the
+    # baseline's 1/10.
+    @pytest.mark.parametrize("solve, budget", [(treesearch.quasi_solve, 3),
                                                (lazysearch.poly_solve, 2)],
                              ids=["quasi", "poly"])
     def test_budget_counts_per_root(self, planted, solve, budget):
@@ -375,6 +386,15 @@ class TestF4:
         rep = solve(inst, budget=budget)
         assert "budget_exceeded" not in rep.meta
         assert not rep.algo.endswith("(baseline)")
+
+
+def test_quasi_passes_its_top_probe_at_640(planted):
+    # ROADMAP item 3: a root takes its own unblocked bundle before it grows,
+    # so 640 roots take 5,782 steps in all, where the closest-edge pick
+    # alone took 90,296
+    inst, _, _ = planted.planted_instance(640, Epsilon(1, 10), 10, 7, False)
+    rep = treesearch.quasi_solve(inst)
+    assert (rep.algo, rep.value.as_fraction(inst.epsilon)) == ("quasi", Fraction(1, 2))
 
 
 class TestGap3Certify:
@@ -393,8 +413,9 @@ class TestGap3Certify:
 @contextmanager
 def checked_steps():
     """Make every find_addable call first compare the tree's cached
-    candidates with brute_candidates and its pick with their least under
-    (dist, agent, items), every step's signature with brute_signature,
+    candidates with brute_candidates and its pick with the least unblocked
+    one under (dist, agent, items), else their least, every step's
+    signature with brute_signature,
     and every cut of a contraction, cascade steps included, pass
     check_structure; yields a list that gets each checked step's
     candidate count.  Between two picks in one tree, signature() runs
@@ -414,7 +435,9 @@ def checked_steps():
         last.update(state=state, signatures=0)
         steps.append(len(cands))
         pick = original(state)
-        least = min(((dist, agent, items) for agent, items, _, dist in brute), default=None)
+        keys = [(dist, agent, items) for agent, items, _, dist in brute]
+        unblocked = [key for key in keys if not any(j in state.owner for j in key[2])]
+        least = min(unblocked or keys, default=None)
         assert (pick and (pick.dist, pick.agent, pick.items)) == least
         return pick
 
