@@ -15,7 +15,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import clp, exact, flowkit, gen, lazysearch, simplex, treesearch
 from .model import (
@@ -124,27 +123,29 @@ def _ratio_bound(algo: str, inst: Instance, extras: dict) -> float:
     raise ValueError(algo)
 
 
-def _run_algo(inst: Instance, algo: str, args, baseline=None):
-    """Returns (value, allocation, extras dict) for one algorithm; the local
-    searches reuse `baseline`, a flowkit.baseline_solve result, if given,
-    and their extras carry the report's label as "algo", which names a
-    fallback to the baseline ("quasi(baseline)")."""
-    if algo == "exact":
-        value, alloc = exact.opt(inst, args.exact_cap)
-        return value, alloc, {}
-    if algo == "baseline":
-        value, alloc = flowkit.baseline_solve(inst)
-        return value, alloc, {}
-    if algo in ("quasi", "poly"):
-        solve = treesearch.quasi_solve if algo == "quasi" else lazysearch.poly_solve
-        rep = solve(inst, args.budget, baseline)
-        extras = {"algo": rep.algo, "iterations": rep.iterations}
-        if rep.certified_T is not None:
-            extras["certified_T"] = _frac_str(rep.certified_T, inst.epsilon)
-            extras["r"] = rep.r
-        extras.update(rep.meta)
-        return rep.value, rep.allocation, extras
-    raise ValueError(algo)
+def _results(inst: Instance, algos, args):
+    """Runs `algos` on inst in order, yielding (algo, value, allocation,
+    extras, wall_ms) for each.  A local search reuses the answer of a
+    baseline that ran before it; its extras carry the report's label as
+    "algo", which names a fallback to the baseline ("quasi(baseline)")."""
+    baseline = None
+    for algo in algos:
+        start = time.perf_counter()
+        extras = {}
+        if algo == "exact":
+            value, alloc = exact.opt(inst, args.exact_cap)
+        elif algo == "baseline":
+            value, alloc = baseline = flowkit.baseline_solve(inst)
+        else:
+            solve = treesearch.quasi_solve if algo == "quasi" else lazysearch.poly_solve
+            rep = solve(inst, args.budget, baseline)
+            value, alloc = rep.value, rep.allocation
+            extras = {"algo": rep.algo, "iterations": rep.iterations}
+            if rep.certified_T is not None:
+                extras["certified_T"] = _frac_str(rep.certified_T, inst.epsilon)
+                extras["r"] = rep.r
+            extras.update(rep.meta)
+        yield algo, value, alloc, extras, round(1000 * (time.perf_counter() - start), 3)
 
 
 def cmd_solve(args) -> int:
@@ -153,15 +154,11 @@ def cmd_solve(args) -> int:
     algos = ["baseline", "quasi", "poly"] if args.algo == "auto" else [args.algo]
     if args.algo == "auto" and inst.m <= args.exact_cap:
         algos.append("exact")
-    best = baseline = None
+    best = None
     timings, bounds = {}, []
-    for algo in algos:
-        start = time.perf_counter()
-        value, alloc, extras = _run_algo(inst, algo, args, baseline)
-        timings[algo] = round(1000 * (time.perf_counter() - start), 3)
+    for algo, value, alloc, extras, wall_ms in _results(inst, algos, args):
+        timings[algo] = wall_ms
         bounds.append(_ratio_bound(algo, inst, extras))
-        if algo == "baseline":
-            baseline = (value, alloc)
         if best is None or value.key(eps) > best[0].key(eps):
             best = (value, alloc, algo, extras)
     value, alloc, algo, extras = best
@@ -249,6 +246,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+BENCH_FIELDS = ("instance", "n", "m_heavy", "m_light", "epsilon", "algo",
+                "value", "opt", "ratio", "iterations", "wall_ms")
+
+
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
@@ -256,47 +257,29 @@ def cmd_bench(args) -> int:
         return EXIT_PARSE
     rows = []
     for path in sorted(corpus.glob("*.json")):
+        if path.name.endswith(".alloc.json"):  # solve's output, not an instance
+            continue
         inst = _load_instance(str(path))
         eps = inst.epsilon
-        opt_f: Optional[Fraction] = None
-        exact_row = None  # (value, wall_ms) of the one exact.opt call
-        if inst.m <= args.exact_cap:
-            start = time.perf_counter()
-            opt_v, _ = exact.opt(inst, args.exact_cap)
-            exact_row = (opt_v, round(1000 * (time.perf_counter() - start), 3))
-            opt_f = opt_v.as_fraction(eps)
-        baseline = None
-        for algo in args.algos:
-            if algo == "exact" and exact_row is not None:
-                (value, wall_ms), extras = exact_row, {}
-            else:
-                start = time.perf_counter()
-                value, alloc, extras = _run_algo(inst, algo, args, baseline)
-                wall_ms = round(1000 * (time.perf_counter() - start), 3)
-                if algo == "baseline":
-                    baseline = (value, alloc)
+        results = list(_results(inst, args.algos, args))
+        # OPT from the exact run if there was one, else from one exact call
+        opt = next((value for algo, value, *_ in results if algo == "exact"), None)
+        if opt is None and inst.m <= args.exact_cap:
+            opt, _ = exact.opt(inst, args.exact_cap)
+        opt_f = None if opt is None else opt.as_fraction(eps)
+        head = [path.name, inst.n, len(inst.heavy_ids), inst.m - len(inst.heavy_ids),
+                f"{eps.numerator}/{eps.denominator}"]
+        for algo, value, _, extras, wall_ms in results:
             value_f = value.as_fraction(eps)
             ratio = ""
             if opt_f is not None:
-                ratio = str(opt_f / value_f) if value_f else ("1" if not opt_f else "")
-            rows.append(
-                {
-                    "instance": path.name,
-                    "n": inst.n,
-                    "m_heavy": len(inst.heavy_ids),
-                    "m_light": inst.m - len(inst.heavy_ids),
-                    "epsilon": f"{eps.numerator}/{eps.denominator}",
-                    "algo": algo,
-                    "value": str(value_f),
-                    "opt": "" if opt_f is None else str(opt_f),
-                    "ratio": ratio,
-                    "iterations": extras.get("iterations", ""),
-                    "wall_ms": wall_ms,
-                }
-            )
+                ratio = opt_f / value_f if value_f else ("1" if not opt_f else "")
+            # csv writes None as ""
+            rows.append(head + [algo, value_f, opt_f, ratio,
+                                extras.get("iterations"), wall_ms])
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(BENCH_FIELDS)
         writer.writerows(rows)
     return EXIT_OK
 

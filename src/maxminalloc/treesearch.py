@@ -89,11 +89,11 @@ class TreeState:
     with the lowest free items M does not hold first, then with the
     lowest held ones, so an agent that has an unblocked edge has an
     unblocked candidate; a light pool's pick is ranked by (number of held
-    items, items).  The candidates sit in two heaps keyed (dist, agent,
-    items), the order find_addable picks by: one of the unblocked ones
-    and one of the rest.  M and owner change only in contract, which
-    calls rebuild_items, so a candidate stays unblocked or blocked while
-    it is cached.  The cache is exact:
+    items, items).  The candidates sit in one heap keyed (blocked, dist,
+    agent, items), the order find_addable picks by, with blocked true
+    where M holds one of the items.  M and owner change only in contract,
+    which calls rebuild_items, so a candidate stays unblocked or blocked
+    while it is cached.  The cache is exact:
     - between contractions tree_items only grows, so a pool's free items
       only go; its pick keeps its answer while the items taken miss it
       (None stays None);
@@ -106,7 +106,7 @@ class TreeState:
     - an agent's dist is fixed while it stays in the tree.
     take() grows tree_items and drops the candidates that use an item it
     adds, found through an item -> agents index; rebuild_items, the only
-    other writer of tree_items, clears the whole cache and both heaps.
+    other writer of tree_items, clears the whole cache and the heap.
     An agent whose candidates were dropped, and a new tree agent, is
     marked stale; the next pick finds its candidates and pushes them.  A
     heap entry whose candidate is no longer cached is popped when it
@@ -130,12 +130,10 @@ class TreeState:
         self._cands: Dict[int, List[Candidate]] = {}  # agent -> its candidates
         self._users: Dict[int, List[int]] = {}  # item -> agents whose candidates use it
         self._stale: Set[int] = {i0}  # tree agents whose candidates are not cached
-        # (dist, agent, items, candidate): a (dist, agent) pair fixes the
-        # kind, so entries that tie on the key hold equal candidates and
-        # a heap never has to order two Candidates.  _unblocked holds the
-        # candidates none of whose items M holds, _heap the rest.
-        self._unblocked: List[Tuple[int, int, Tuple[int, ...], Candidate]] = []
-        self._heap: List[Tuple[int, int, Tuple[int, ...], Candidate]] = []
+        # (blocked, dist, agent, items, candidate): a (dist, agent) pair
+        # fixes the kind, so entries that tie on the key hold equal
+        # candidates and the heap never has to order two Candidates
+        self._heap: List[Tuple[bool, int, int, Tuple[int, ...], Candidate]] = []
         # coords[2d] is minus the addable edges at distance d, coords[2d + 1]
         # the blockers in layer d; trailing zero pairs are allowed
         self._coords: List[int] = [0, 0]
@@ -169,7 +167,6 @@ class TreeState:
         self._cands.clear()
         self._users.clear()
         self._heap.clear()
-        self._unblocked.clear()
         self._stale = {self.i0} | set(self.blockers)
 
     # -- signatures --------------------------------------------------------
@@ -231,8 +228,8 @@ class TreeState:
         for i in self._stale:
             cands = self._cands[i] = self._find_candidates(i)
             for c in cands:
-                heap = self._unblocked if held.isdisjoint(c.items) else self._heap
-                heapq.heappush(heap, (c.dist, c.agent, c.items, c))
+                blocked = not held.isdisjoint(c.items)
+                heapq.heappush(self._heap, (blocked, c.dist, c.agent, c.items, c))
         self._stale.clear()
 
     def candidates(self) -> List[Candidate]:
@@ -245,17 +242,12 @@ class TreeState:
         return [c for i in self.agents_in_tree() for c in self._cands[i]]
 
     def pick(self) -> Optional[Candidate]:
-        """The least cached unblocked candidate under (dist, agent, items),
-        else the least cached candidate, or None."""
+        """The least cached candidate under (blocked, dist, agent, items),
+        so an unblocked one where there is one; None if none is cached."""
         self._refresh()
-        return self._top(self._unblocked) or self._top(self._heap)
-
-    def _top(self, heap: list) -> Optional[Candidate]:
-        """The least cached candidate in heap, popping the entries of
-        candidates no longer cached."""
-        cands = self._cands
-        while heap:
-            c = heap[0][3]
+        heap, cands = self._heap, self._cands
+        while heap:  # pop the entries of candidates no longer cached
+            c = heap[0][-1]
             live = cands.get(c.agent)  # at most two candidates
             if live and (live[0] is c or live[-1] is c):
                 return c

@@ -325,6 +325,38 @@ class TestBench:
             if row["algo"] in ("quasi", "poly"):
                 assert int(row["iterations"]) >= 0
 
+    def test_empty_corpus_writes_the_header(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", str(tmp_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == b",".join(f.encode() for f in cli.BENCH_FIELDS) + b"\r\n"
+
+    def test_skips_solve_output(self, yes_instance, tmp_path, capsys):
+        # solve writes inst.json.alloc.json beside the instance by default
+        assert cli.main(["solve", yes_instance, "--algo", "baseline"]) == 0
+        assert (tmp_path / "inst.json.alloc.json").exists()
+        out = str(tmp_path / "bench.csv")
+        assert cli.main(["bench", str(tmp_path), "--algos", "baseline", "--out", out]) == 0
+        assert [row["instance"] for row in csv.DictReader(open(out))] == ["inst.json"]
+
+    @pytest.mark.parametrize("algo", cli.ALGOS)
+    def test_rows_carry_what_solve_prints(self, tmp_path, capsys, algo):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for seed in range(3):
+            inst = gen.gen_random(4, 3, 7, 0.6, Epsilon(1, 3), seed)
+            (corpus / f"i{seed}.json").write_bytes(serialize_instance(inst))
+        out = str(tmp_path / "bench.csv")
+        assert cli.main(["bench", str(corpus), "--algos", algo, "--out", out]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert [row["instance"] for row in rows] == ["i0.json", "i1.json", "i2.json"]
+        for row in rows:
+            alloc = str(tmp_path / "a.json")
+            assert cli.main(["solve", str(corpus / row["instance"]), "--algo", algo,
+                             "--out", alloc]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (row["value"], row["iterations"]) == (
+                report["value"], str(report.get("iterations", "")))
+
     def test_exact_over_size_cap_exit_3(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -187,6 +187,28 @@ class TestQuasiSolve:
             assert treesearch.quasi_solve(inst, baseline=real(inst)) == rep
         assert 0 < skipped < len(search_inputs)
 
+    def test_probes_match_up_to_tstar(self, search_inputs):
+        # the probe-level lemma: at every probed T <= T*, the tree probe at
+        # quasi's r matches every root, and the layered probe at poly's r
+        # does at one of its sizes p (where poly probes T at all)
+        budget, asked = treesearch.DEFAULT_BUDGET, 0
+        for inst in search_inputs:
+            eps, tstar = inst.epsilon, clp.estimate_Tstar(inst)
+            interests = clp.SupportHypergraph.of_interests(inst)
+            pre = lazysearch.preprocess(inst)
+            for T in treesearch.t_probe_candidates(inst):
+                if T.key(eps) > tstar.key(eps):
+                    continue
+                k, asked = k_of(T, eps), asked + 1
+                r = treesearch._quasi_r(k, eps)
+                assert treesearch._probe(inst, r, interests, budget)[0] == treesearch.MATCHED
+                r = lazysearch._poly_r(k)
+                sizes = lazysearch._p_candidates(r, k)
+                assert not sizes or any(
+                    lazysearch._probe(inst, lazysearch.Params(r, p), budget, pre)[0]
+                    == treesearch.MATCHED for p in sizes), (T, r, sizes)
+        assert asked == 1022
+
     def test_empty_interests(self):
         inst = Instance(Epsilon(1, 2), [Item(0, LIGHT)], [[0], []])
         rep = treesearch.quasi_solve(inst)
