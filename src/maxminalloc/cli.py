@@ -255,32 +255,32 @@ def cmd_bench(args) -> int:
     if not corpus.is_dir():
         print(f"error: corpus {args.corpus!r} is not a directory", file=sys.stderr)
         return EXIT_PARSE
-    rows = []
-    for path in sorted(corpus.glob("*.json")):
-        if path.name.endswith(".alloc.json"):  # solve's output, not an instance
-            continue
-        inst = _load_instance(str(path))
-        eps = inst.epsilon
-        results = list(_results(inst, args.algos, args))
-        # OPT from the exact run if there was one, else from one exact call
-        opt = next((value for algo, value, *_ in results if algo == "exact"), None)
-        if opt is None and inst.m <= args.exact_cap:
-            opt, _ = exact.opt(inst, args.exact_cap)
-        opt_f = None if opt is None else opt.as_fraction(eps)
-        head = [path.name, inst.n, len(inst.heavy_ids), inst.m - len(inst.heavy_ids),
-                f"{eps.numerator}/{eps.denominator}"]
-        for algo, value, _, extras, wall_ms in results:
-            value_f = value.as_fraction(eps)
-            ratio = ""
-            if opt_f is not None:
-                ratio = opt_f / value_f if value_f else ("1" if not opt_f else "")
-            # csv writes None as ""
-            rows.append(head + [algo, value_f, opt_f, ratio,
-                                extras.get("iterations"), wall_ms])
+    # solve's output beside an instance is not one
+    paths = [p for p in sorted(corpus.glob("*.json")) if not p.name.endswith(".alloc.json")]
+    # each instance's rows are written once they are all computed, so an
+    # instance that ends the run (exit 2 or 3) leaves those before it
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_FIELDS)
-        writer.writerows(rows)
+        for path in paths:
+            inst = _load_instance(str(path))
+            eps = inst.epsilon
+            results = list(_results(inst, args.algos, args))
+            # OPT from the exact run if there was one, else from one exact call
+            opt = next((value for algo, value, *_ in results if algo == "exact"), None)
+            if opt is None and inst.m <= args.exact_cap:
+                opt, _ = exact.opt(inst, args.exact_cap)
+            opt_f = None if opt is None else opt.as_fraction(eps)
+            head = [path.name, inst.n, len(inst.heavy_ids), inst.m - len(inst.heavy_ids),
+                    f"{eps.numerator}/{eps.denominator}"]
+            for algo, value, _, extras, wall_ms in results:
+                value_f = value.as_fraction(eps)
+                ratio = ""
+                if opt_f is not None:
+                    ratio = opt_f / value_f if value_f else ("1" if not opt_f else "")
+                # csv writes None as ""
+                writer.writerow(head + [algo, value_f, opt_f, ratio,
+                                        extras.get("iterations"), wall_ms])
     return EXIT_OK
 
 

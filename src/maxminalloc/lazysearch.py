@@ -19,21 +19,18 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from .model import Allocation, Instance, lowest_free
-from .flowkit import (
-    HeavyMatching, PathFlow, ResidualDigraph, disjoint_paths, max_heavy_matching,
-)
+from .flowkit import PathFlow, ResidualDigraph, disjoint_paths, max_heavy_matching
 from .treesearch import (
     Baseline,
-    Bundle,
     HEAVY_KIND,
     LIGHT_KIND,
     MATCHED,
     STALLED,
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
+    Matching,
     ProbeResult,
     SolveReport,
-    matching_allocation,
     search_solve,
 )
 
@@ -80,7 +77,7 @@ class LazyState:
     before any flip or comparison.
     """
 
-    def __init__(self, inst: Instance, M: Dict[int, Bundle], i0: int,
+    def __init__(self, inst: Instance, M: Matching, i0: int,
                  params: Params, digraph: Optional[ResidualDigraph] = None):
         self.inst = inst
         self.M = M
@@ -91,7 +88,7 @@ class LazyState:
         self.Y: List[Set[int]] = [{i0}]
         self.I: List[LightEdge] = []
         if digraph is None:
-            digraph = ResidualDigraph(inst, self.heavy_matching())
+            digraph = ResidualDigraph(inst, M.heavy())
         self.digraph = digraph
         self.flow: Optional[PathFlow] = None
 
@@ -103,20 +100,6 @@ class LazyState:
 
     # -- derived views ------------------------------------------------------
 
-    def heavy_matching(self) -> HeavyMatching:
-        """M's heavy bundles; a digraph reads only its own agents' ones."""
-        return {
-            a: next(iter(items)) for a, (kind, items) in self.M.items() if kind == HEAVY_KIND
-        }
-
-    def owner_light(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for a, (kind, items) in self.M.items():
-            if kind == LIGHT_KIND:
-                for j in items:
-                    out[j] = a
-        return out
-
     def tree_lights(self) -> Set[int]:
         items: Set[int] = set()
         for layer in self.X:
@@ -126,12 +109,9 @@ class LazyState:
             items |= e.items
         for yi in self.Y:
             for a in yi:
-                if a in self.M:  # the layer-0 dummy carries no items
-                    items |= self.M[a][1]
+                if a in self.M.bundles:  # the layer-0 dummy carries no items
+                    items |= self.M.bundles[a][1]
         return items
-
-    def free_items_of(self, e: LightEdge, owner: Dict[int, int]) -> List[int]:
-        return sorted(j for j in e.items if j not in owner)
 
     # -- invariants ---------------------------------------------------------
 
@@ -140,14 +120,10 @@ class LazyState:
         return tuple(len(yi) for yi in self.Y[1:]) + (math.inf,)
 
     def check_invariants(self):
-        r, p = self.params.r, self.params.p
-        owner = self.owner_light()
+        r, p, M = self.params.r, self.params.p, self.M
         # layers partition: Y_i is exactly the blocker set of X_i
         for i in range(1, len(self.Y)):
-            blockers = {
-                owner[j] for e in self.X[i] for j in e.items if j in owner
-            }
-            if blockers != self.Y[i]:
+            if M.holders(j for e in self.X[i] for j in e.items) != self.Y[i]:
                 raise LazyInvariantError(f"Y_{i} is not blocking(X_{i})")
         # counting bound: every blocked edge has >= p-r+1 blocked items
         x_total = y_total = 0
@@ -157,11 +133,11 @@ class LazyState:
             if (p - r + 1) * x_total > r * y_total:
                 raise LazyInvariantError(f"counting bound fails at layer {i}")
         for e in self.I:
-            if len(self.free_items_of(e, owner)) < r:
+            if len(M.free(e.items)) < r:
                 raise LazyInvariantError("blocked edge in I")
         # Fact 1, from scratch: f(Y_<=t-1, X_<=t u I) >= |X_<=t|
         d = self.digraph
-        g = ResidualDigraph(self.inst, self.heavy_matching(), d.agents, d.items)
+        g = ResidualDigraph(self.inst, M.heavy(), d.agents, d.items)
         self.release_flow()
         if ((d.arcs, d.flow.head, d.flow.cap, d.flow.adj)
                 != (g.arcs, g.flow.head, g.flow.cap, g.flow.adj)):
@@ -227,8 +203,8 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
     on the maximum-flow value, not on which maximum flow is held.  A new
     layer is appended only when some addable edge is blocked.
 
-    One ascending pass over the agents suffices.  During the scan M and
-    `owner` are fixed while the tree's items and the sink set only grow,
+    One ascending pass over the agents suffices.  During the scan M is
+    fixed while the tree's items and the sink set only grow,
     so an agent with no p free lights keeps none.  The flow is maximum at
     every turn, and an augmenting path lies inside the set reachable from
     the sources, so the arcs it reverses add nothing to that set: the set
@@ -241,7 +217,7 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
         for e in layer:
             pf.add_sink(e.agent)
     pf.augment_to_max()
-    owner = state.owner_light()
+    M = state.M
     tree = state.tree_lights()
     new_x: List[LightEdge] = []
     added_i = 0
@@ -252,7 +228,7 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
         if fresh is None:
             continue
         e = LightEdge(i, frozenset(fresh))
-        if len(state.free_items_of(e, owner)) >= r:
+        if len(M.free(e.items)) >= r:
             state.I.append(e)
             added_i += 1
         else:
@@ -262,7 +238,7 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
             raise LazyInvariantError("addable edge did not raise the flow")
         tree |= e.items
     if new_x:
-        blockers = {owner[j] for e in new_x for j in e.items if j in owner}
+        blockers = M.holders(j for e in new_x for j in e.items)
         if not blockers:
             raise LazyInvariantError("blocked edges without blockers")
         state.X.append(new_x)
@@ -321,14 +297,14 @@ def _reverse_path(state: LazyState, path: List[int]):
     """Reverse every heavy arc on the path [a0, j1, a1, ..., ak]: agent
     a_{t-1} takes heavy item j_t from agent a_t.  The digraph's arcs flip
     with M."""
-    g = state.digraph
+    g, M = state.digraph, state.M
     for j, i in zip(path[1::2], path[2::2]):  # matched arcs j_t -> a_t
-        if state.M.get(i) != (HEAVY_KIND, frozenset([j])):
+        if M.bundles.get(i) != (HEAVY_KIND, frozenset([j])):
             raise LazyInvariantError("path does not follow the matching")
-        del state.M[i]
+        M.drop(i)
         g.flip(i, j)
     for i, j in zip(path[::2], path[1::2]):  # free arcs a_{t-1} -> j_t
-        state.M[i] = (HEAVY_KIND, frozenset([j]))
+        M.give(i, HEAVY_KIND, [j])
         g.flip(i, j)
 
 
@@ -341,27 +317,27 @@ def collapse(state: LazyState, t: int, W: List[List[List[int]]],
     in between, then truncates the layers above t and re-admits any X_t
     edge the swaps unblocked.
     """
-    r = state.params.r
+    r, M = state.params.r, state.M
     state.release_flow()
-    owner_before = state.owner_light()
-    heavy_before = sum(1 for kind, _ in state.M.values() if kind == HEAVY_KIND)
+    heavy_before = sum(1 for kind, _ in M.bundles.values() if kind == HEAVY_KIND)
+    # each reached edge's free items, read before any swap
+    frees = [M.free(e2.items) for e2 in I_layers[t]]
     swapped: Set[int] = set()
-    for path, e2 in zip(W[t], I_layers[t]):
+    for path, e2, free in zip(W[t], I_layers[t], frees):
         u, v = path[0], path[-1]
         if e2.agent != v:
             raise LazyInvariantError("path endpoint does not own the I edge")
-        free = state.free_items_of(e2, owner_before)
         if len(free) < r:
             raise LazyInvariantError("consumed edge is not unblocked")
         if t == 0:
-            if u != state.i0 or u in state.M:
+            if u != state.i0 or u in M.bundles:
                 raise LazyInvariantError("layer-0 source is not the root")
         else:
-            del state.M[u]
+            M.drop(u)
             swapped.add(u)
         _reverse_path(state, path)
-        state.M[v] = (LIGHT_KIND, frozenset(free[:r]))
-    heavy_after = sum(1 for kind, _ in state.M.values() if kind == HEAVY_KIND)
+        M.give(v, LIGHT_KIND, free[:r])
+    heavy_after = sum(1 for kind, _ in M.bundles.values() if kind == HEAVY_KIND)
     if heavy_after != heavy_before:
         raise LazyInvariantError("collapse changed the heavy-matching size")
     if t == 0:
@@ -373,14 +349,9 @@ def collapse(state: LazyState, t: int, W: List[List[List[int]]],
     # Step-(3): drop the layers above, release newly unblocked X_t edges
     del state.X[t + 1 :]
     del state.Y[t + 1 :]
-    owner = state.owner_light()
-    released = [
-        e for e in state.X[t] if len(state.free_items_of(e, owner)) >= r
-    ]
-    state.X[t] = [
-        e for e in state.X[t] if len(state.free_items_of(e, owner)) < r
-    ]
-    state.Y[t] &= {owner[j] for e in state.X[t] for j in e.items if j in owner}
+    released = [e for e in state.X[t] if len(M.free(e.items)) >= r]
+    state.X[t] = [e for e in state.X[t] if len(M.free(e.items)) < r]
+    state.Y[t] &= M.holders(j for e in state.X[t] for j in e.items)
     # the swaps reversed heavy arcs, so the flow is built on the new matching
     sinks = [e.agent for layer in state.X for e in layer] + [e.agent for e in state.I]
     pf = disjoint_paths(state.digraph, [a for yi in state.Y for a in yi], sinks)
@@ -396,7 +367,7 @@ def collapse(state: LazyState, t: int, W: List[List[List[int]]],
 
 def extend_matching_poly(
     inst: Instance,
-    M: Dict[int, Bundle],
+    M: Matching,
     i0: int,
     params: Params,
     budget: int = DEFAULT_BUDGET,
@@ -415,11 +386,11 @@ def extend_matching_poly(
     analysis collapses layer i once ceil(mu |Y_i|) of its blockers do,
     which is 1 for every |Y_i| < 1/mu.
     """
-    if i0 in M:
+    if i0 in M.bundles:
         raise ValueError("root already matched")
     state = LazyState(inst, M, i0, params, digraph)
     stats = stats if stats is not None else LazyStats()
-    matched_before = set(M)
+    matched_before = set(M.bundles)
     last_sig = None
     try:
         for _ in range(budget):
@@ -430,7 +401,7 @@ def extend_matching_poly(
                 if t is not None:
                     stats.collapses += 1
                     if collapse(state, t, W, I_layers):
-                        if not matched_before <= set(state.M):
+                        if not matched_before <= M.bundles.keys():
                             raise LazyInvariantError("a matched agent lost its bundle")
                         return MATCHED
                     break
@@ -479,13 +450,11 @@ def _probe(inst: Instance, params: Params, budget: int,
            pre: Preprocessed) -> Tuple[str, Optional[Allocation], LazyStats]:
     """Match every agent at (r, p), starting from `pre`, preprocess(inst)."""
     agents, heavy, forced, matching = pre
-    M: Dict[int, Bundle] = {
-        i: (HEAVY_KIND, frozenset([j])) for i, j in matching.items()
-    }
+    M = Matching({i: (HEAVY_KIND, frozenset([j])) for i, j in matching.items()})
     stats = LazyStats()
     digraph = None  # one for every root, built for the first
     for i0 in sorted(agents):
-        if i0 in M:
+        if i0 in M.bundles:
             continue
         if digraph is None:
             digraph = ResidualDigraph(inst, matching, agents, heavy)
@@ -493,8 +462,8 @@ def _probe(inst: Instance, params: Params, budget: int,
         if outcome != MATCHED:
             return outcome, None, stats
     for i, j in forced.items():
-        M[i] = (HEAVY_KIND, frozenset([j]))
-    return MATCHED, matching_allocation(M), stats
+        M.give(i, HEAVY_KIND, [j])
+    return MATCHED, M.allocation(), stats
 
 
 def poly_solve(

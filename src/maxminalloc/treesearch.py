@@ -48,6 +48,56 @@ LIGHT_KIND = "L"
 Bundle = Tuple[str, FrozenSet[int]]
 
 
+class Matching:
+    """The matching M both local searches extend: `bundles` maps an agent
+    to its (kind, items), `owner` an item to the agent holding it.
+
+    give and drop are the only writers of either dict, so `owner` is
+    always the inverse of `bundles`."""
+
+    def __init__(self, bundles: Optional[Dict[int, Bundle]] = None):
+        self.bundles: Dict[int, Bundle] = {}
+        self.owner: Dict[int, int] = {}
+        for agent, (kind, items) in (bundles or {}).items():
+            self.give(agent, kind, items)
+
+    def give(self, agent: int, kind: str, items: Iterable[int]):
+        """Set agent's bundle, replacing any it held; raises ValueError,
+        changing nothing, if another agent holds one of the items."""
+        items = frozenset(items)
+        owner = self.owner
+        for j in items:
+            if owner.get(j, agent) != agent:
+                raise ValueError(f"item {j} of agent {agent}'s bundle is held by {owner[j]}")
+        if agent in self.bundles:
+            self.drop(agent)
+        self.bundles[agent] = (kind, items)
+        for j in items:
+            owner[j] = agent
+
+    def drop(self, agent: int):
+        """Unmatch agent; KeyError if it holds no bundle."""
+        for j in self.bundles.pop(agent)[1]:
+            del self.owner[j]
+
+    def holders(self, items: Iterable[int]) -> Set[int]:
+        """The agents that hold some of the items."""
+        owner = self.owner
+        return {owner[j] for j in items if j in owner}
+
+    def free(self, items: Iterable[int]) -> List[int]:
+        """The items no agent holds, ascending."""
+        return sorted(j for j in items if j not in self.owner)
+
+    def heavy(self) -> Dict[int, int]:
+        """agent -> heavy item, over the heavy bundles."""
+        return {a: next(iter(items))
+                for a, (kind, items) in self.bundles.items() if kind == HEAVY_KIND}
+
+    def allocation(self) -> Allocation:
+        return {a: items for a, (kind, items) in self.bundles.items()}
+
+
 class TreeInvariantError(AssertionError):
     """A structural invariant of the alternating tree was violated."""
 
@@ -91,7 +141,7 @@ class TreeState:
     unblocked candidate; a light pool's pick is ranked by (number of held
     items, items).  The candidates sit in one heap keyed (blocked, dist,
     agent, items), the order find_addable picks by, with blocked true
-    where M holds one of the items.  M and owner change only in contract,
+    where M holds one of the items.  M changes only in contract,
     which calls rebuild_items, so a candidate stays unblocked or blocked
     while it is cached.  The cache is exact:
     - between contractions tree_items only grows, so a pool's free items
@@ -116,10 +166,8 @@ class TreeState:
     add_edge and contract update; check_structure recounts them.
     """
 
-    def __init__(self, M: Dict[int, Bundle], owner: Dict[int, int],
-                 i0: int, r: int, table: SupportHypergraph):
+    def __init__(self, M: Matching, i0: int, r: int, table: SupportHypergraph):
         self.M = M
-        self.owner = owner  # item -> agent holding it in M
         self.i0 = i0
         self.r = r
         self.table = table
@@ -146,9 +194,6 @@ class TreeState:
     def dist_of_agent(self, i: int) -> int:
         return 0 if i == self.i0 else self.blockers[i].dist
 
-    def blocking_of(self, items: Iterable[int]) -> Set[int]:
-        return {self.owner[j] for j in items if j in self.owner}
-
     def take(self, items: FrozenSet[int]):
         """Add items to the tree, dropping the cached candidates they hit."""
         self.tree_items |= items
@@ -162,7 +207,7 @@ class TreeState:
         for e in self.edges:
             items |= e.items
         for a in self.blockers:
-            items |= self.M[a][1]
+            items |= self.M.bundles[a][1]
         self.tree_items = items
         self._cands.clear()
         self._users.clear()
@@ -188,7 +233,7 @@ class TreeState:
     def check_structure(self):
         """Distance parity, blocker-kind and membership invariants, and the
         signature counts against a recount made on the same walk."""
-        M, blockers = self.M, self.blockers
+        M, blockers = self.M.bundles, self.blockers
         coords = [0] * len(self._coords)  # an element past the counts is a mismatch
         try:
             for b in blockers.values():
@@ -224,7 +269,7 @@ class TreeState:
 
     def _refresh(self):
         """Find and push the candidates of every stale tree agent."""
-        held = self.owner.keys()
+        held = self.M.owner.keys()
         for i in self._stale:
             cands = self._cands[i] = self._find_candidates(i)
             for c in cands:
@@ -259,7 +304,7 @@ class TreeState:
         lowest ones M does not hold and then as many of the lowest held
         ones as are still short, sorted, with `owned` the number of held
         ones; None when fewer than `count` are free."""
-        taken, owner = self.tree_items, self.owner
+        taken, owner = self.tree_items, self.M.owner
         fresh: List[int] = []
         owned: List[int] = []
         for j in items:
@@ -317,19 +362,9 @@ def find_addable(state: TreeState) -> Optional[Candidate]:
     return state.pick()
 
 
-def _set_bundle(state: TreeState, agent: int, kind: str, items: FrozenSet[int]):
-    old = state.M.get(agent)
-    if old is not None:
-        for j in old[1]:
-            del state.owner[j]
-    state.M[agent] = (kind, items)
-    for j in items:
-        state.owner[j] = agent
-
-
 def add_edge(state: TreeState, cand: Candidate, blocking: Set[int]) -> AddEdge:
     """Grow the tree by cand, blocked by `blocking`, the owners of its items
-    (state.blocking_of(cand.items), which the caller has at hand)."""
+    (state.M.holders(cand.items), which the caller has at hand)."""
     if not state.tree_items.isdisjoint(cand.items):
         raise TreeInvariantError("edge items collide with the tree")
     e = AddEdge(cand.agent, frozenset(cand.items), cand.kind, cand.dist, set(blocking))
@@ -343,10 +378,10 @@ def add_edge(state: TreeState, cand: Candidate, blocking: Set[int]) -> AddEdge:
     bdist = cand.dist + (1 if cand.kind == LIGHT_KIND else 0)
     for a in sorted(blocking):
         if a not in state.blockers:
-            state.blockers[a] = BlockEdge(a, state.M[a][0], bdist, cand.dist)
+            state.blockers[a] = BlockEdge(a, state.M.bundles[a][0], bdist, cand.dist)
             coords[2 * e.dist + 1] += 1
             state._stale.add(a)
-            state.take(state.M[a][1])
+            state.take(state.M.bundles[a][1])
     return e
 
 
@@ -390,10 +425,10 @@ def contract(state: TreeState, cand: Candidate) -> bool:
     """
     while True:
         if cand.agent == state.i0:
-            _set_bundle(state, state.i0, cand.kind, frozenset(cand.items))
+            state.M.give(state.i0, cand.kind, cand.items)
             return True
         f = state.blockers.pop(cand.agent)
-        _set_bundle(state, cand.agent, cand.kind, frozenset(cand.items))
+        state.M.give(cand.agent, cand.kind, cand.items)
         # the cut leaves nothing beyond layer L = f.layer; below it, the
         # counts lose f and the edges whose agent left the tree
         coords = state._coords
@@ -434,8 +469,7 @@ class ExtendStats:
 
 def extend_matching(
     inst: Instance,
-    M: Dict[int, Bundle],
-    owner: Dict[int, int],
+    M: Matching,
     i0: int,
     r: int,
     support: Optional[SupportHypergraph] = None,
@@ -450,23 +484,23 @@ def extend_matching(
     contractions of the calls it is passed to.  Previously matched agents
     stay matched (their bundles may be reshuffled).
     """
-    if i0 in M:
+    if i0 in M.bundles:
         raise ValueError("root already matched")
     if support is None:
         support = SupportHypergraph.of_interests(inst)
-    state = TreeState(M, owner, i0, r, support)
+    state = TreeState(M, i0, r, support)
     stats = stats if stats is not None else ExtendStats()
-    matched_before = set(M)
+    matched_before = set(M.bundles)
     for _ in range(budget):
         stats.iterations += 1
         cand = find_addable(state)
         if cand is None:
             return STALLED
-        blocking = state.blocking_of(cand.items)
+        blocking = M.holders(cand.items)
         if not blocking:
             stats.contractions += 1
             if contract(state, cand):
-                if not matched_before <= set(M):
+                if not matched_before <= M.bundles.keys():
                     raise TreeInvariantError("a matched agent lost its bundle")
                 return MATCHED
         else:
@@ -476,21 +510,16 @@ def extend_matching(
     return BUDGET_EXCEEDED
 
 
-def matching_allocation(M: Dict[int, Bundle]) -> Allocation:
-    return {a: items for a, (kind, items) in M.items()}
-
-
 def _probe(
     inst: Instance,
     r: int,
     support: SupportHypergraph,
     budget: int,
-) -> Tuple[str, Dict[int, Bundle], ExtendStats]:
-    M: Dict[int, Bundle] = {}
-    owner: Dict[int, int] = {}
+) -> Tuple[str, Matching, ExtendStats]:
+    M = Matching()
     stats = ExtendStats()
     for i0 in range(inst.n):
-        outcome = extend_matching(inst, M, owner, i0, r, support, budget, stats)
+        outcome = extend_matching(inst, M, i0, r, support, budget, stats)
         if outcome != MATCHED:
             return outcome, M, stats
     return MATCHED, M, stats
@@ -627,7 +656,7 @@ def quasi_solve(inst: Instance, budget: int = DEFAULT_BUDGET,
 
     def probe(r: int, k: int) -> Union[ProbeResult, str]:
         outcome, M, stats = _probe(inst, r, interests, budget)
-        return (matching_allocation(M), stats.iterations, {}) if outcome == MATCHED else outcome
+        return (M.allocation(), stats.iterations, {}) if outcome == MATCHED else outcome
 
     return search_solve(inst, "quasi", lambda k: _quasi_r(k, eps), probe, baseline)
 
@@ -651,4 +680,4 @@ def gap3_certify(inst: Instance, clpres: ClpResult, T: LatticeValue,
         raise CertificationError(
             f"support matcher stalled at T={T}; this should be impossible"
         )
-    return matching_allocation(M)
+    return M.allocation()

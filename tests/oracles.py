@@ -257,15 +257,15 @@ def brute_candidates(state) -> List[Tuple[int, Tuple[int, ...], str, int]]:
     for i in sorted({state.i0} | set(state.blockers)):
         dist = 0 if i == state.i0 else state.blockers[i].dist
         heavy = sorted(set(state.table.heavy.get(i, ())) - state.tree_items,
-                       key=lambda j: (j in state.owner, j))
+                       key=lambda j: (j in state.M.owner, j))
         if heavy:
             out.append((i, tuple(heavy[:1]), HEAVY_KIND, dist))
         picks = []
         for pool in state.table.light.get(i, ()):
             free = sorted(set(pool) - state.tree_items)
             if len(free) >= state.r:
-                unowned = [j for j in free if j not in state.owner]
-                owned = [j for j in free if j in state.owner]
+                unowned = [j for j in free if j not in state.M.owner]
+                owned = [j for j in free if j in state.M.owner]
                 short = max(state.r - len(unowned), 0)
                 picks.append((short, tuple(sorted(unowned[:state.r] + owned[:short]))))
         if picks:

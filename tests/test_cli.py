@@ -366,6 +366,42 @@ class TestBench:
         assert cli.main(["bench", str(corpus), "--algos", "exact", "--out", str(out)]) == 3
         assert "exceeds exact-mode cap" in capsys.readouterr().err
 
+    @staticmethod
+    def corpus_failing_at_b(tmp_path, b_doc):
+        """The bench argv over a.json (m = 6), b.json and c.json (m = 6), with
+        --algos exact,baseline --exact-cap 10."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a", "c"):
+            inst = gen.gen_random(3, 2, 4, 0.6, Epsilon(1, 2), ord(name))
+            (corpus / f"{name}.json").write_bytes(serialize_instance(inst))
+        (corpus / "b.json").write_bytes(b_doc)
+        return ["bench", str(corpus), "--algos", "exact,baseline", "--exact-cap", "10",
+                "--out", str(tmp_path / "bench.csv")]
+
+    @staticmethod
+    def kept_rows(tmp_path):
+        with open(tmp_path / "bench.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert tuple(header) == cli.BENCH_FIELDS
+        return [(row[0], row[5]) for row in rows]
+
+    def test_exit_3_keeps_the_rows_before(self, tmp_path, capsys):
+        big = gen.gen_random(3, 4, 12, 0.6, Epsilon(1, 2), 0)
+        assert big.m == 16
+        argv = self.corpus_failing_at_b(tmp_path, serialize_instance(big))
+        assert cli.main(argv) == 3
+        assert "exceeds exact-mode cap" in capsys.readouterr().err
+        assert self.kept_rows(tmp_path) == [("a.json", "exact"), ("a.json", "baseline")]
+
+    def test_exit_2_keeps_the_rows_before(self, tmp_path, capsys):
+        argv = self.corpus_failing_at_b(tmp_path, b"{nope")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert self.kept_rows(tmp_path) == [("a.json", "exact"), ("a.json", "baseline")]
+
     def test_exact_opt_once_per_instance(self, tmp_path, monkeypatch):
         calls = []
         real = exact.opt

@@ -17,6 +17,7 @@ from oracles import midpoint_first
 
 H = treesearch.HEAVY_KIND
 L = treesearch.LIGHT_KIND
+Matching = treesearch.Matching
 
 
 class TestPreprocess:
@@ -70,12 +71,12 @@ class TestExtendMatchingPoly:
             [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 5)],
             [[0], [0, 1, 2, 3, 4]],
         )
-        M = {1: (H, frozenset({0}))}
+        M = Matching({1: (H, frozenset({0}))})
         params = lazysearch.Params(r=2, p=3)
         out = lazysearch.extend_matching_poly(inst, M, 0, params)
         assert out == lazysearch.MATCHED
-        assert M[0] == (H, frozenset({0}))
-        assert M[1][0] == L and len(M[1][1]) == 2
+        assert M.bundles[0] == (H, frozenset({0}))
+        assert M.bundles[1][0] == L and len(M.bundles[1][1]) == 2
 
     def test_one_digraph_per_probe(self, monkeypatch):
         # several roots, whose collapses reverse heavy paths: the probe builds
@@ -123,7 +124,7 @@ class TestExtendMatchingPoly:
             [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 5)],
             [[0], [0, 1, 2, 3, 4]],
         )
-        M = {1: (H, frozenset({0}))}
+        M = Matching({1: (H, frozenset({0}))})
         stats = lazysearch.LazyStats()
         out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(r=2, p=3),
                                               stats=stats)
@@ -141,7 +142,7 @@ class TestExtendMatchingPoly:
             [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 7)],
             [[1, 2, 3], [0, 1, 2], [0, 4, 5, 6]],
         )
-        M = {1: (L, frozenset({1, 2})), 2: (H, frozenset({0}))}
+        M = Matching({1: (L, frozenset({1, 2})), 2: (H, frozenset({0}))})
         with pytest.raises(lazysearch.LazyInvariantError, match="residual digraph is stale"):
             lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(r=2, p=3))
 
@@ -163,7 +164,7 @@ class TestExtendMatchingPoly:
             [[0], [0, 1, 2, 3, 4], [5, 6, 7]],
         )
         digraph = flowkit.ResidualDigraph(inst, {1: 0}, {0, 1, 2}, {0})
-        state = lazysearch.LazyState(inst, {1: (H, frozenset({0}))}, 0,
+        state = lazysearch.LazyState(inst, Matching({1: (H, frozenset({0}))}), 0,
                                      lazysearch.Params(r=2, p=3), digraph)
         lazysearch.compute_W(state)
         assert lazysearch.build_layer(state) == (1, 0)
@@ -179,14 +180,15 @@ class TestExtendMatchingPoly:
             [Item(0, HEAVY)] + [Item(j, LIGHT) for j in range(1, 7)],
             [[1, 2, 3], [0, 1, 2], [0, 4, 5, 6]],
         )
-        M = {1: (L, frozenset({1, 2})), 2: (H, frozenset({0}))}
+        M = Matching({1: (L, frozenset({1, 2})), 2: (H, frozenset({0}))})
         stats = lazysearch.LazyStats()
         out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(r=2, p=3),
                                               stats=stats)
         assert out == lazysearch.MATCHED
         assert (stats.collapses, stats.layers_peak) == (2, 1)
-        assert M == {0: (L, frozenset({1, 2})), 1: (H, frozenset({0})),
-                     2: (L, frozenset({4, 5}))}
+        assert M.bundles == {0: (L, frozenset({1, 2})), 1: (H, frozenset({0})),
+                             2: (L, frozenset({4, 5}))}
+        assert M.owner == {0: 1, 1: 0, 2: 0, 4: 2, 5: 2}
 
     def test_zero_length_collapse(self):
         inst = Instance(
@@ -194,14 +196,14 @@ class TestExtendMatchingPoly:
             [Item(j, LIGHT) for j in range(4)],
             [[0, 1, 2, 3]],
         )
-        M = {}
+        M = Matching()
         out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(2, 3))
         assert out == lazysearch.MATCHED
-        assert M[0][0] == L and len(M[0][1]) == 2
+        assert M.bundles[0][0] == L and len(M.bundles[0][1]) == 2
 
     def test_stall_when_impossible(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY), Item(1, LIGHT)], [[0, 1], [0, 1]])
-        M = {1: (H, frozenset({0}))}
+        M = Matching({1: (H, frozenset({0}))})
         out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(1, 2))
         assert out == lazysearch.STALLED
 
@@ -214,11 +216,12 @@ class TestExtendMatchingPoly:
             [[0, 1, 2], [0, 1, 2, 3, 4, 5]],
         )
         for budget, outcome in ((3, lazysearch.MATCHED), (1, lazysearch.BUDGET_EXCEEDED)):
-            M = {1: (L, frozenset({0, 1}))}
+            M = Matching({1: (L, frozenset({0, 1}))})
             out = lazysearch.extend_matching_poly(inst, M, 0, lazysearch.Params(2, 3),
                                                   budget=budget)
             assert out == outcome
-        assert M == {1: (L, frozenset({0, 1}))}
+        assert M.bundles == {1: (L, frozenset({0, 1}))}
+        assert M.owner == {0: 1, 1: 1}
 
     def test_3dm_yes_all_matched(self):
         eps = Epsilon(1, 2)
@@ -227,16 +230,16 @@ class TestExtendMatchingPoly:
             inst = gen.reduce_3dm(h, eps)
             params = lazysearch.Params(r=1, p=2)
             agents, heavy, forced, matching = lazysearch.preprocess(inst)
-            M = {i: (H, frozenset({j})) for i, j in matching.items()}
+            M = Matching({i: (H, frozenset({j})) for i, j in matching.items()})
             digraph = flowkit.ResidualDigraph(inst, matching, agents, heavy)
             for i0 in sorted(agents):
-                if i0 in M:
+                if i0 in M.bundles:
                     continue
                 out = lazysearch.extend_matching_poly(inst, M, i0, params, digraph=digraph)
                 assert out == lazysearch.MATCHED
             for i, j in forced.items():
-                M[i] = (H, frozenset({j}))
-            alloc = {a: items for a, (kind, items) in M.items()}
+                M.give(i, H, {j})
+            alloc = M.allocation()
             assert not min_value(inst, alloc).is_zero()
 
     def test_matched_agents_keep_bundles(self):
@@ -246,17 +249,17 @@ class TestExtendMatchingPoly:
                                   rng.randrange(2**30))
             params = lazysearch.Params(r=1, p=2)
             agents, heavy, forced, matching = lazysearch.preprocess(inst)
-            M = {i: (H, frozenset({j})) for i, j in matching.items()}
+            M = Matching({i: (H, frozenset({j})) for i, j in matching.items()})
             digraph = flowkit.ResidualDigraph(inst, matching, agents, heavy)
             for i0 in sorted(agents):
-                if i0 in M:
+                if i0 in M.bundles:
                     continue
-                before = set(M)
+                before = set(M.bundles)
                 out = lazysearch.extend_matching_poly(inst, M, i0, params, digraph=digraph)
                 if out == lazysearch.MATCHED:
-                    assert before | {i0} <= set(M)
+                    assert before | {i0} <= set(M.bundles)
                 else:
-                    assert before <= set(M)
+                    assert before <= set(M.bundles)
 
 
 def poly_params(inst):
@@ -274,15 +277,16 @@ def probe_through_digraph(inst, params, budget, pre):
     extend_matching_poly with the residue's digraph as its only record of
     the agents and heavy items it may use."""
     agents, heavy, forced, matching = pre
-    M = {i: (H, frozenset({j})) for i, j in matching.items()}
+    M = Matching({i: (H, frozenset({j})) for i, j in matching.items()})
     digraph = flowkit.ResidualDigraph(inst, matching, agents, heavy)
     for i0 in sorted(agents):
-        if i0 not in M:
+        if i0 not in M.bundles:
             out = lazysearch.extend_matching_poly(inst, M, i0, params, budget, digraph=digraph)
             if out != lazysearch.MATCHED:
                 return out, None
-    M.update((i, (H, frozenset({j}))) for i, j in forced.items())
-    return lazysearch.MATCHED, {a: items for a, (_, items) in M.items()}
+    for i, j in forced.items():
+        M.give(i, H, {j})
+    return lazysearch.MATCHED, M.allocation()
 
 
 def test_restricted_digraph_alone_answers_as_probe():
@@ -322,7 +326,7 @@ def checked_digraphs():
     def checked_collapse(state, *args):
         out = collapse(state, *args)
         g = state.digraph
-        fresh = flowkit.ResidualDigraph(state.inst, state.heavy_matching(), g.agents, g.items)
+        fresh = flowkit.ResidualDigraph(state.inst, state.M.heavy(), g.agents, g.items)
         assert g.arcs == fresh.arcs
         fl, want = g.flow, fresh.flow
         assert (fl.head, fl.cap, fl.adj) == (want.head, want.cap, want.adj)
@@ -476,7 +480,7 @@ def unmemoized_report(inst, algo, budget):
             r = treesearch._quasi_r(k, eps)
             outcome, M, stats = treesearch._probe(inst, r, interests, budget)
             if outcome == lazysearch.MATCHED:
-                return r, treesearch.matching_allocation(M), stats.iterations, {}
+                return r, M.allocation(), stats.iterations, {}
             return None
         r = lazysearch._poly_r(k)
         for p in lazysearch._p_candidates(r, k):
@@ -612,7 +616,7 @@ class TestKeySearch:
         interests = clp.SupportHypergraph.of_interests(inst)
         r = treesearch._quasi_r(k, eps)
         runs = [treesearch._probe(inst, r, interests, budget) for _ in range(2)]
-        first, second = [(outcome, treesearch.matching_allocation(M), stats.iterations)
+        first, second = [(outcome, M.allocation(), stats.iterations)
                          for outcome, M, stats in runs]
         assert first == second
         r = lazysearch._poly_r(k)

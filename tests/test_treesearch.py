@@ -24,13 +24,77 @@ from oracles import (
 )
 
 
+H, L = treesearch.HEAVY_KIND, treesearch.LIGHT_KIND
+
+
+class TestMatching:
+    def test_give_records_the_owner_of_each_item(self):
+        M = treesearch.Matching()
+        M.give(0, H, [5])
+        M.give(1, L, (2, 3))
+        assert M.bundles == {0: (H, frozenset({5})), 1: (L, frozenset({2, 3}))}
+        assert M.owner == {5: 0, 2: 1, 3: 1}
+
+    def test_give_replaces_the_agents_bundle(self):
+        M = treesearch.Matching({0: (H, frozenset({5}))})
+        M.give(0, L, {2, 5})
+        assert M.bundles == {0: (L, frozenset({2, 5}))}
+        assert M.owner == {2: 0, 5: 0}
+
+    def test_refused_give_changes_nothing(self):
+        M = treesearch.Matching({0: (H, frozenset({5})), 1: (L, frozenset({2, 3}))})
+        for agent in (0, 2):  # a matched agent, and an unmatched one
+            with pytest.raises(ValueError):
+                M.give(agent, L, {3, 4})
+            assert M.bundles == {0: (H, frozenset({5})), 1: (L, frozenset({2, 3}))}
+            assert M.owner == {5: 0, 2: 1, 3: 1}
+
+    def test_drop_frees_the_items(self):
+        M = treesearch.Matching({0: (H, frozenset({5})), 1: (L, frozenset({2, 3}))})
+        M.drop(1)
+        assert M.bundles == {0: (H, frozenset({5}))}
+        assert M.owner == {5: 0}
+        with pytest.raises(KeyError):
+            M.drop(1)
+
+    def test_readers(self):
+        M = treesearch.Matching({0: (H, frozenset({5})), 1: (L, frozenset({2, 3})),
+                                 4: (H, frozenset({7}))})
+        assert M.holders([9, 3, 2, 7]) == {1, 4}
+        assert M.holders([9, 8]) == set()
+        assert M.free([9, 3, 1, 5, 8]) == [1, 8, 9]
+        assert M.heavy() == {0: 5, 4: 7}
+        assert M.allocation() == {0: frozenset({5}), 1: frozenset({2, 3}),
+                                  4: frozenset({7})}
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([H, L]),
+                              st.frozensets(st.integers(0, 9), max_size=3)),
+                    max_size=30))
+    def test_owner_is_the_inverse_of_bundles(self, ops):
+        # an empty item set stands for drop(agent); a refused give or drop
+        # changes nothing, and no item is held twice
+        M = treesearch.Matching()
+        for agent, kind, items in ops:
+            before = (dict(M.bundles), dict(M.owner))
+            try:
+                if not items:
+                    M.drop(agent)
+                else:
+                    M.give(agent, kind, items)
+            except (KeyError, ValueError):
+                assert (M.bundles, M.owner) == before
+            inverse = {j: a for a, (_, held) in M.bundles.items() for j in held}
+            assert M.owner == inverse
+            assert sum(len(held) for _, held in M.bundles.values()) == len(inverse)
+
+
 class TestExtendMatching:
     def test_direct_heavy(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)], [[0]])
-        M, owner = {}, {}
-        out = treesearch.extend_matching(inst, M, owner, 0, r=1)
+        M = treesearch.Matching()
+        out = treesearch.extend_matching(inst, M, 0, r=1)
         assert out == treesearch.MATCHED
-        assert M[0] == (treesearch.HEAVY_KIND, frozenset({0}))
+        assert M.bundles[0] == (treesearch.HEAVY_KIND, frozenset({0}))
 
     def test_single_eviction_chain(self):
         # agent 1 holds the only heavy item; agent 0 needs it, agent 1 can
@@ -40,12 +104,12 @@ class TestExtendMatching:
             [Item(0, HEAVY), Item(1, LIGHT), Item(2, LIGHT)],
             [[0], [0, 1, 2]],
         )
-        M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
-        owner = {0: 1}
-        out = treesearch.extend_matching(inst, M, owner, 0, r=2)
+        M = treesearch.Matching({1: (treesearch.HEAVY_KIND, frozenset({0}))})
+        out = treesearch.extend_matching(inst, M, 0, r=2)
         assert out == treesearch.MATCHED
-        assert M[0] == (treesearch.HEAVY_KIND, frozenset({0}))
-        assert M[1] == (treesearch.LIGHT_KIND, frozenset({1, 2}))
+        assert M.bundles == {0: (treesearch.HEAVY_KIND, frozenset({0})),
+                             1: (treesearch.LIGHT_KIND, frozenset({1, 2}))}
+        assert M.owner == {0: 0, 1: 1, 2: 1}
 
     def test_one_rebuild_per_cascade_step(self, monkeypatch):
         # the chain above: the contraction at agent 1 empties the root's
@@ -63,9 +127,9 @@ class TestExtendMatching:
             [Item(0, HEAVY), Item(1, LIGHT), Item(2, LIGHT)],
             [[0], [0, 1, 2]],
         )
-        M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
+        M = treesearch.Matching({1: (treesearch.HEAVY_KIND, frozenset({0}))})
         stats = treesearch.ExtendStats()
-        out = treesearch.extend_matching(inst, M, {0: 1}, 0, r=2, stats=stats)
+        out = treesearch.extend_matching(inst, M, 0, r=2, stats=stats)
         assert (out, stats.contractions) == (treesearch.MATCHED, 1)
         assert len(rebuilds) == 1
 
@@ -76,23 +140,22 @@ class TestExtendMatching:
             [Item(0, HEAVY), Item(1, LIGHT), Item(2, LIGHT)],
             [[0], [0, 1, 2]],
         )
-        M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
-        owner = {0: 1}
-        out = treesearch.extend_matching(inst, M, owner, 0, r=2, budget=1)
+        M = treesearch.Matching({1: (treesearch.HEAVY_KIND, frozenset({0}))})
+        out = treesearch.extend_matching(inst, M, 0, r=2, budget=1)
         assert out == treesearch.BUDGET_EXCEEDED
-        assert M == {1: (treesearch.HEAVY_KIND, frozenset({0}))}
-        assert owner == {0: 1}
+        assert M.bundles == {1: (treesearch.HEAVY_KIND, frozenset({0}))}
+        assert M.owner == {0: 1}
 
     def test_free_bundle_matches_in_one_step(self, corpus):
         # a root with a heavy item or r = 2 lights that M does not hold
         # takes them at once, whatever edge it could grow first
         for inst in corpus[::3]:
-            M, owner = {}, {}
+            M = treesearch.Matching()
             for i0 in range(inst.n):
-                heavy = [j for j in inst.b1(i0) if j not in owner]
-                light = [j for j in inst.beps(i0) if j not in owner]
+                heavy = M.free(inst.b1(i0))
+                light = M.free(inst.beps(i0))
                 stats = treesearch.ExtendStats()
-                out = treesearch.extend_matching(inst, M, owner, i0, 2, stats=stats)
+                out = treesearch.extend_matching(inst, M, i0, 2, stats=stats)
                 if heavy or len(light) >= 2:
                     assert (out, stats.iterations) == (treesearch.MATCHED, 1)
                 if out != treesearch.MATCHED:
@@ -100,10 +163,10 @@ class TestExtendMatching:
 
     def test_stall_when_impossible(self):
         inst = Instance(Epsilon(1, 2), [Item(0, HEAVY)], [[0], [0]])
-        M = {1: (treesearch.HEAVY_KIND, frozenset({0}))}
-        out = treesearch.extend_matching(inst, M, {0: 1}, 0, r=1)
+        M = treesearch.Matching({1: (treesearch.HEAVY_KIND, frozenset({0}))})
+        out = treesearch.extend_matching(inst, M, 0, r=1)
         assert out == treesearch.STALLED
-        assert M == {1: (treesearch.HEAVY_KIND, frozenset({0}))}
+        assert M.bundles == {1: (treesearch.HEAVY_KIND, frozenset({0}))}
 
     def test_3dm_yes_fully_matches(self):
         # r = 1 is within the guarantee at T = OPT = 2*eps (k = 2)
@@ -111,11 +174,11 @@ class TestExtendMatching:
         for seed in range(4):
             h, _ = gen.gen_3dm_yes(3, 3, seed=seed)
             inst = gen.reduce_3dm(h, eps)
-            M, owner = {}, {}
+            M = treesearch.Matching()
             for i0 in range(inst.n):
-                out = treesearch.extend_matching(inst, M, owner, i0, r=1)
+                out = treesearch.extend_matching(inst, M, i0, r=1)
                 assert out == treesearch.MATCHED
-            alloc = treesearch.matching_allocation(M)
+            alloc = M.allocation()
             assert min_value(inst, alloc).key(eps) >= LatticeValue(0, 1).key(eps)
 
 
@@ -129,12 +192,12 @@ class TestCheckStructure:
             [Item(0, HEAVY), Item(1, LIGHT), Item(2, LIGHT), Item(3, LIGHT)],
             [[0], [0, 1, 2], [3]],
         )
-        M = {1: (treesearch.HEAVY_KIND, frozenset({0})),
-             2: (treesearch.LIGHT_KIND, frozenset({1}))}
+        M = treesearch.Matching({1: (treesearch.HEAVY_KIND, frozenset({0})),
+                                 2: (treesearch.LIGHT_KIND, frozenset({1}))})
         table = clp.SupportHypergraph.of_interests(inst)
-        state = treesearch.TreeState(M, {0: 1, 1: 2}, 0, 2, table)
+        state = treesearch.TreeState(M, 0, 2, table)
         cand = treesearch.find_addable(state)
-        treesearch.add_edge(state, cand, state.blocking_of(cand.items))
+        treesearch.add_edge(state, cand, M.holders(cand.items))
         state.check_structure()
         return state
 
@@ -458,7 +521,7 @@ def checked_steps():
         steps.append(len(cands))
         pick = original(state)
         keys = [(dist, agent, items) for agent, items, _, dist in brute]
-        unblocked = [key for key in keys if not any(j in state.owner for j in key[2])]
+        unblocked = [key for key in keys if not state.M.holders(key[2])]
         least = min(unblocked or keys, default=None)
         assert (pick and (pick.dist, pick.agent, pick.items)) == least
         return pick
