@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .model import (
     Allocation, HEAVY, Instance, LatticeValue, ZERO, min_value,
@@ -247,11 +247,23 @@ def weight_feasible(inst: Instance, T: LatticeValue) -> bool:
 
 
 def _count_top(inst: Instance) -> int:
-    """min(min_i |I_i|, |wanted items| // n), where the wanted items are
-    those some agent is interested in: no agent gets more items than it
-    wants, and n agents with t each take n*t distinct wanted items, so no
-    count above it is feasible."""
-    return min(min(map(len, inst.interests)), len(frozenset().union(*inst.interests)) // inst.n)
+    """An upper bound on the feasible counts: the least of min_i |I_i|,
+    |wanted items| // n and, where some agent wants no light item,
+    |B_H| // |A_H|, A_H being those agents and B_H the heavy items they
+    want.
+
+    A count-t allocation gives every agent t distinct items it wants, no
+    item twice.  So no agent gets more items than it wants; the n agents
+    take n*t distinct items out of the wanted ones; and the agents of A_H,
+    who want heavy items only, take |A_H|*t distinct items out of B_H
+    (Hall's condition on A_H).  Each is a bound on t, and t is an integer.
+    """
+    top = min(min(map(len, inst.interests)), len(frozenset().union(*inst.interests)) // inst.n)
+    heavy_only = [i for i in range(inst.n) if not inst.beps(i)]
+    if heavy_only:
+        wanted = frozenset().union(*map(inst.b1, heavy_only))
+        top = min(top, len(wanted) // len(heavy_only))
+    return top
 
 
 def baseline_solve(inst: Instance) -> Tuple[LatticeValue, Allocation]:
@@ -390,7 +402,10 @@ class PathFlow:
     Both questions put to the residual network, the next augmenting path
     and the agents a new sink would raise the count at, are read from one
     full breadth-first search from S (`_search`), run at most once per
-    flow state.
+    flow state, and not at all where the flow is saturated (`saturated`):
+    S's out-flow is `value` and each of its edges has capacity 1, so at
+    value = |sources| every edge out of S carries flow, S has no residual
+    out-edge, and the search would label S alone.
     """
 
     def __init__(self, g: ResidualDigraph):
@@ -404,7 +419,7 @@ class PathFlow:
         # agents whose out-node it reaches; cleared where a change can
         # alter them
         self._pred: Optional[List[int]] = None
-        self._reach: Optional[Set[int]] = None
+        self._reach: Optional[FrozenSet[int]] = None
         self._ids = g.nodes
         self._agent_node = g.agent_node
         self._flow: Optional[_Flow] = g.flow
@@ -467,8 +482,11 @@ class PathFlow:
         The path is the search's breadth-first shortest path to T: the
         one a search stopping at T would find, since breadth-first search
         labels nodes in the same order either way.  A failed augment
-        leaves the search kept for the unchanged state.
+        leaves the search kept for the unchanged state.  A saturated flow
+        has no path left, and no search is made.
         """
+        if self.saturated:
+            return False
         pred = self._search()
         if pred[1] == -1:
             return False
@@ -481,13 +499,25 @@ class PathFlow:
         while self.augment():
             pass
 
-    def reachable_out_agents(self) -> Set[int]:
+    @property
+    def saturated(self) -> bool:
+        """True iff every source edge carries flow (see the class docstring)."""
+        return self.value == len(self.sources)
+
+    def reachable_out_agents(self) -> FrozenSet[int]:
         """Agents whose out-node is residual-reachable from an unsaturated source.
 
         Adding such an agent as a fresh sink increases the path count by one.
+        The set is kept for would_increase until the flow state changes; a
+        saturated flow reaches none, and no search is made.
         """
-        pred = self._search()
-        return {i for i, k in self._agent_node.items() if pred[2 * k + 3] != -1}
+        if self.saturated:
+            self._reach = frozenset()
+        else:
+            pred = self._search()
+            self._reach = frozenset(i for i, k in self._agent_node.items()
+                                    if pred[2 * k + 3] != -1)
+        return self._reach
 
     def would_increase(self, agent: int) -> bool:
         """True iff adding an edge at `agent` as a sink raises the path count.
@@ -499,9 +529,10 @@ class PathFlow:
         """
         if agent in self.sinks:
             return False
-        if self._reach is None:
-            self._reach = self.reachable_out_agents()
-        return agent in self._reach
+        reach = self._reach
+        if reach is None:
+            reach = self.reachable_out_agents()
+        return agent in reach
 
     def paths(self) -> List[List[int]]:
         """Decompose the flow into paths [a0, j1, a1, ..., ak] of ids.

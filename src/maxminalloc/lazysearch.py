@@ -199,8 +199,9 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
     The scan continues state.flow, compute_W's flow from every blocker to
     I on the current matching: with the X agents added as sinks it is the
     flow the scan extends, and it stays held for the next compute_W.  The
-    scan reads it only through would_increase and augment, which depend
-    on the maximum-flow value, not on which maximum flow is held.  A new
+    scan reads it only through its reachable set, would_increase and
+    augment, which depend on the network, not on which maximum flow is
+    held: every maximum flow leaves the same set reachable from S.  A new
     layer is appended only when some addable edge is blocked.
 
     One ascending pass over the agents suffices.  During the scan M is
@@ -209,7 +210,8 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
     every turn, and an augmenting path lies inside the set reachable from
     the sources, so the arcs it reverses add nothing to that set: the set
     only shrinks, and an agent that could not raise the flow at its turn
-    cannot later.
+    cannot later.  So the pass walks only the agents reachable before it,
+    sinks aside, and stops once the flow is saturated, where none is.
     """
     r, p = state.params.r, state.params.p
     pf = state.flow
@@ -221,7 +223,9 @@ def build_layer(state: LazyState) -> Tuple[int, int]:
     tree = state.tree_lights()
     new_x: List[LightEdge] = []
     added_i = 0
-    for i in state.digraph.agents:
+    for i in sorted(pf.reachable_out_agents() - pf.sinks):
+        if pf.saturated:
+            break
         if not pf.would_increase(i):
             continue
         fresh = lowest_free(state.inst.beps(i), tree, p)

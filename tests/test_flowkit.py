@@ -211,6 +211,16 @@ def networkx_count_feasible(inst, t):
     return nx.maximum_flow_value(g, "s", "t") == inst.n * t
 
 
+def largest_feasible_count(inst):
+    """The largest t whose count network saturates, by networkx: a
+    feasible count stays feasible below, so the first t that fails ends
+    the walk."""
+    t = 0
+    while networkx_count_feasible(inst, t + 1):
+        t += 1
+    return t
+
+
 def best_count(inst):
     """Largest t every agent can get t interesting items at, by brute force."""
     t = 0
@@ -297,8 +307,8 @@ class TestBaseline:
         check_count_allocation(inst, alloc, best)
 
     def test_same_answer_as_the_full_count_range(self):
-        # the counts searched stop at min(min_i |I_i|, |wanted| // n); a
-        # cold search over 1..m // n gives the same value and allocation
+        # the counts searched stop at _count_top; a cold search over
+        # 1..m // n gives the same value and allocation
         rng = random.Random(21)
         for _ in range(80):
             inst = random_tiny(rng, n_max=4, m_max=10)
@@ -345,6 +355,26 @@ class TestBaseline:
         if ceiling is not None:
             eps = inst.epsilon
             assert flowkit.baseline_solve(inst)[0].key(eps) <= ceiling.key(eps)
+
+    @PROPERTY
+    @given(st.one_of(count_random_specs, count_planted_specs))
+    def test_count_top_bounds_every_feasible_count(self, planted, spec):
+        inst = count_instance(planted, spec)
+        best = largest_feasible_count(inst)
+        top = flowkit._count_top(inst)
+        event(f"cap {'tight' if top == best else 'loose'}")
+        assert top >= best
+
+    def test_hall_cap_below_the_wanted_items_cap(self):
+        # agents 0 and 1 want only the heavy items 0-2, so no count above
+        # 3 // 2 = 1 is feasible, though every agent wants 3 items and
+        # the 4 agents want 9 in all (9 // 4 = 2)
+        inst = Instance(Epsilon(1, 2), [Item(j, HEAVY) for j in range(3)]
+                        + [Item(j, LIGHT) for j in range(3, 9)],
+                        [[0, 1, 2], [0, 1, 2], [0, 3, 4, 5], [2, 6, 7, 8]])
+        wanted = frozenset().union(*inst.interests)
+        assert min(min(map(len, inst.interests)), len(wanted) // inst.n) == 2
+        assert flowkit._count_top(inst) == largest_feasible_count(inst) == 1
 
 
 def random_digraph_state(rng, n=4, h=3):
@@ -479,8 +509,11 @@ class TestWouldIncrease:
 
     def test_cache_follows_mutations(self):
         """Interleave flow changes with queries; every answer must match a
-        fresh search, and the brute-force count whenever the flow is maximum."""
+        fresh search, and the brute-force count whenever the flow is maximum.
+        Where the flow is saturated, augment, reachable_out_agents and
+        would_increase answer without a search."""
         rng = random.Random(14)
+        saturated_seen = set()
         for _ in range(40):
             inst, matching = random_digraph_state(rng)
             g = flowkit.ResidualDigraph(inst, matching)
@@ -494,6 +527,14 @@ class TestWouldIncrease:
                     pf.add_sink(rng.choice(agents))
                 else:
                     pf.augment()
+                if pf.value == len(pf.sources):
+                    # every source edge carries flow: no search, nothing reached
+                    with counted_searches() as searches:
+                        assert not pf.augment()
+                        assert pf.reachable_out_agents() == set()
+                        assert not any(pf.would_increase(a) for a in agents)
+                    assert searches == []
+                    saturated_seen.add(bool(pf.sources))
                 sources, sinks = sorted(pf.sources), sorted(pf.sinks)
                 at_max = pf.value == brute_disjoint_paths(inst, matching, sources, sinks)
                 fresh = fresh_out_agents(pf)
@@ -507,6 +548,7 @@ class TestWouldIncrease:
                             > pf.value
                         )
                         assert answer == expected, (op, sources, sinks, extra)
+        assert saturated_seen == {True, False}
 
     def test_present_terminal_keeps_the_search(self):
         """Adding a source or sink that is already one changes nothing, so

@@ -412,6 +412,100 @@ class TestHeldFlowReuse:
         assert reuses
 
 
+def all_agents_scan(state):
+    """build_layer's scan asking would_increase of every agent of the
+    digraph, ascending, to the end: the reference the walk over the
+    reachable agents, which stops at saturation, must answer as."""
+    r, p = state.params.r, state.params.p
+    pf = state.flow
+    for layer in state.X:
+        for e in layer:
+            pf.add_sink(e.agent)
+    pf.augment_to_max()
+    M = state.M
+    tree = state.tree_lights()
+    new_x = []
+    added_i = 0
+    for i in state.digraph.agents:
+        if not pf.would_increase(i):
+            continue
+        fresh = lazysearch.lowest_free(state.inst.beps(i), tree, p)
+        if fresh is None:
+            continue
+        e = lazysearch.LightEdge(i, frozenset(fresh))
+        if len(M.free(e.items)) >= r:
+            state.I.append(e)
+            added_i += 1
+        else:
+            new_x.append(e)
+        pf.add_sink(i)
+        assert pf.augment()
+        tree |= e.items
+    if new_x:
+        state.X.append(new_x)
+        state.Y.append(M.holders(j for e in new_x for j in e.items))
+    return added_i, len(new_x)
+
+
+@contextmanager
+def checked_scans():
+    """On every build_layer call, run all_agents_scan on a deep copy of the
+    state taken before it, and compare the counts returned, the layers,
+    I and the matching.  Yields the number of X layers of each state
+    scanned."""
+    build_layer = lazysearch.build_layer
+    layers = []
+
+    def checked(state):
+        ref = copy.deepcopy(state)
+        layers.append(len(state.X) - 1)
+        out = build_layer(state)
+        assert out == all_agents_scan(ref)
+        assert (state.X, state.Y, state.I, state.M.bundles) == (ref.X, ref.Y, ref.I, ref.M.bundles)
+        return out
+
+    lazysearch.build_layer = checked
+    try:
+        yield layers
+    finally:
+        lazysearch.build_layer = build_layer
+
+
+class TestLayerScan:
+    """build_layer walks only the agents reachable before its scan and
+    stops at saturation; it must add what the all-agents scan adds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 20),
+           st.sampled_from([0.3, 0.6, 1.0]), epsilons, st.integers(0, 2**30))
+    @example(8, 5, 16, 0.6, Epsilon(1, 4), 61)
+    @example(10, 0, 11, 0.6, Epsilon(1, 4), 439112612)
+    def test_random(self, n, mh, ml, density, eps, seed):
+        with checked_scans():
+            lazysearch.poly_solve(gen.gen_random(n, mh, ml, density, eps, seed))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 16), st.integers(3, 12), st.integers(1, 12), st.integers(0, 2**30))
+    @example(22, 9, 2, 840115818)
+    def test_noisy_planted(self, planted, n, q, k, seed):
+        inst, _, _ = planted.planted_instance(n, Epsilon(1, q), min(k, q), seed, True)
+        with checked_scans():
+            lazysearch.poly_solve(inst)
+
+    def test_states_with_x_layers(self, planted):
+        # solves whose searches build up to 3 X layers
+        insts = [gen.gen_random(10, 0, 11, 0.6, Epsilon(1, 4), 439112612),
+                 gen.gen_random(10, 3, 14, 1.0, Epsilon(1, 4), 133744385)]
+        insts += [planted.planted_instance(n, Epsilon(1, q), k, seed, True)[0]
+                  for n, q, k, seed in [(22, 9, 2, 840115818), (23, 8, 1, 1012807866)]]
+        layers = []
+        for inst in insts:
+            with checked_scans() as scanned:
+                lazysearch.poly_solve(inst)
+            layers += scanned
+        assert max(layers) >= 2
+
+
 class TestPolySolve:
     def test_ratio_on_random(self, corpus):
         for inst in corpus[::13]:

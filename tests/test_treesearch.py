@@ -294,20 +294,22 @@ class TestQuasiSolve:
 
 def test_baseline_solved_only_where_it_can_win(planted, monkeypatch):
     # on planted instances the baseline holds one item per agent (eps)
-    # and half the agents want no heavy item, so its ceiling is top*eps
+    # and half the agents want no heavy item, so its ceiling is top*eps;
+    # the other half want only heavy items, as many as there are of them,
+    # so top is 1
     real, calls = flowkit.baseline_solve, []
     monkeypatch.setattr(flowkit, "baseline_solve", lambda inst: calls.append(inst) or real(inst))
     inst, _, _ = planted.planted_instance(20, Epsilon(1, 10), 10, 3, False)
     rep = treesearch.quasi_solve(inst)
-    # 5/10 > the ceiling 3/10
+    # 5/10 > the ceiling 1/10
     assert (rep.algo, rep.value, flowkit.baseline_ceiling(inst)) == (
-        "quasi", LatticeValue(0, 5), LatticeValue(0, 3))
+        "quasi", LatticeValue(0, 5), LatticeValue(0, 1))
     assert calls == []
     inst, _, _ = planted.planted_instance(20, Epsilon(1, 4), 4, 3, False)
     rep = lazysearch.poly_solve(inst)
-    # 1/4 is below the ceiling 2/4, and ties the baseline, which wins
+    # 1/4 is not above the ceiling 1/4, and ties the baseline, which wins
     assert (rep.algo, rep.value, flowkit.baseline_ceiling(inst)) == (
-        "poly(baseline)", LatticeValue(0, 1), LatticeValue(0, 2))
+        "poly(baseline)", LatticeValue(0, 1), LatticeValue(0, 1))
     assert calls == [inst]
 
 
